@@ -7,17 +7,19 @@ Usage, from the repository root:
 One client runs a closed loop in this process: each CLI call starts when the
 previous one returns, on files generated from ``--seed``. With ``--trace 0``
 the loop cycles through the corpus until ``--seconds`` have passed and
-reports the end-to-end metrics. With ``--trace 1`` a fixed number of
-operations (set by ``--seconds``, so two runs of one seed do the same work)
-runs once untraced and once with every layer wrapped, and the per-layer
-metrics come from the traced pass.
+reports the end-to-end metrics, with times scaled to a reference host speed
+by a probe timed after each operation (see ``host_scaled``). With
+``--trace 1`` a fixed number of operations (set by ``--seconds``, so two
+runs of one seed do the same work) runs once untraced and once with every
+layer wrapped, and the per-layer metrics come from the traced pass.
 
-After the timed part, every distinct operation's output is checked
-independently, repeated operations must write identical bytes, and a small
-fixed corpus must reproduce the output digests in ``golden.json``. A failed
-check sets ``correct`` to false and the exit status to 1. The last line of
-stdout is the JSON result; the lines before it give each metric with its
-unit and sample count.
+After the timed part, every failed operation fails the check unless it is
+a long-path conn query raising RecursionError, every repeat of an operation
+must have the same outcome and bytes, every distinct operation's output is
+checked independently, and a small fixed corpus must reproduce the output
+digests in ``golden.json``. A failed check sets ``correct`` to false and the
+exit status to 1. The last line of stdout is the JSON result; the lines
+before it give each metric with its unit and sample count.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 GOLDEN_SEED = 20260101
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
+PROBE_MS = 5.0  # timings are scaled to a host on which reference_loop() takes this long
+PROBE_WINDOW = 5  # a time is scaled by the probes up to this many positions away
 
 # name -> (build, check, traced operations per second of --seconds)
 WORKLOADS = {
@@ -79,18 +83,53 @@ def _import_cli():
     return importlib.import_module("hypersplit.cli")
 
 
+def reference_loop() -> float:
+    """Wall time in ms of a fixed pure-Python loop, a probe of the host's speed.
+
+    Integer arithmetic only: it keeps no data, so its speed depends on the
+    host rather than on what the program left in memory.
+    """
+    t0 = time.perf_counter()
+    s = 0
+    for i in range(60000):
+        s += i * i % 7
+    return (time.perf_counter() - t0) * 1000
+
+
+def host_scaled(times: list[float], probes: list[float]) -> list[float]:
+    """Each time scaled to a host on which reference_loop() takes PROBE_MS.
+
+    Time i is multiplied by PROBE_MS over the median of the probes taken
+    within PROBE_WINDOW positions of it. The host's speed drifts by more than
+    the bounds within seconds to minutes; the probes next to a time drift
+    with it, and the program cannot move them.
+    """
+    k = PROBE_WINDOW
+    return [t * PROBE_MS / statistics.median(probes[max(0, i - k): i + k + 1])
+            for i, t in enumerate(times)]
+
+
 def setup(workload: str, seed: int, work: Path):
-    """Import the package and write the corpus, SETUP_REPEATS times; median time."""
-    build = WORKLOADS[workload][0]
-    times = []
+    """Make the corpus, then import the package and write the corpus files.
+
+    Only the import and the file writing are timed, SETUP_REPEATS times with
+    a probe after each, and the median of the scaled times in s is returned
+    with the raw median. Generating the corpus is benchmark-side work with
+    the package's oracle, so it runs once, before the timer.
+    """
+    _import_cli()
+    corpus = WORKLOADS[workload][0](seed, work)
+    times, probes = [], []
     for _ in range(SETUP_REPEATS):
         shutil.rmtree(work, ignore_errors=True)
         work.mkdir(parents=True)
         t0 = time.perf_counter()
         cli = _import_cli()
-        ops = build(seed, work)
-        times.append(time.perf_counter() - t0)
-    return cli, ops, statistics.median(times)
+        corpus.write()
+        times.append((time.perf_counter() - t0) * 1000)
+        probes.append(reference_loop())
+    setup_s = statistics.median(host_scaled(times, probes)) / 1000
+    return cli, corpus.ops, (setup_s, statistics.median(times) / 1000)
 
 
 def run_op(cli, op: workloads.Op) -> Outcome:
@@ -113,17 +152,21 @@ def run_op(cli, op: workloads.Op) -> Outcome:
     return Outcome(op.key, ms, code, error, out.getvalue(), h.hexdigest())
 
 
-def timed_loop(cli, ops, seconds: float) -> tuple[list[Outcome], float]:
-    """Closed loop over the corpus, in order and cycling, until time is up."""
-    results = []
+def timed_loop(cli, ops, seconds: float) -> tuple[list[Outcome], list[float]]:
+    """Closed loop over the corpus, in order and cycling, until time is up.
+
+    The reference loop is timed after each operation; returns the outcomes
+    and their latencies scaled by host_scaled.
+    """
+    results, probes = [], []
     gc.collect()
-    start = time.perf_counter()
-    deadline = start + seconds
+    deadline = time.perf_counter() + seconds
     i = 0
     while time.perf_counter() < deadline:
         results.append(run_op(cli, ops[i % len(ops)]))
+        probes.append(reference_loop())
         i += 1
-    return results, time.perf_counter() - start
+    return results, host_scaled([r.ms for r in results], probes)
 
 
 def paired_pass(cli, ops, tracer: Tracer) -> tuple[list[Outcome], list[Outcome]]:
@@ -168,17 +211,29 @@ def check_one(workload: str, op: workloads.Op, r: Outcome, cache: dict) -> list[
     return [f"op {op.key} ({op.argv[0]}): {p}" for p in found]
 
 
-def check_outputs(workload: str, ops, results: list[Outcome]) -> list[str]:
-    """Independent check of each distinct operation; repeats must match byte for byte."""
+def check_outputs(workload: str, ops, groups: list[list[Outcome]]) -> list[str]:
+    """Every failure, every repeat that differs, and each distinct operation's output.
+
+    A failed operation fails the check unless it raised the operation's
+    ``expected_failure`` (on conn_large, RecursionError on a long path). Within
+    one group of runs made under the same conditions, every repeat of an
+    operation must give the same outcome, byte for byte. The first completed
+    run of each distinct operation is checked independently.
+    """
     problems = []
     first: dict[int, Outcome] = {}
-    for r in results:
-        if not r.ok:
-            continue
-        if r.key not in first:
-            first[r.key] = r
-        elif first[r.key].digest != r.digest:
-            problems.append(f"op {r.key}: output bytes differ between repeats")
+    for results in groups:
+        seen: dict[int, Outcome] = {}
+        for r in results:
+            op = ops[r.key]
+            if not r.ok and (r.error is None or r.error != op.expected_failure):
+                problems.append(f"op {r.key} ({op.argv[0]}) failed: {r.error or f'exit {r.code}'}")
+            if r.key not in seen:
+                seen[r.key] = r
+            elif seen[r.key].digest != r.digest:
+                problems.append(f"op {r.key}: outcome or output bytes differ between repeats")
+            if r.ok:
+                first.setdefault(r.key, r)
     cache: dict = {}
     for key, r in sorted(first.items()):
         problems += check_one(workload, ops[key], r, cache)
@@ -189,7 +244,9 @@ def run_golden(cli, workload: str, work: Path, indices) -> list[tuple[workloads.
     """Run the given operations of the GOLDEN_SEED corpus."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
-    ops = WORKLOADS[workload][0](GOLDEN_SEED, work)
+    corpus = WORKLOADS[workload][0](GOLDEN_SEED, work)
+    corpus.write()
+    ops = corpus.ops
     return [(ops[i], run_op(cli, ops[i])) for i in indices]
 
 
@@ -214,7 +271,7 @@ def check_golden(cli, workload: str, work: Path) -> list[str]:
     return problems
 
 
-def end_to_end(results, wall_s, setup_s, peak_rss_mb):
+def end_to_end(results, scaled_ms, setup_s, peak_rss_mb):
     """The end-to-end metrics as name -> (value, unit, samples note).
 
     Latency percentiles are taken over the distinct operations of the
@@ -222,21 +279,30 @@ def end_to_end(results, wall_s, setup_s, peak_rss_mb):
     corpus is one full stratification cycle, so every run describes the
     same mix whatever its speed, and repeated runs of an operation damp the
     host's noise instead of adding samples.
+
+    Times are the host-scaled ones (see host_scaled); each line also gives
+    the raw wall-clock figure. ``ops_per_s`` is completed operations over
+    the time spent in ``cli.main``, failed calls included.
     """
-    runs: dict[int, list[float]] = {}
-    for r in results:
+    raw, scaled = {}, {}
+    for r, ms in zip(results, scaled_ms):
         if r.ok:
-            runs.setdefault(r.key, []).append(r.ms)
-    lat = [statistics.median(v) for v in runs.values()]
-    completed = sum(len(v) for v in runs.values())
-    tail_ms, pct, above = tail(lat) if lat else (0.0, 0, 0)
+            raw.setdefault(r.key, []).append(r.ms)
+            scaled.setdefault(r.key, []).append(ms)
+    completed = sum(len(v) for v in raw.values())
+    lat, lat_raw = ([statistics.median(v) for v in d.values()] or [0.0] for d in (scaled, raw))
+    tail_ms, pct, above = tail(lat)
     per_op = f"{len(lat)} distinct operations, {completed} completed runs"
+    busy_s = sum(scaled_ms) / 1000
+    busy_raw_s = sum(r.ms for r in results) / 1000
     return {
-        "ops_per_s": (completed / wall_s, "1/s", f"{completed} completed in {wall_s:.2f} s"),
-        "op_p50_ms": (statistics.median(lat) if lat else 0.0, "ms", per_op),
-        "op_tail_ms": (tail_ms, "ms", f"p{pct}, {per_op}, {above} operations above"),
+        "ops_per_s": (completed / busy_s, "1/s",
+                      f"{completed} completed in {busy_s:.2f} scaled s, raw {completed / busy_raw_s:.4f}"),
+        "op_p50_ms": (statistics.median(lat), "ms", f"{per_op}, raw {statistics.median(lat_raw):.2f}"),
+        "op_tail_ms": (tail_ms, "ms",
+                       f"p{pct}, {per_op}, {above} operations above, raw {tail(lat_raw)[0]:.2f}"),
         "ok_ratio": (completed / len(results), "ratio", f"{completed}/{len(results)} attempted"),
-        "setup_s": (setup_s, "s", f"median of {SETUP_REPEATS}"),
+        "setup_s": (setup_s[0], "s", f"median of {SETUP_REPEATS}, raw {setup_s[1]:.5f}"),
         "peak_rss_mb": (peak_rss_mb, "MB", "1 process"),
     }
 
@@ -260,12 +326,12 @@ def main(argv=None) -> int:
             count = max(1, round(args.seconds * WORKLOADS[args.workload][2]))
             tracer = Tracer()
             plain, results = paired_pass(cli, [ops[i % len(ops)] for i in range(count)], tracer)
-            repeats = plain + results
+            groups = [plain, results]
         else:
-            results, wall_s = timed_loop(cli, ops, args.seconds)
-            repeats = results
+            results, scaled_ms = timed_loop(cli, ops, args.seconds)
+            groups = [results]
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        problems = check_outputs(args.workload, ops, repeats)
+        problems = check_outputs(args.workload, ops, groups)
         problems += check_golden(cli, args.workload, work / "golden")
     except Exception:
         traceback.print_exc()
@@ -294,7 +360,7 @@ def main(argv=None) -> int:
             print(f"  {name} = {value} {unit}")
         print(f"  spans: {len(tracer.spans)} written to {OUT.name}/spans-{args.workload}.jsonl")
     else:
-        report = end_to_end(results, wall_s, setup_s, peak_rss_mb)
+        report = end_to_end(results, scaled_ms, setup_s, peak_rss_mb)
         metrics = {}
         for name, (value, unit, samples) in report.items():
             print(f"  {name} = {value} {unit} ({samples})")

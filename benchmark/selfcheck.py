@@ -65,7 +65,7 @@ def main() -> int:
         degree = Counter(v for e in edges for v in e)
         s = min(names, key=lambda v: (-degree[v], v))
         src = work / "selfcheck.json"
-        workloads._write_hypergraph(src, names, edges)
+        src.write_text(workloads.hypergraph_text(names, edges), encoding="utf-8")
         op = workloads.Op(0, ["split", str(src), "-s", s, "--no-certify", "--json"], ())
         runs = [traced_split(cli, op) for _ in range(2)]
     finally:

@@ -50,12 +50,6 @@ def _count_pair(counts, args, result):
     counts["flow.arcs_built"] += _arcs(args[0])
 
 
-def _count_max_flow(counts, args, result):
-    counts["flow.pair_queries"] += 1
-    counts["flow.maxflows"] += 1
-    counts["flow.arcs_built"] += len(args[0].arcs)
-
-
 def _count_deletion_test(counts, args, result):
     counts["reduction.deletions_accepted" if result else "reduction.deletions_rejected"] += 1
 
@@ -77,7 +71,6 @@ def _count_bytes(counts, args, result):
 COUNTERS = {
     "flow.conn_table_elements": _count_table,
     "flow.element_connectivity": _count_pair,
-    "flow.max_flow": _count_max_flow,
     "reduction.is_deletion_preserving": _count_deletion_test,
     "reduction.reduce_edge": _count_reduce_edge,
     "splitoff.run_pipeline": _count_pipeline,

@@ -7,16 +7,17 @@ corpus down exactly. Every check is independent of the flow engine it
 checks: brute-force cut enumeration (``oracle_lambda``), a networkx max-flow
 on a flow network built here, and a trim/merge replay written here.
 
-The cost of one operation depends on its size and on a few structural
-features, so corpora are stratified rather than drawn independently. Sizes
-cycle or come one per slice of their range. In split and reduce, each slot
-draws ``CANDIDATES`` instances from the generator, ranks them by a cost proxy and
-keeps the one at the slot's rank; over every ``CANDIDATES`` slots each rank
-is kept once, so the corpus still follows the generator's distribution (the
-mixture of all order statistics of a sample is the sampled distribution),
-while the draw-to-draw noise in the proxy is gone. Ranks and slices are
-visited in bit-reversed order, so every prefix of a corpus has about the
-same mix, and a run's figures depend on the seed far less than on the code.
+The cost of one operation depends mostly on its size, so sizes are
+stratified rather than drawn independently: they cycle through their range
+or come one per slice of it, in an order whose every prefix holds an even
+mix, and a run's figures depend on the seed far less than on the code.
+
+A split's cost also varies widely between draws of one size, so each split
+slot draws ``SPLIT_DRAWS`` instances, ranks them by a cost proxy and keeps
+the one in the middle of the slot's ``SPLIT_RANKS``-quantile. Over every
+``SPLIT_RANKS`` slots of one size each quantile is kept once, so the corpus
+follows the generator's distribution, quantile by quantile, without most of
+its draw-to-draw noise.
 """
 
 from __future__ import annotations
@@ -31,12 +32,18 @@ from pathlib import Path
 
 @dataclass
 class Op:
-    """One CLI invocation: its argv, the files it writes, and check inputs."""
+    """One CLI invocation: its argv, the files it writes, and check inputs.
+
+    ``expected_failure`` names the one exception type the operation may raise
+    with the sources this benchmark was written against; any other failure
+    fails the correctness check.
+    """
 
     key: int
     argv: list[str]
     outputs: tuple[Path, ...]
     data: dict = field(default_factory=dict)
+    expected_failure: str | None = None
 
 
 def _oracle():
@@ -49,8 +56,20 @@ def _names(n: int) -> list[str]:
     return [f"v{i:0{width}d}" for i in range(n)]
 
 
-def _write_hypergraph(path: Path, names: list[str], edges: list[list[str]]) -> None:
-    path.write_text(json.dumps({"vertices": names, "hyperedges": edges}), encoding="utf-8")
+def hypergraph_text(names: list[str], edges: list[list[str]]) -> str:
+    return json.dumps({"vertices": names, "hyperedges": edges})
+
+
+@dataclass
+class Corpus:
+    """A workload's operations and the input files they read, not yet written."""
+
+    ops: list[Op]
+    files: dict[Path, str]
+
+    def write(self) -> None:
+        for path, text in self.files.items():
+            path.write_text(text, encoding="utf-8")
 
 
 def _hyperedge_lists(h, names: list[str]) -> list[list[str]]:
@@ -64,14 +83,6 @@ _BIT_REVERSED_16 = (0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15)
 _INTERLEAVED_10 = (0, 5, 2, 7, 4, 9, 1, 6, 3, 8)
 
 
-CANDIDATES = 8
-
-
-def _ranked(candidates: list, proxy, rank: int):
-    """The candidate at ``rank`` in ascending proxy order (ties keep draw order)."""
-    return sorted(candidates, key=proxy)[rank]
-
-
 def _stratified(rng, low: int, high: int, stratum: int, strata: int) -> int:
     """A draw from the ``stratum``-th of ``strata`` equal slices of [low, high]."""
     width = high - low + 1
@@ -80,7 +91,9 @@ def _stratified(rng, low: int, high: int, stratum: int, strata: int) -> int:
 
 # ---------------------------------------------------------------- split
 
-SPLIT_CORPUS = 5 * CANDIDATES  # one cycle: every n at every rank
+SPLIT_RANKS = 8
+SPLIT_DRAWS = 32
+SPLIT_CORPUS = 5 * SPLIT_RANKS  # every n at every quantile
 
 
 def _split_candidate(oracle, rng, n: int):
@@ -94,26 +107,30 @@ def _split_candidate(oracle, rng, n: int):
     return names, edges, s, degree[s]
 
 
-def build_split(seed: int, work: Path) -> list[Op]:
+def build_split(seed: int, work: Path) -> Corpus:
     """random_hypergraph with n cycling through 6..10, m in [2n, 3n), r = 4.
 
     s is the vertex of maximum degree, ties to the smallest name. The cost
     proxy is (deg(s), m): the clique gadget has deg(s) vertices, and its
-    edges are what the deletion tests walk through.
+    edges are what the deletion tests walk through. n cycles with period 5
+    and the octile, in bit-reversed order, with period 8, so the 40 slots
+    hold every (n, octile) pair once and every prefix of the corpus has
+    about the same mix.
     """
     oracle = _oracle()
     rng = oracle.SplitMix64(seed)
-    ops = []
+    ops, files = [], {}
     for i in range(SPLIT_CORPUS):
         n = 6 + i % 5
-        draws = [_split_candidate(oracle, rng, n) for _ in range(CANDIDATES)]
-        rank = _BIT_REVERSED_8[i // 5 % CANDIDATES]
-        names, edges, s, _ = _ranked(draws, lambda c: (c[3], len(c[1])), rank)
+        draws = [_split_candidate(oracle, rng, n) for _ in range(SPLIT_DRAWS)]
+        rank = _BIT_REVERSED_8[i % SPLIT_RANKS]
+        pick = (2 * rank + 1) * SPLIT_DRAWS // (2 * SPLIT_RANKS)
+        names, edges, s, _ = sorted(draws, key=lambda c: (c[3], len(c[1])))[pick]
         src, out, log = (work / f"split{i}{suffix}.json" for suffix in ("", ".out", ".log"))
-        _write_hypergraph(src, names, edges)
+        files[src] = hypergraph_text(names, edges)
         argv = ["split", str(src), "-s", s, "-o", str(out), "--log-out", str(log), "--json"]
         ops.append(Op(i, argv, (out, log), {"names": names, "edges": edges, "s": s}))
-    return ops
+    return Corpus(ops, files)
 
 
 def _replay(edges: list[list[str]], s: str, log: dict) -> list[frozenset]:
@@ -184,7 +201,7 @@ CONN_SLOTS = 100  # every tenth slot is a path query
 CONN_PATHS = CONN_SLOTS // 10
 
 
-def build_conn_large(seed: int, work: Path) -> list[Op]:
+def build_conn_large(seed: int, work: Path) -> Corpus:
     """Single-pair conn on random_hypergraph with n in [500, 1000], m = 2n, r = 4.
 
     File j has n from the j-th of 16 equal slices of [500, 1000]; queries
@@ -195,20 +212,20 @@ def build_conn_large(seed: int, work: Path) -> list[Op]:
     """
     oracle = _oracle()
     rng = oracle.SplitMix64(seed)
-    files = []
+    files, texts = [], {}
     for j in range(CONN_FILES):
         n = _stratified(rng, 500, 1000, j, CONN_FILES)
         h = oracle.random_hypergraph(oracle.GenParams(n, 2 * n, 4, seed=rng.next_u64()))
         path = work / f"conn{j}.json"
         names = _names(n)
-        _write_hypergraph(path, names, _hyperedge_lists(h, names))
+        texts[path] = hypergraph_text(names, _hyperedge_lists(h, names))
         files.append((path, names))
     paths = []
     for k in range(CONN_PATHS):
         length = _stratified(rng, 100, 1000, _INTERLEAVED_10[k], CONN_PATHS)
         path = work / f"path{k}.json"
         names = _names(length)
-        _write_hypergraph(path, names, [[a, b] for a, b in zip(names, names[1:])])
+        texts[path] = hypergraph_text(names, [[a, b] for a, b in zip(names, names[1:])])
         paths.append((path, names))
     ops = []
     queries = 0
@@ -224,8 +241,9 @@ def build_conn_large(seed: int, work: Path) -> list[Op]:
             u, v = names[a], names[b]
             data = {"file": path}
         data.update(u=u, v=v)
-        ops.append(Op(slot, ["conn", str(path), "-u", u, "-v", v], (), data))
-    return ops
+        allowed = "RecursionError" if "path_length" in data else None
+        ops.append(Op(slot, ["conn", str(path), "-u", u, "-v", v], (), data, allowed))
+    return Corpus(ops, texts)
 
 
 def _lambda_network(path: Path):
@@ -270,46 +288,34 @@ def check_conn_large(op: Op, stdout: str, cache: dict) -> list[str]:
 
 # ---------------------------------------------------------------- reduce
 
-REDUCE_CORPUS = 10 * CANDIDATES  # two cycles of terminal count and rank
+REDUCE_CORPUS = 80  # sixteen cycles of the terminal count
 
 
-def _reduce_candidate(oracle, rng, t: int):
-    """One random_element_instance draw with t terminals drawn from ``rng``."""
-    n = 30 + rng.below(11)
-    m = 2 * n + rng.below(n)
-    inst = oracle.random_element_instance(oracle.GenParams(n, m, 2, seed=rng.next_u64()))
-    names = _names(n)
-    terminals = sorted(names[x] for x in rng.sample(n, t))
-    edges = [[names[a], names[b]] for a, b in (inst.graph.edges[e] for e in sorted(inst.graph.edges))]
-    return names, edges, terminals
-
-
-def build_reduce(seed: int, work: Path) -> list[Op]:
+def build_reduce(seed: int, work: Path) -> Corpus:
     """random_element_instance with n in [30, 40], m in [2n, 3n), 2..6 terminals.
 
-    The terminal count cycles through 2..6 and the terminals themselves are
-    drawn by SplitMix64 from the workload seed. The cost proxy is the number
-    of edges between two non-terminals: each is one reduction step, and each
-    step runs a table check.
+    The terminal count cycles through 2..6. The 16 instances of one terminal
+    count take n from the 16 slices of [30, 40] in bit-reversed order and
+    m - 2n from the 16 slices of [0, n) in another order, so both sizes are
+    spread evenly at every terminal count. The terminals themselves are
+    drawn by SplitMix64 from the workload seed.
     """
     oracle = _oracle()
     rng = oracle.SplitMix64(seed)
-    ops = []
+    ops, files = [], {}
     for i in range(REDUCE_CORPUS):
-        draws = [_reduce_candidate(oracle, rng, 2 + i % 5) for _ in range(CANDIDATES)]
-
-        def inner_edges(c):
-            terms = set(c[2])
-            return sum(1 for a, b in c[1] if a not in terms and b not in terms)
-
-        names, edges, terminals = _ranked(draws, inner_edges, _BIT_REVERSED_8[i // 5 % CANDIDATES])
+        cycle = i // 5
+        n = _stratified(rng, 30, 40, _BIT_REVERSED_16[cycle], 16)
+        m = 2 * n + _stratified(rng, 0, n - 1, 7 * cycle % 16, 16)
+        inst = oracle.random_element_instance(oracle.GenParams(n, m, 2, seed=rng.next_u64()))
+        names = _names(n)
+        terminals = sorted(names[x] for x in rng.sample(n, 2 + i % 5))
+        edges = [[names[a], names[b]] for a, b in (inst.graph.edges[e] for e in sorted(inst.graph.edges))]
         src, out, trace = (work / f"reduce{i}{suffix}.json" for suffix in ("", ".out", ".trace"))
-        src.write_text(
-            json.dumps({"vertices": names, "edges": edges, "terminals": terminals}), encoding="utf-8"
-        )
+        files[src] = json.dumps({"vertices": names, "edges": edges, "terminals": terminals})
         argv = ["reduce", str(src), "-o", str(out), "--trace-out", str(trace)]
         ops.append(Op(i, argv, (out, trace), {"names": names, "edges": edges, "terminals": terminals}))
-    return ops
+    return Corpus(ops, files)
 
 
 def _kappa_all(names, edges, terminals) -> dict:
