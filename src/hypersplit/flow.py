@@ -7,6 +7,10 @@ unit arc in each direction between the matching out/in nodes. The flow value
 counts pairwise element-disjoint u-v paths. Hyperedge-connectivity of a
 hypergraph is the element-connectivity of its incidence instance, where
 hyperedge nodes get unit capacity.
+
+Max-flows use shortest augmenting paths (Edmonds-Karp): each breadth-first
+search over the residual arcs finds one shortest source-sink path and pushes
+its bottleneck, so a flow of value k costs k+1 searches of O(arcs) each.
 """
 
 from __future__ import annotations
@@ -45,53 +49,42 @@ def max_flow(net: FlowNetwork) -> int:
     """Exact value of an integral maximum source->sink flow."""
     if net.source == net.sink:
         raise InvalidQueryError("source and sink coincide")
-    return _dinic(net.num_nodes, net.arcs, net.source, net.sink)
+    return _max_flow(net.num_nodes, net.arcs, net.source, net.sink)
 
 
-def _dinic(num_nodes: int, arcs: Iterable[tuple[int, int, int]], source: int, sink: int) -> int:
-    # adjacency of [head, residual capacity, index of reverse arc]
-    adj: list[list[list[int]]] = [[] for _ in range(num_nodes)]
-    for tail, head, cap in arcs:
-        adj[tail].append([head, cap, len(adj[head])])
-        adj[head].append([tail, 0, len(adj[tail]) - 1])
+def _max_flow(num_nodes: int, arcs: Iterable[tuple[int, int, int]], source: int, sink: int) -> int:
+    # residual arc i runs to head[i] with capacity cap[i]; arc i ^ 1 is its reverse
+    head: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in range(num_nodes)]
+    for tail, tip, c in arcs:
+        out[tail].append(len(head))
+        out[tip].append(len(head) + 1)
+        head += (tip, tail)
+        cap += (c, 0)
 
     total = 0
     while True:
-        level = [-1] * num_nodes
-        level[source] = 0
+        via = [-1] * num_nodes  # residual arc that labelled each node
+        via[source] = -2
         queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for head, cap, _ in adj[u]:
-                if cap > 0 and level[head] < 0:
-                    level[head] = level[u] + 1
-                    queue.append(head)
-        if level[sink] < 0:
+        while queue and via[sink] == -1:
+            for a in out[queue.popleft()]:
+                if cap[a] > 0 and via[head[a]] == -1:
+                    via[head[a]] = a
+                    queue.append(head[a])
+        if via[sink] == -1:
             return total
-
-        it = [0] * num_nodes
-
-        def augment(u: int, limit: int) -> int:
-            if u == sink:
-                return limit
-            while it[u] < len(adj[u]):
-                arc = adj[u][it[u]]
-                head, cap, rev = arc
-                if cap > 0 and level[head] == level[u] + 1:
-                    pushed = augment(head, min(limit, cap))
-                    if pushed > 0:
-                        arc[1] -= pushed
-                        adj[head][rev][1] += pushed
-                        return pushed
-                it[u] += 1
-            return 0
-
-        bound = sum(cap for _, cap, _ in adj[source]) or 1
-        while True:
-            pushed = augment(source, bound)
-            if pushed == 0:
-                break
-            total += pushed
+        path = []
+        node = sink
+        while node != source:
+            path.append(via[node])
+            node = head[via[node] ^ 1]
+        push = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= push
+            cap[a ^ 1] += push
+        total += push
 
 
 @dataclass(frozen=True)
@@ -172,7 +165,7 @@ def element_connectivity(inst: ElementConnInstance, u: int, v: int) -> int:
     _check_terminal(inst, u)
     _check_terminal(inst, v)
     num_nodes, arcs, index = _split_arcs(inst)
-    return _dinic(num_nodes, arcs, 2 * index[u] + 1, 2 * index[v])
+    return _max_flow(num_nodes, arcs, 2 * index[u] + 1, 2 * index[v])
 
 
 def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
@@ -187,7 +180,7 @@ def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
     values = {}
     for i, u in enumerate(terms):
         for v in terms[i + 1 :]:
-            values[(u, v)] = _dinic(num_nodes, arcs, 2 * index[u] + 1, 2 * index[v])
+            values[(u, v)] = _max_flow(num_nodes, arcs, 2 * index[u] + 1, 2 * index[v])
     return ConnTable(values)
 
 

@@ -160,9 +160,16 @@ def build_gadget(h: Hypergraph, s: int) -> GadgetInstance:
     return _build_gadget(h, s, incidence_graph(h))
 
 
-def _certified_equal(current: ConnTable, reference: ConnTable, what: str) -> None:
-    if current != reference:
+def _certified_table(
+    inst: ElementConnInstance, reference: Optional[ConnTable], what: str
+) -> Optional[ConnTable]:
+    """The terminal table of ``inst``, checked against ``reference``; None when not certifying."""
+    if reference is None:
+        return None
+    table = conn_table_elements(inst)
+    if table != reference:
         raise InternalInvariantError(f"{what} changed the terminal connectivity table")
+    return table
 
 
 def run_pipeline(h: Hypergraph, s: int, *, certify: Optional[bool] = None) -> StagePipeline:
@@ -185,21 +192,12 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: Optional[bool] = None) -> St
     g1 = gadget.instance
 
     table0 = conn_table_elements(g0) if certify else None
-    reference: Optional[ConnTable] = None
-    if certify:
-        reference = table0.restrict(g1.terminals)
-
-    table1 = None
-    if certify:
-        table1 = conn_table_elements(g1)
-        _certified_equal(table1, reference, "replacing s with the clique gadget")
+    reference = table0.restrict(g1.terminals) if certify else None
+    table1 = _certified_table(g1, reference, "replacing s with the clique gadget")
 
     g2, _trace = reduce_to_stable(g1, within=set(gadget.clique))
     s2 = tuple(v for v in gadget.clique if v in g2.graph.vertices)
-    table2 = None
-    if certify:
-        table2 = conn_table_elements(g2)
-        _certified_equal(table2, reference, "reducing the clique edges")
+    table2 = _certified_table(g2, reference, "reducing the clique edges")
 
     # Every hyperedge node keeps exactly one gadget attachment through stage 2:
     # clique reductions never touch the attachment edges themselves.
@@ -213,10 +211,7 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: Optional[bool] = None) -> St
 
     candidates = [e for e, (a, b) in g2.graph.edges.items() if a in s2_set or b in s2_set]
     g3, deleted = maximal_preserving_deletions(g2, candidates)
-    table3 = None
-    if certify:
-        table3 = conn_table_elements(g3)
-        _certified_equal(table3, reference, "deleting gadget-incident edges")
+    table3 = _certified_table(g3, reference, "deleting gadget-incident edges")
 
     fa: dict[int, tuple[int, ...]] = {}
     f0: list[int] = []
@@ -243,20 +238,15 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: Optional[bool] = None) -> St
             graph4, kept, dropped = graph4.contracted(fid)
             merged = members.pop(dropped, ()) + members.pop(kept, ())
             members[kept] = tuple(sorted(merged))
-            if certify:
-                _certified_equal(
-                    conn_table_elements(g3.with_graph(graph4)),
-                    reference,
-                    f"contracting gadget vertex {a} with its neighbors",
-                )
+            _certified_table(
+                g3.with_graph(graph4), reference, f"contracting gadget vertex {a} with its neighbors"
+            )
 
     g4 = g3.with_graph(graph4)
     for a, b in g4.graph.edges.values():
         if a not in g4.terminals and b not in g4.terminals:
             raise InternalInvariantError("final stage still has an edge between non-terminals")
-    table4 = conn_table_elements(g4) if certify else None
-    if certify:
-        _certified_equal(table4, reference, "the full pipeline")
+    table4 = _certified_table(g4, reference, "the full pipeline")
 
     stages = (
         Stage("G0", g0, table0),

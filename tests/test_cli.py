@@ -69,6 +69,12 @@ class TestConn:
     def test_missing_pair_args_exit_2(self, triangle):
         assert main(["conn", str(triangle)]) == 2
 
+    def test_long_path_ends(self, tmp_path, capsys):
+        path = tmp_path / "path.he"
+        path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(4999)))
+        assert main(["conn", str(path), "-u", "v0", "-v", "v4999"]) == 0
+        assert capsys.readouterr().out == "lambda(v0, v4999) = 1\n"
+
 
 class TestEconn:
     def test_pair(self, element_file, capsys):

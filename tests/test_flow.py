@@ -104,6 +104,19 @@ class TestHyperedgeConnectivity:
         with pytest.raises(UnknownVertexError):
             hyperedge_connectivity(hypergraph([{0, 1}]), 0, 9)
 
+    @pytest.mark.parametrize(
+        "edge_list, u, v, expected",
+        [
+            ([{i, i + 1} for i in range(999)], 0, 999, 1),
+            ([{0, 1}] * 300, 0, 1, 300),
+            ([{0, w} for w in range(2, 302)] + [{w, 1} for w in range(2, 302)], 0, 1, 300),
+            ([{0, i} for i in range(1, 201)] + [{i, i % 200 + 1} for i in range(1, 201)], 0, 1, 3),
+        ],
+        ids=["path-1000", "parallel-300", "two-hop-routes-300", "star-200-with-ring"],
+    )
+    def test_large_shapes(self, edge_list, u, v, expected):
+        assert hyperedge_connectivity(hypergraph(edge_list), u, v) == expected
+
     def test_matches_oracle_on_random_instances(self):
         for trial in range(80):
             h = corpus_hypergraph(trial, max_n=7, max_m=10)
