@@ -6,7 +6,7 @@ Reports go to stdout, diagnostics to stderr. Exit codes are stable:
   1  mismatch found by verify / oracle --check
   2  parse or usage error
   3  unknown vertex or invalid query endpoints
-  4  internal certification failure (indicates a bug)
+  4  internal certification failure or any other unexpected error (a bug)
   5  invalid operation while replaying a log (index reported)
 """
 
@@ -300,6 +300,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(f"invalid operation at index {exc.index}: {exc.cause}", EXIT_BAD_OP)
     except HypersplitError as exc:
         return _fail(str(exc), EXIT_PARSE)
+    except Exception as exc:  # a crash is a bug, never a "mismatch" (exit 1)
+        detail = " ".join(str(exc).split())
+        return _fail(f"internal error: {type(exc).__name__}: {detail}", EXIT_INTERNAL)
 
 
 def entry() -> None:

@@ -10,7 +10,19 @@ hyperedge nodes get unit capacity.
 
 Max-flows use shortest augmenting paths (Edmonds-Karp): each breadth-first
 search over the residual arcs finds one shortest source-sink path and pushes
-its bottleneck, so a flow of value k costs k+1 searches of O(arcs) each.
+its bottleneck, so a flow of value k costs k+1 searches of O(arcs) each. The
+residual arrays of an instance are built once; each flow copies only the
+capacities, so every pair of a table or a check shares one residual.
+
+Checking that an instance still has a known table costs T-1 flows, not
+T(T-1)/2. Connectivity obeys lambda(u,v) >= min(lambda(u,w), lambda(w,v)),
+so on a maximum spanning tree of the table the smallest value along the
+tree path between u and v is exactly lambda(u,v). Every checked operation
+(deleting an edge, contracting an edge between non-terminals, replacing a
+terminal by the clique gadget, trim and merge) can only lower a pair's
+value. If the checked instance matches the table on the T-1 tree pairs,
+each other pair is at least the minimum along its tree path, which is its
+old value, and at most its old value: the whole table holds.
 """
 
 from __future__ import annotations
@@ -49,11 +61,18 @@ def max_flow(net: FlowNetwork) -> int:
     """Exact value of an integral maximum source->sink flow."""
     if net.source == net.sink:
         raise InvalidQueryError("source and sink coincide")
-    return _max_flow(net.num_nodes, net.arcs, net.source, net.sink)
+    return _max_flow(_residual(net.num_nodes, net.arcs), net.source, net.sink)
 
 
-def _max_flow(num_nodes: int, arcs: Iterable[tuple[int, int, int]], source: int, sink: int) -> int:
-    # residual arc i runs to head[i] with capacity cap[i]; arc i ^ 1 is its reverse
+_Residual = tuple[list[int], list[int], list[list[int]]]
+
+
+def _residual(num_nodes: int, arcs: Iterable[tuple[int, int, int]]) -> _Residual:
+    """Residual arrays (head, cap, out) of a directed arc list.
+
+    Residual arc i runs to head[i] with capacity cap[i]; arc i ^ 1 is its
+    reverse, and out[node] lists the arcs leaving node.
+    """
     head: list[int] = []
     cap: list[int] = []
     out: list[list[int]] = [[] for _ in range(num_nodes)]
@@ -62,7 +81,13 @@ def _max_flow(num_nodes: int, arcs: Iterable[tuple[int, int, int]], source: int,
         out[tip].append(len(head) + 1)
         head += (tip, tail)
         cap += (c, 0)
+    return head, cap, out
 
+
+def _max_flow(residual: _Residual, source: int, sink: int) -> int:
+    head, initial, out = residual
+    cap = initial.copy()
+    num_nodes = len(out)
     total = 0
     while True:
         via = [-1] * num_nodes  # residual arc that labelled each node
@@ -127,28 +152,56 @@ class ConnTable:
         """Rewrite pair keys through a vertex bijection."""
         return ConnTable({(mapping[u], mapping[v]): k for (u, v), k in self.values.items()})
 
+    def tree(self) -> tuple[tuple[int, int, int], ...]:
+        """A maximum spanning tree of the table as (u, v, value) triples.
+
+        Kruskal over the pairs by descending value, ties by key, so a table
+        over T vertices gives T-1 triples. The smallest value along the tree
+        path between two vertices is their table value (see the module
+        docstring).
+        """
+        leader: dict[int, int] = {}
+
+        def find(v: int) -> int:
+            while leader.setdefault(v, v) != v:
+                leader[v] = leader[leader[v]]  # path halving
+                v = leader[v]
+            return v
+
+        tree = []
+        for (u, v), k in sorted(self.values.items(), key=lambda item: (-item[1], item[0])):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                leader[ru] = rv
+                tree.append((u, v, k))
+        return tuple(tree)
+
     def __len__(self) -> int:
         return len(self.values)
 
 
-def _split_arcs(inst: ElementConnInstance) -> tuple[int, list[tuple[int, int, int]], dict[int, int]]:
-    """Vertex-split arc list shared by every pair query on one instance.
+def _split_arcs(inst: ElementConnInstance) -> tuple[_Residual, dict[int, int]]:
+    """Vertex-split residual shared by every pair query on one instance.
 
-    Returns (node count, arcs, index of each vertex). Vertex w occupies nodes
-    2*i (in) and 2*i+1 (out). Terminal capacity is its degree, which bounds
-    any flow through it just like an infinite capacity would.
+    Returns (residual, index of each vertex). Vertex w occupies nodes 2*i
+    (in) and 2*i+1 (out). Terminal capacity is its degree, which bounds any
+    flow through it just like an infinite capacity would.
     """
     order = sorted(inst.graph.vertices)
     index = {v: i for i, v in enumerate(order)}
+    degree = dict.fromkeys(order, 0)
+    for a, b in inst.graph.edges.values():
+        degree[a] += 1
+        degree[b] += 1
     arcs: list[tuple[int, int, int]] = []
     for v in order:
-        cap = inst.graph.degree(v) if v in inst.terminals else 1
+        cap = degree[v] if v in inst.terminals else 1
         arcs.append((2 * index[v], 2 * index[v] + 1, cap))
     for eid in inst.graph.edge_ids():
         a, b = inst.graph.endpoints(eid)
         arcs.append((2 * index[a] + 1, 2 * index[b], 1))
         arcs.append((2 * index[b] + 1, 2 * index[a], 1))
-    return 2 * len(order), arcs, index
+    return _residual(2 * len(order), arcs), index
 
 
 def _check_terminal(inst: ElementConnInstance, v: int) -> None:
@@ -164,8 +217,8 @@ def element_connectivity(inst: ElementConnInstance, u: int, v: int) -> int:
         raise InvalidQueryError("endpoints coincide")
     _check_terminal(inst, u)
     _check_terminal(inst, v)
-    num_nodes, arcs, index = _split_arcs(inst)
-    return _max_flow(num_nodes, arcs, 2 * index[u] + 1, 2 * index[v])
+    residual, index = _split_arcs(inst)
+    return _max_flow(residual, 2 * index[u] + 1, 2 * index[v])
 
 
 def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
@@ -176,12 +229,26 @@ def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
     terms = sorted(inst.terminals)
     if len(terms) < 2:
         return ConnTable({})
-    num_nodes, arcs, index = _split_arcs(inst)
+    residual, index = _split_arcs(inst)
     values = {}
     for i, u in enumerate(terms):
         for v in terms[i + 1 :]:
-            values[(u, v)] = _max_flow(num_nodes, arcs, 2 * index[u] + 1, 2 * index[v])
+            values[(u, v)] = _max_flow(residual, 2 * index[u] + 1, 2 * index[v])
     return ConnTable(values)
+
+
+def table_holds(inst: ElementConnInstance, table: ConnTable) -> bool:
+    """True iff every pair of ``table`` has that element-connectivity in ``inst``.
+
+    Only the T-1 pairs of ``table.tree()`` are computed, stopping at the
+    first that differs. That suffices when no pair of ``inst`` can exceed
+    its value in ``table``: ``inst`` came from the instance of ``table`` by
+    operations that never raise connectivity (see the module docstring).
+    """
+    residual, index = _split_arcs(inst)
+    return all(
+        _max_flow(residual, 2 * index[u] + 1, 2 * index[v]) == k for u, v, k in table.tree()
+    )
 
 
 def hyperedge_connectivity(h: Hypergraph, u: int, v: int) -> int:

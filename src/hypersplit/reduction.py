@@ -4,6 +4,15 @@ For an edge between two non-terminals, at least one of deleting it or
 contracting it keeps every pairwise terminal connectivity unchanged. We
 prefer deletion whenever it preserves the table; when it does not, the
 contraction is guaranteed to, and we verify that instead of trusting it.
+
+Each check computes T-1 flows, not the T(T-1)/2 of a full table, through
+``flow.table_holds``. Neither deleting an edge nor contracting an edge
+between non-terminals can raise any terminal pair's connectivity, and
+connectivity obeys lambda(u,v) >= min(lambda(u,w), lambda(w,v)). So if the
+reduced instance matches the baseline on the pairs of a maximum spanning
+tree of the baseline, every other pair is squeezed between the minimum
+along its tree path and its old value, which are equal. Baselines are full
+tables, computed once per reduction run.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Literal, Mapping, Optional
 
 from .errors import InternalInvariantError, TerminalEndpointError
-from .flow import ConnTable, conn_table_elements
+from .flow import ConnTable, conn_table_elements, table_holds
 from .multigraph import ElementConnInstance
 
 Action = Literal["deleted", "contracted"]
@@ -49,9 +58,12 @@ class MinorTrace:
 
 
 def is_deletion_preserving(inst: ElementConnInstance, edge_id: int, baseline: ConnTable) -> bool:
-    """True iff deleting the edge leaves the whole terminal pair table intact."""
-    trimmed = inst.with_graph(inst.graph.without_edge(edge_id))
-    return conn_table_elements(trimmed) == baseline
+    """True iff deleting the edge leaves the whole terminal pair table intact.
+
+    ``baseline`` must be the table of ``inst``, or of an instance that
+    ``inst`` was reduced from: only its spanning-tree pairs are recomputed.
+    """
+    return table_holds(inst.with_graph(inst.graph.without_edge(edge_id)), baseline)
 
 
 def reduce_edge(
@@ -62,7 +74,8 @@ def reduce_edge(
     Both endpoints must be non-terminals. When deletion does not preserve,
     contraction must (that is the reduction theorem); a contracted table that
     differs from the baseline is reported as an internal error because it can
-    only mean a bug on our side.
+    only mean a bug on our side. ``baseline`` must be the table of ``inst``,
+    or of an instance that ``inst`` was reduced from.
     """
     u, v = inst.graph.endpoints(edge_id)
     for w in (u, v):
@@ -73,7 +86,7 @@ def reduce_edge(
         return out, ReductionStep(edge=(u, v), edge_id=edge_id, action="deleted")
     graph, kept, _ = inst.graph.contracted(edge_id)
     out = inst.with_graph(graph)
-    if conn_table_elements(out) != baseline:
+    if not table_holds(out, baseline):
         raise InternalInvariantError(
             f"neither deleting nor contracting edge {edge_id} preserved the table"
         )

@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .errors import InternalInvariantError, ReplayError, UnknownVertexError
-from .flow import ConnTable, conn_table_elements, conn_table_hyper
+from .flow import ConnTable, conn_table_elements, conn_table_hyper, table_holds
 from .hypergraph import (
     Hypergraph,
     Incidence,
@@ -98,7 +98,12 @@ class StagePipeline:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Pairwise connectivity tables before and after, over the kept vertices."""
+    """Pairwise connectivity tables before and after, over the kept vertices.
+
+    ``after`` is the table of the result. It is shown equal to ``before``
+    by computing only the pairs of a maximum spanning tree of ``before``
+    (see ``flow.table_holds``).
+    """
 
     before: ConnTable
     after: ConnTable
@@ -163,22 +168,25 @@ def build_gadget(h: Hypergraph, s: int) -> GadgetInstance:
 def _certified_table(
     inst: ElementConnInstance, reference: Optional[ConnTable], what: str
 ) -> Optional[ConnTable]:
-    """The terminal table of ``inst``, checked against ``reference``; None when not certifying."""
+    """``reference``, once shown to be the terminal table of ``inst``; None when not certifying.
+
+    ``inst`` descends from G0 by steps that never raise connectivity, so
+    ``table_holds`` needs only the tree pairs of ``reference``.
+    """
     if reference is None:
         return None
-    table = conn_table_elements(inst)
-    if table != reference:
+    if not table_holds(inst, reference):
         raise InternalInvariantError(f"{what} changed the terminal connectivity table")
-    return table
+    return reference
 
 
 def run_pipeline(h: Hypergraph, s: int, *, certify: Optional[bool] = None) -> StagePipeline:
     """Run the five-stage construction at s and collect all bookkeeping.
 
     With ``certify`` on (default for at most CERTIFY_TERMINAL_LIMIT
-    terminals), the terminal connectivity table is recomputed at every stage
-    boundary and after every stage-4 contraction, and any drift is reported
-    as an internal error.
+    terminals), the terminal connectivity table of G0 is checked at every
+    stage boundary and after every stage-4 contraction, and any drift is
+    reported as an internal error.
     """
     if s not in h.vertices:
         raise UnknownVertexError(f"unknown vertex {s}")
@@ -340,15 +348,16 @@ def complete_split_off(
     if not hypergraph_equal(replayed, h_star):
         raise InternalInvariantError("replaying the log does not reproduce the result")
 
-    rest = h.vertices - {s}
-    before = conn_table_hyper(h).restrict(rest)
-    after = conn_table_hyper(h_star).restrict(rest)
-    certificate = Certificate(before=before, after=after)
-    if not certificate.ok:
+    # h_star is h after the log's trims and merges (the replay above shows
+    # it), and these never raise connectivity, so the tree pairs of the
+    # table of h decide whether h_star has all of it.
+    before = conn_table_hyper(h).restrict(h.vertices - {s})
+    inc_star = incidence_graph(h_star)
+    if not table_holds(inc_star.instance, before.remapped(inc_star.vertex_node)):
         raise InternalInvariantError("connectivity table changed across the split-off")
     return SplitOffResult(
         h_star=h_star,
         log=log,
-        certificate=certificate,
+        certificate=Certificate(before=before, after=before),
         pipeline=pipeline if pipeline.certified else None,
     )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hypersplit import cli
 from hypersplit.cli import main
 
 TRIANGLE = '{"vertices": ["a", "b", "c"], "hyperedges": [["a","b"], ["b","c"], ["a","c"]]}\n'
@@ -74,6 +75,18 @@ class TestConn:
         path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(4999)))
         assert main(["conn", str(path), "-u", "v0", "-v", "v4999"]) == 0
         assert capsys.readouterr().out == "lambda(v0, v4999) = 1\n"
+
+
+class TestUnexpectedErrors:
+    def test_crash_exits_4_on_one_line(self, triangle, monkeypatch, capsys):
+        def crash(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_conn", crash)
+        assert main(["conn", str(triangle), "--all-pairs"]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: internal error: RuntimeError: boom second line\n"
+        assert "Traceback" not in err
 
 
 class TestEconn:

@@ -15,6 +15,7 @@ from hypersplit import (
     max_flow,
     oracle_element_conn,
     oracle_lambda,
+    table_holds,
 )
 from conftest import corpus_element_instance, corpus_hypergraph, hypergraph, instance
 
@@ -257,3 +258,162 @@ class TestConnTables:
     def test_rejects_degenerate_pairs(self):
         with pytest.raises(ValueError):
             ConnTable({(1, 1): 2})
+
+
+def _path_minimum(tree, u, v):
+    """Smallest value on the tree path from u to v."""
+    adjacent = {}
+    for a, b, k in tree:
+        adjacent.setdefault(a, []).append((b, k))
+        adjacent.setdefault(b, []).append((a, k))
+    best = {u: None}
+    stack = [u]
+    while stack:
+        w = stack.pop()
+        for x, k in adjacent[w]:
+            if x not in best:
+                best[x] = k if best[w] is None else min(best[w], k)
+                stack.append(x)
+    return best[v]
+
+
+class TestTableTree:
+    def test_empty_table_has_empty_tree(self):
+        assert ConnTable({}).tree() == ()
+        inst = instance([(0, 1)], terminals=[0])
+        assert table_holds(inst, conn_table_elements(inst))
+
+    def test_ties_break_by_key(self):
+        table = ConnTable({(0, 1): 2, (0, 2): 2, (1, 2): 2})
+        assert table.tree() == ((0, 1, 2), (0, 2, 2))
+
+    def test_tree_path_minimum_reproduces_table(self):
+        checked = 0
+        for trial in range(40):
+            inst = corpus_element_instance(trial)
+            table = conn_table_elements(inst)
+            tree = table.tree()
+            assert len(tree) == len(inst.terminals) - 1
+            assert {w for a, b, _ in tree for w in (a, b)} == inst.terminals
+            for u, v, k in table.pairs():
+                assert _path_minimum(tree, u, v) == k
+                checked += 1
+        assert checked >= 100
+
+    def test_hypergraph_tables_too(self):
+        for trial in range(30):
+            h = corpus_hypergraph(trial, max_n=7, max_m=10)
+            table = conn_table_hyper(h)
+            tree = table.tree()
+            assert len(tree) == len(h.vertices) - 1
+            for u, v, k in table.pairs():
+                assert _path_minimum(tree, u, v) == k
+
+    def test_detects_a_lowered_pair(self):
+        # 0 and 1 joined by two routes; deleting one lowers only kappa(0, 1)
+        inst = instance([(0, 2), (2, 1), (0, 3), (3, 1), (1, 4)], terminals=[0, 1, 4])
+        table = conn_table_elements(inst)
+        assert table.get(0, 1) == 2
+        assert table_holds(inst, table)
+        assert not table_holds(inst.with_graph(inst.graph.without_edge(0)), table)
+
+
+class TestSplitOffCheckProperty:
+    """table_holds on split-off results and on their weakened copies agrees
+    with comparing full tables: trims, merges and hyperedge deletions never
+    raise connectivity, which is all the tree check assumes."""
+
+    def test_agrees_with_full_table(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        from hypersplit import Hypergraph, complete_split_off, incidence_graph
+
+        @st.composite
+        def hypergraph_and_vertex(draw):
+            n = draw(st.integers(3, 6))
+            edges = draw(st.lists(
+                st.sets(st.integers(0, n - 1), min_size=2, max_size=3), min_size=1, max_size=8
+            ))
+            return hypergraph(edges, extra_vertices=range(n)), draw(st.integers(0, n - 1))
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(hypergraph_and_vertex())
+        def check(drawn):
+            h, s = drawn
+            rest = h.vertices - {s}
+            before = conn_table_hyper(h).restrict(rest)
+            h_star = complete_split_off(h, s, certify=False).h_star
+            edges = h_star.hyperedges
+            weakened = [
+                Hypergraph(h_star.vertices, {e: m for e, m in edges.items() if e != drop})
+                for drop in edges
+            ]
+            for result in [h_star, *weakened]:
+                inc = incidence_graph(result)
+                holds = table_holds(inc.instance, before.remapped(inc.vertex_node))
+                assert holds == (conn_table_hyper(result).restrict(rest) == before)
+
+        check()
+
+
+def _nx_element_conn(nx, inst, u, v):
+    """kappa(u, v) by networkx max-flow on its own vertex split (terminals uncapped)."""
+    net = nx.DiGraph()
+    for w in inst.graph.vertices:
+        if w in inst.terminals:
+            net.add_edge(("in", w), ("out", w))
+        else:
+            net.add_edge(("in", w), ("out", w), capacity=1)
+    for a, b in inst.graph.edges.values():
+        for x, y in ((a, b), (b, a)):
+            arc = net.get_edge_data(("out", x), ("in", y), {"capacity": 0})
+            net.add_edge(("out", x), ("in", y), capacity=arc["capacity"] + 1)
+    return nx.maximum_flow_value(net, ("out", u), ("in", v))
+
+
+def _nx_lambda(nx, h, u, v):
+    """lambda(u, v) by networkx max-flow on Lawler's hyperedge network."""
+    net = nx.DiGraph()
+    net.add_nodes_from(h.vertices)
+    for e, members in h.hyperedges.items():
+        net.add_edge(("e_in", e), ("e_out", e), capacity=1)
+        for w in members:
+            net.add_edge(w, ("e_in", e))
+            net.add_edge(("e_out", e), w)
+    return nx.maximum_flow_value(net, u, v)
+
+
+class TestNetworkxDifferential:
+    """Large seeded instances (200-1,000 vertices) against networkx.
+
+    Every flow of a table or a tree check starts from one shared residual,
+    so a flow that left capacity behind would corrupt the pairs after it.
+    Sizes and pair counts are fixed so the class runs in seconds.
+    """
+
+    SIZES = (200, 500, 1000)
+
+    def test_element_tables(self):
+        nx = pytest.importorskip("networkx")
+        from hypersplit import ElementConnInstance, GenParams, SplitMix64, random_element_instance
+
+        for n in self.SIZES:
+            graph = random_element_instance(GenParams(n=n, m=2 * n, r=2, seed=n)).graph
+            terminals = frozenset(SplitMix64(n + 1).sample(n, 5))
+            inst = ElementConnInstance(graph, terminals)
+            table = conn_table_elements(inst)
+            for u, v, k in table.pairs():
+                assert k == _nx_element_conn(nx, inst, u, v), (n, u, v)
+            assert table_holds(inst, table)
+
+    def test_hyperedge_pairs(self):
+        nx = pytest.importorskip("networkx")
+        from hypersplit import GenParams, SplitMix64, random_hypergraph
+
+        for n in self.SIZES:
+            h = random_hypergraph(GenParams(n=n, m=2 * n, r=4, seed=n))
+            rng = SplitMix64(n + 2)
+            for _ in range(3):
+                u, v = rng.sample(n, 2)
+                assert hyperedge_connectivity(h, u, v) == _nx_lambda(nx, h, u, v), (n, u, v)

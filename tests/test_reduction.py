@@ -10,6 +10,7 @@ from hypersplit import (
     maximal_preserving_deletions,
     reduce_edge,
     reduce_to_stable,
+    table_holds,
 )
 from conftest import corpus_element_instance, instance
 
@@ -230,3 +231,29 @@ class TestReductionTheorem:
             assert not is_deletion_preserving(cur, watched, baseline)
             checked += 1
         assert checked == 40
+
+
+class TestTreeCheck:
+    def test_agrees_with_full_table_on_delete_and_contract(self):
+        from hypersplit import GenParams, random_element_instance
+
+        outcomes = {"deleted": set(), "contracted": set()}
+        instances = 0
+        for trial in range(400):
+            inst = random_element_instance(GenParams(n=9, m=14, r=2, seed=trial))
+            if not 3 <= len(inst.terminals) <= 6 or not nonterminal_edges(inst):
+                continue
+            instances += 1
+            base = conn_table_elements(inst)
+            for e in nonterminal_edges(inst):
+                contracted, _, _ = inst.graph.contracted(e)
+                for action, graph in (("deleted", inst.graph.without_edge(e)),
+                                      ("contracted", contracted)):
+                    after = inst.with_graph(graph)
+                    full = conn_table_elements(after) == base
+                    assert table_holds(after, base) == full, (trial, e, action)
+                    outcomes[action].add(full)
+            if instances == 60:
+                break
+        assert instances == 60
+        assert outcomes == {"deleted": {True, False}, "contracted": {True, False}}
