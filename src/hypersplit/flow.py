@@ -23,6 +23,16 @@ terminal by the clique gadget, trim and merge) can only lower a pair's
 value. If the checked instance matches the table on the T-1 tree pairs,
 each other pair is at least the minimum along its tree path, which is its
 old value, and at most its old value: the whole table holds.
+
+A run of edge deletions keeps each tree pair's flow instead of recomputing
+it. Deleting edge e leaves a pair whose flow f of value k uses neither arc
+of e with a flow of value k. If f sends its unit over e's arc x->y, drop
+that unit: f' now has a surplus at x and a deficit at y. One search for an
+x->y residual path with e's arcs removed decides the pair: a path restores
+value k, and if G-e had some flow g of value k, then g-f' would split into
+an x->y residual path and cycles, so no path means the value dropped. A
+flow with a unit on each arc of e runs them in a cycle through both vertex
+arcs; cancelling the cycle removes both without changing the value.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ def max_flow(net: FlowNetwork) -> int:
     """Exact value of an integral maximum source->sink flow."""
     if net.source == net.sink:
         raise InvalidQueryError("source and sink coincide")
-    return _max_flow(_residual(net.num_nodes, net.arcs), net.source, net.sink)
+    return _max_flow(_residual(net.num_nodes, net.arcs), net.source, net.sink)[0]
 
 
 _Residual = tuple[list[int], list[int], list[list[int]]]
@@ -84,32 +94,38 @@ def _residual(num_nodes: int, arcs: Iterable[tuple[int, int, int]]) -> _Residual
     return head, cap, out
 
 
-def _max_flow(residual: _Residual, source: int, sink: int) -> int:
+def _max_flow(residual: _Residual, source: int, sink: int) -> tuple[int, list[int]]:
+    """Maximum source->sink flow: its value and the residual capacities it leaves."""
     head, initial, out = residual
     cap = initial.copy()
-    num_nodes = len(out)
     total = 0
-    while True:
-        via = [-1] * num_nodes  # residual arc that labelled each node
-        via[source] = -2
-        queue = deque([source])
-        while queue and via[sink] == -1:
-            for a in out[queue.popleft()]:
-                if cap[a] > 0 and via[head[a]] == -1:
-                    via[head[a]] = a
-                    queue.append(head[a])
-        if via[sink] == -1:
-            return total
-        path = []
-        node = sink
-        while node != source:
-            path.append(via[node])
-            node = head[via[node] ^ 1]
-        push = min(cap[a] for a in path)
-        for a in path:
-            cap[a] -= push
-            cap[a ^ 1] += push
+    while push := _augment(head, cap, out, source, sink):
         total += push
+    return total, cap
+
+
+def _augment(head: list[int], cap: list[int], out: list[list[int]], source: int, sink: int) -> int:
+    """Push the bottleneck of one shortest source->sink residual path; 0 if none."""
+    via = [-1] * len(out)  # residual arc that labelled each node
+    via[source] = -2
+    queue = deque([source])
+    while queue and via[sink] == -1:
+        for a in out[queue.popleft()]:
+            if cap[a] > 0 and via[head[a]] == -1:
+                via[head[a]] = a
+                queue.append(head[a])
+    if via[sink] == -1:
+        return 0
+    path = []
+    node = sink
+    while node != source:
+        path.append(via[node])
+        node = head[via[node] ^ 1]
+    push = min(cap[a] for a in path)
+    for a in path:
+        cap[a] -= push
+        cap[a ^ 1] += push
+    return push
 
 
 @dataclass(frozen=True)
@@ -180,12 +196,16 @@ class ConnTable:
         return len(self.values)
 
 
-def _split_arcs(inst: ElementConnInstance) -> tuple[_Residual, dict[int, int]]:
+def _split_arcs(inst: ElementConnInstance) -> tuple[_Residual, dict[int, int], tuple[int, ...]]:
     """Vertex-split residual shared by every pair query on one instance.
 
-    Returns (residual, index of each vertex). Vertex w occupies nodes 2*i
-    (in) and 2*i+1 (out). Terminal capacity is its degree, which bounds any
-    flow through it just like an infinite capacity would.
+    Returns (residual, index of each vertex, edge ids in arc order). Vertex
+    w with index i occupies nodes 2*i (in) and 2*i+1 (out), joined by
+    residual arc 2*i, which is numbered like its in-node. With n vertices,
+    the p-th edge id, between a and b, gives residual arc 2*n + 4*p from
+    out(a) to in(b) and the next, 2*n + 4*p + 2, from out(b) to in(a).
+    Terminal capacity is its degree, which bounds any flow through it just
+    like an infinite capacity would.
     """
     order = sorted(inst.graph.vertices)
     index = {v: i for i, v in enumerate(order)}
@@ -197,11 +217,12 @@ def _split_arcs(inst: ElementConnInstance) -> tuple[_Residual, dict[int, int]]:
     for v in order:
         cap = degree[v] if v in inst.terminals else 1
         arcs.append((2 * index[v], 2 * index[v] + 1, cap))
-    for eid in inst.graph.edge_ids():
+    edge_ids = inst.graph.edge_ids()
+    for eid in edge_ids:
         a, b = inst.graph.endpoints(eid)
         arcs.append((2 * index[a] + 1, 2 * index[b], 1))
         arcs.append((2 * index[b] + 1, 2 * index[a], 1))
-    return _residual(2 * len(order), arcs), index
+    return _residual(2 * len(order), arcs), index, edge_ids
 
 
 def _check_terminal(inst: ElementConnInstance, v: int) -> None:
@@ -217,8 +238,8 @@ def element_connectivity(inst: ElementConnInstance, u: int, v: int) -> int:
         raise InvalidQueryError("endpoints coincide")
     _check_terminal(inst, u)
     _check_terminal(inst, v)
-    residual, index = _split_arcs(inst)
-    return _max_flow(residual, 2 * index[u] + 1, 2 * index[v])
+    residual, index, _ = _split_arcs(inst)
+    return _max_flow(residual, 2 * index[u] + 1, 2 * index[v])[0]
 
 
 def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
@@ -229,12 +250,79 @@ def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
     terms = sorted(inst.terminals)
     if len(terms) < 2:
         return ConnTable({})
-    residual, index = _split_arcs(inst)
+    residual, index, _ = _split_arcs(inst)
     values = {}
     for i, u in enumerate(terms):
         for v in terms[i + 1 :]:
-            values[(u, v)] = _max_flow(residual, 2 * index[u] + 1, 2 * index[v])
+            values[(u, v)] = _max_flow(residual, 2 * index[u] + 1, 2 * index[v])[0]
     return ConnTable(values)
+
+
+class _TreeFlows:
+    """Maximum flows of a table's tree pairs on one instance, kept across edge deletions.
+
+    Building it runs the T-1 flows of ``table.tree()``, stopping at the first
+    whose value differs from the table; ``holds`` says whether none did.
+    ``delete`` then tests and applies edge deletions one at a time, each at
+    the cost of at most one augmenting search per tree pair whose flow uses
+    the edge (see the module docstring). Terminal capacities stay at their
+    degrees before any deletion, which still bounds every flow.
+    """
+
+    def __init__(self, inst: ElementConnInstance, table: ConnTable):
+        residual, index, edge_ids = _split_arcs(inst)
+        self._head, _, self._out = residual
+        first = 2 * len(index)
+        self._edge_arc = dict(zip(edge_ids, range(first, first + 4 * len(edge_ids), 4)))
+        self._caps: list[list[int]] = []  # residual capacities left by each pair's flow
+        self.holds = True
+        for u, v, k in table.tree():
+            value, cap = _max_flow(residual, 2 * index[u] + 1, 2 * index[v])
+            if value != k:
+                self.holds = False
+                break
+            self._caps.append(cap)
+
+    def delete(self, edge_id: int) -> bool:
+        """Delete the edge if every tree pair keeps its value; True iff it did.
+
+        A rejected deletion, and any deletion once ``holds`` is False,
+        changes nothing.
+        """
+        if not self.holds:
+            return False
+        head, out = self._head, self._out
+        first = self._edge_arc[edge_id]
+        arcs = (first, first + 2)
+        rerouted: dict[int, list[int]] = {}
+        for i, cap in enumerate(self._caps):
+            used = [a for a in arcs if cap[a ^ 1]]  # an arc's flow is its reverse's capacity
+            if not used:
+                continue
+            cap = cap.copy()
+            if len(used) == 2:
+                # A unit each way closes a cycle through both vertex arcs (residual
+                # arcs head[first + 2] and head[first]); cancelling it keeps the value.
+                for a in (first, head[first], first + 2, head[first + 2]):
+                    cap[a] += 1
+                    cap[a ^ 1] -= 1
+            for a in arcs:
+                cap[a] = cap[a ^ 1] = 0
+            if len(used) == 1:
+                # Without its unit on arc x->y the flow has a surplus at x and a
+                # deficit at y; an x->y path restores the value, and none exists
+                # exactly when the value drops.
+                x, y = head[used[0] ^ 1], head[used[0]]
+                if not _augment(head, cap, out, x, y):
+                    return False
+            rerouted[i] = cap
+        for i, cap in enumerate(self._caps):
+            if i in rerouted:
+                self._caps[i] = rerouted[i]
+            else:
+                for a in arcs:
+                    cap[a] = 0
+        return True
 
 
 def table_holds(inst: ElementConnInstance, table: ConnTable) -> bool:
@@ -245,10 +333,7 @@ def table_holds(inst: ElementConnInstance, table: ConnTable) -> bool:
     its value in ``table``: ``inst`` came from the instance of ``table`` by
     operations that never raise connectivity (see the module docstring).
     """
-    residual, index = _split_arcs(inst)
-    return all(
-        _max_flow(residual, 2 * index[u] + 1, 2 * index[v]) == k for u, v, k in table.tree()
-    )
+    return _TreeFlows(inst, table).holds
 
 
 def hyperedge_connectivity(h: Hypergraph, u: int, v: int) -> int:

@@ -5,14 +5,22 @@ contracting it keeps every pairwise terminal connectivity unchanged. We
 prefer deletion whenever it preserves the table; when it does not, the
 contraction is guaranteed to, and we verify that instead of trusting it.
 
-Each check computes T-1 flows, not the T(T-1)/2 of a full table, through
-``flow.table_holds``. Neither deleting an edge nor contracting an edge
-between non-terminals can raise any terminal pair's connectivity, and
-connectivity obeys lambda(u,v) >= min(lambda(u,w), lambda(w,v)). So if the
-reduced instance matches the baseline on the pairs of a maximum spanning
-tree of the baseline, every other pair is squeezed between the minimum
-along its tree path and its old value, which are equal. Baselines are full
-tables, computed once per reduction run.
+Checks look only at the T-1 pairs of a maximum spanning tree of the
+baseline, not the T(T-1)/2 of a full table. Neither deleting an edge nor
+contracting an edge between non-terminals can raise any terminal pair's
+connectivity, and connectivity obeys lambda(u,v) >= min(lambda(u,w),
+lambda(w,v)). So if the reduced instance matches the baseline on the tree
+pairs, every other pair is squeezed between the minimum along its tree path
+and its old value, which are equal. Baselines are full tables, computed
+once per reduction run.
+
+A run keeps one max flow per tree pair (``flow._TreeFlows``). A deletion
+test touches only the pairs whose flow crosses the edge: each drops its
+unit there and looks for one augmenting path around the edge, which exists
+exactly when the pair keeps its value (the argument is in ``flow``). An
+accepted deletion keeps the rerouted flows; a rejected one leaves them as
+they were, and the contraction that follows builds the flows of the
+contracted instance afresh, which re-checks it.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from types import MappingProxyType
 from typing import Iterable, Literal, Mapping, Optional
 
 from .errors import InternalInvariantError, TerminalEndpointError
-from .flow import ConnTable, conn_table_elements, table_holds
+from .flow import ConnTable, _TreeFlows, conn_table_elements
 from .multigraph import ElementConnInstance
 
 Action = Literal["deleted", "contracted"]
@@ -61,9 +69,12 @@ def is_deletion_preserving(inst: ElementConnInstance, edge_id: int, baseline: Co
     """True iff deleting the edge leaves the whole terminal pair table intact.
 
     ``baseline`` must be the table of ``inst``, or of an instance that
-    ``inst`` was reduced from: only its spanning-tree pairs are recomputed.
+    ``inst`` was reduced from: only its spanning-tree pairs are computed,
+    on ``inst``, and then rerouted around the edge. If ``inst`` does not
+    have that table, the answer is False.
     """
-    return table_holds(inst.with_graph(inst.graph.without_edge(edge_id)), baseline)
+    inst.graph.endpoints(edge_id)  # raises MissingEdgeError on unknown ids
+    return _TreeFlows(inst, baseline).delete(edge_id)
 
 
 def reduce_edge(
@@ -77,20 +88,34 @@ def reduce_edge(
     only mean a bug on our side. ``baseline`` must be the table of ``inst``,
     or of an instance that ``inst`` was reduced from.
     """
-    u, v = inst.graph.endpoints(edge_id)
-    for w in (u, v):
+    for w in inst.graph.endpoints(edge_id):
         if w in inst.terminals:
             raise TerminalEndpointError(f"endpoint {w} of edge {edge_id} is a terminal")
-    if is_deletion_preserving(inst, edge_id, baseline):
+    out, step, _ = _reduce(inst, edge_id, _TreeFlows(inst, baseline), baseline)
+    return out, step
+
+
+def _reduce(
+    inst: ElementConnInstance, edge_id: int, flows: _TreeFlows, baseline: ConnTable
+) -> tuple[ElementConnInstance, ReductionStep, _TreeFlows]:
+    """``reduce_edge`` with the tree flows of ``inst``; also returns those of the result.
+
+    A deletion keeps the flows, rerouted; a contraction builds them afresh,
+    which is its re-check.
+    """
+    edge = inst.graph.endpoints(edge_id)
+    if flows.delete(edge_id):
         out = inst.with_graph(inst.graph.without_edge(edge_id))
-        return out, ReductionStep(edge=(u, v), edge_id=edge_id, action="deleted")
+        return out, ReductionStep(edge=edge, edge_id=edge_id, action="deleted"), flows
     graph, kept, _ = inst.graph.contracted(edge_id)
     out = inst.with_graph(graph)
-    if not table_holds(out, baseline):
+    flows = _TreeFlows(out, baseline)
+    if not flows.holds:
         raise InternalInvariantError(
             f"neither deleting nor contracting edge {edge_id} preserved the table"
         )
-    return out, ReductionStep(edge=(u, v), edge_id=edge_id, action="contracted", merged_into=kept)
+    step = ReductionStep(edge=edge, edge_id=edge_id, action="contracted", merged_into=kept)
+    return out, step, flows
 
 
 def _ordered(inst: ElementConnInstance, edge_ids: Iterable[int]) -> list[int]:
@@ -108,11 +133,18 @@ def reduce_to_stable(
     surviving endpoint is one of the two). Without it, the result has its
     non-terminals as a stable set.
     """
-    baseline = conn_table_elements(inst)
+    return _reduce_to_stable(inst, conn_table_elements(inst), within)
+
+
+def _reduce_to_stable(
+    inst: ElementConnInstance, baseline: ConnTable, within: Optional[Iterable[int]]
+) -> tuple[ElementConnInstance, MinorTrace]:
+    """``reduce_to_stable`` against a known table of ``inst``, on one set of tree flows."""
     tracked = None if within is None else set(within)
     vertex_map = {v: frozenset({v}) for v in inst.graph.vertices}
     steps: list[ReductionStep] = []
     cur = inst
+    flows = _TreeFlows(inst, baseline)
     while True:
         nonterminals = cur.nonterminals
         pool = nonterminals if tracked is None else (nonterminals & tracked)
@@ -124,10 +156,10 @@ def reduce_to_stable(
         if not candidates:
             break
         edge_id = _ordered(cur, candidates)[0]
-        a, b = cur.graph.endpoints(edge_id)
-        cur, step = reduce_edge(cur, edge_id, baseline)
+        cur, step, flows = _reduce(cur, edge_id, flows, baseline)
         steps.append(step)
         if step.action == "contracted":
+            a, b = step.edge
             kept = step.merged_into
             dropped = b if kept == a else a
             vertex_map[kept] = vertex_map[kept] | vertex_map.pop(dropped)
@@ -148,11 +180,18 @@ def maximal_preserving_deletions(
     ids = list(candidates)
     for e in ids:
         inst.graph.endpoints(e)  # raises MissingEdgeError on unknown ids
-    baseline = conn_table_elements(inst)
+    return _maximal_preserving_deletions(inst, ids, conn_table_elements(inst))
+
+
+def _maximal_preserving_deletions(
+    inst: ElementConnInstance, candidates: list[int], baseline: ConnTable
+) -> tuple[ElementConnInstance, tuple[int, ...]]:
+    """``maximal_preserving_deletions`` against a known table of ``inst``, on one set of flows."""
+    flows = _TreeFlows(inst, baseline)
     deleted: list[int] = []
     cur = inst
-    for edge_id in _ordered(inst, ids):
-        if is_deletion_preserving(cur, edge_id, baseline):
+    for edge_id in _ordered(inst, candidates):
+        if flows.delete(edge_id):
             cur = cur.with_graph(cur.graph.without_edge(edge_id))
             deleted.append(edge_id)
     return cur, tuple(deleted)

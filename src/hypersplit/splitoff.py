@@ -33,7 +33,7 @@ from .hypergraph import (
     replay,
 )
 from .multigraph import ElementConnInstance, Multigraph
-from .reduction import maximal_preserving_deletions, reduce_to_stable
+from .reduction import _maximal_preserving_deletions, _reduce_to_stable
 
 # Per-stage certification is quadratic in terminal count; beyond this many
 # terminals it defaults off and only the end-to-end certificate remains.
@@ -199,11 +199,14 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: Optional[bool] = None) -> St
     gadget = _build_gadget(h, s, inc)
     g1 = gadget.instance
 
+    # The table every stage must keep is the G0 table without s, which is the
+    # G1 table; without certification only the latter is computed.
     table0 = conn_table_elements(g0) if certify else None
-    reference = table0.restrict(g1.terminals) if certify else None
+    baseline = table0.restrict(g1.terminals) if certify else conn_table_elements(g1)
+    reference = baseline if certify else None
     table1 = _certified_table(g1, reference, "replacing s with the clique gadget")
 
-    g2, _trace = reduce_to_stable(g1, within=set(gadget.clique))
+    g2, _trace = _reduce_to_stable(g1, baseline, set(gadget.clique))
     s2 = tuple(v for v in gadget.clique if v in g2.graph.vertices)
     table2 = _certified_table(g2, reference, "reducing the clique edges")
 
@@ -218,7 +221,7 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: Optional[bool] = None) -> St
             )
 
     candidates = [e for e, (a, b) in g2.graph.edges.items() if a in s2_set or b in s2_set]
-    g3, deleted = maximal_preserving_deletions(g2, candidates)
+    g3, deleted = _maximal_preserving_deletions(g2, candidates, baseline)
     table3 = _certified_table(g3, reference, "deleting gadget-incident edges")
 
     fa: dict[int, tuple[int, ...]] = {}
@@ -350,8 +353,13 @@ def complete_split_off(
 
     # h_star is h after the log's trims and merges (the replay above shows
     # it), and these never raise connectivity, so the tree pairs of the
-    # table of h decide whether h_star has all of it.
-    before = conn_table_hyper(h).restrict(h.vertices - {s})
+    # table of h decide whether h_star has all of it. A certified pipeline
+    # already holds that table: it is the G0 table, keyed by incidence node.
+    if pipeline.certified:
+        full = pipeline.stage("G0").table.remapped(pipeline.incidence.node_vertex)
+    else:
+        full = conn_table_hyper(h)
+    before = full.restrict(h.vertices - {s})
     inc_star = incidence_graph(h_star)
     if not table_holds(inc_star.instance, before.remapped(inc_star.vertex_node)):
         raise InternalInvariantError("connectivity table changed across the split-off")

@@ -3,16 +3,20 @@
 import pytest
 
 from hypersplit import (
+    GenParams,
     MissingEdgeError,
+    ReductionStep,
     TerminalEndpointError,
     conn_table_elements,
     is_deletion_preserving,
     maximal_preserving_deletions,
     reduce_edge,
     reduce_to_stable,
+    random_element_instance,
     table_holds,
 )
-from conftest import corpus_element_instance, instance
+from hypersplit.flow import _TreeFlows
+from conftest import corpus_element_instance, instance, sparse_element_instance
 
 
 def nonterminal_edges(inst):
@@ -257,3 +261,210 @@ class TestTreeCheck:
                 break
         assert instances == 60
         assert outcomes == {"deleted": {True, False}, "contracted": {True, False}}
+
+
+def _reference_reduce_to_stable(inst, within=None):
+    """reduce_to_stable spelled out with a fresh table_holds for every check."""
+    baseline = conn_table_elements(inst)
+    tracked = None if within is None else set(within)
+    steps = []
+    cur = inst
+    while True:
+        pool = cur.nonterminals if tracked is None else cur.nonterminals & tracked
+        candidates = sorted(
+            (e for e, (a, b) in cur.graph.edges.items() if a in pool and b in pool),
+            key=lambda e: (*cur.graph.endpoints(e), e),
+        )
+        if not candidates:
+            return cur, tuple(steps)
+        e = candidates[0]
+        edge = cur.graph.endpoints(e)
+        deleted = cur.with_graph(cur.graph.without_edge(e))
+        if table_holds(deleted, baseline):
+            cur = deleted
+            steps.append(ReductionStep(edge=edge, edge_id=e, action="deleted"))
+            continue
+        graph, kept, dropped = cur.graph.contracted(e)
+        cur = cur.with_graph(graph)
+        assert table_holds(cur, baseline)
+        steps.append(ReductionStep(edge=edge, edge_id=e, action="contracted", merged_into=kept))
+        if tracked is not None:
+            tracked.discard(dropped)
+
+
+def _reference_deletions(inst, candidates):
+    """maximal_preserving_deletions spelled out with a fresh table_holds per candidate."""
+    baseline = conn_table_elements(inst)
+    cur = inst
+    deleted = []
+    for e in sorted(candidates, key=lambda e: (*inst.graph.endpoints(e), e)):
+        after = cur.with_graph(cur.graph.without_edge(e))
+        if table_holds(after, baseline):
+            cur = after
+            deleted.append(e)
+    return cur, tuple(deleted)
+
+
+def _units_both_ways(flows, e):
+    """Tree flows that send a unit over each of edge e's two arcs."""
+    first = flows._edge_arc[e]
+    return sum(1 for cap in flows._caps if cap[first ^ 1] and cap[(first + 2) ^ 1])
+
+
+def _assert_kept_flows(flows, baseline, deleted):
+    """Each kept residual is a flow of the pair's table value avoiding the deleted edges."""
+    for (_, _, k), cap in zip(baseline.tree(), flows._caps):
+        assert min(cap) >= 0
+        net = [0] * len(flows._out)
+        for a in range(0, len(cap), 2):  # an arc's flow is its reverse's capacity
+            net[flows._head[a]] += cap[a + 1]
+            net[flows._head[a + 1]] -= cap[a + 1]
+        assert sorted(x for x in net if x) == ([-k, k] if k else [])
+        for e in deleted:
+            first = flows._edge_arc[e]
+            assert cap[first : first + 4] == [0, 0, 0, 0]
+
+
+def _sweep(inst, order, seen):
+    """Delete ``order`` through one set of kept tree flows, checking each answer
+    against a fresh table_holds on the instance without the edge, and that the
+    kept flows stay flows."""
+    baseline = conn_table_elements(inst)
+    flows = _TreeFlows(inst, baseline)
+    cur = inst
+    deleted = []
+    for e in order:
+        a, b = cur.graph.endpoints(e)
+        after = cur.with_graph(cur.graph.without_edge(e))
+        expected = table_holds(after, baseline)
+        cycles = _units_both_ways(flows, e)
+        assert flows.delete(e) == expected, (sorted(cur.graph.edges.items()), e)
+        parallel = sum(1 for ends in cur.graph.edges.values() if ends == (a, b)) > 1
+        terminal = a in inst.terminals or b in inst.terminals
+        seen.add(("parallel" if parallel else "terminal" if terminal else "plain", expected))
+        if cycles:
+            seen.add(("cycle", expected))
+        if expected:
+            cur = after
+            deleted.append(e)
+        _assert_kept_flows(flows, baseline, deleted)
+
+
+def _check_against_references(inst, seen):
+    out, trace = reduce_to_stable(inst)
+    ref_out, ref_steps = _reference_reduce_to_stable(inst)
+    assert trace.steps == ref_steps
+    assert out == ref_out
+    seen.update(("reduce", step.action) for step in trace.steps)
+    edges = inst.graph.edge_ids()
+    assert maximal_preserving_deletions(inst, edges) == _reference_deletions(inst, edges)
+
+
+class TestKeptTreeFlows:
+    """Deletion tests on kept, rerouted tree flows against fresh flows.
+
+    Every deletion of a sweep over all edges (terminal-incident and parallel
+    ones included) goes through one ``_TreeFlows``, so a rerouted flow that
+    kept a deleted edge, or a rejected test that changed the flows, shows up
+    in a later answer.
+    """
+
+    WANTED = {
+        (kind, accepted) for kind in ("plain", "parallel", "terminal") for accepted in (True, False)
+    } | {("cycle", True), ("reduce", "deleted"), ("reduce", "contracted")}
+
+    def test_seeded_instances(self):
+        seen = set()
+        for trial in range(150):
+            inst = random_element_instance(GenParams(n=9, m=16, r=2, seed=trial))
+            _sweep(inst, inst.graph.edge_ids(), seen)
+            _sweep(inst, inst.graph.edge_ids()[::-1], seen)
+            if trial < 40:
+                _check_against_references(inst, seen)
+                _check_against_references(sparse_element_instance(trial), seen)
+        assert seen >= self.WANTED, self.WANTED - seen
+
+    def test_within_matches_reference(self):
+        for trial in range(40):
+            inst = sparse_element_instance(trial)
+            within = sorted(inst.nonterminals)[::2]
+            out, trace = reduce_to_stable(inst, within=within)
+            assert (out, trace.steps) == _reference_reduce_to_stable(inst, within)
+
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @st.composite
+        def instance_and_order(draw):
+            n = draw(st.integers(3, 7))
+            pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda p: p[0] != p[1]
+            )
+            edges = draw(st.lists(pairs, min_size=1, max_size=14))
+            terminals = draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n))
+            inst = instance(edges, terminals, extra_vertices=range(n))
+            return inst, draw(st.permutations(inst.graph.edge_ids()))
+
+        seen = set()
+
+        @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(instance_and_order())
+        def check(drawn):
+            inst, order = drawn
+            _sweep(inst, order, seen)
+            _check_against_references(inst, seen)
+
+        check()
+        assert ("plain", False) in seen and ("parallel", True) in seen
+
+
+@pytest.fixture
+def max_flows(monkeypatch):
+    """Source/sink of every call of the one max-flow routine everything uses."""
+    from hypersplit import flow
+
+    calls = []
+    real = flow._max_flow
+
+    def counted(residual, source, sink):
+        calls.append((source, sink))
+        return real(residual, source, sink)
+
+    monkeypatch.setattr(flow, "_max_flow", counted)
+    return calls
+
+
+class TestFlowCounts:
+    def test_unused_edge_costs_no_flow(self, max_flows, monkeypatch):
+        # kappa(0,1) = 2 over 2 and 3; the pendant edge 2-4 carries no flow.
+        from hypersplit import flow
+
+        inst = instance([(0, 2), (2, 1), (0, 3), (3, 1), (2, 4)], terminals=[0, 1])
+        flows = _TreeFlows(inst, conn_table_elements(inst))
+        assert flows.holds
+        max_flows.clear()
+        monkeypatch.setattr(flow, "_augment", None)  # any search would raise
+        assert flows.delete(4)
+        assert max_flows == []
+
+    def test_deletion_tests_run_no_flows(self, max_flows):
+        # Only the baseline table and one T-1 tree per checker (the first,
+        # then one per contraction) run flows; deletion tests reroute.
+        inst = random_element_instance(GenParams(n=12, m=22, r=2, seed=32))
+        t = len(inst.terminals)
+        _, trace = reduce_to_stable(inst)
+        contractions = sum(1 for step in trace.steps if step.action == "contracted")
+        assert (t, len(trace.steps), contractions) == (5, 10, 3)
+        assert len(max_flows) == t * (t - 1) // 2 + (t - 1) * (1 + contractions)
+
+    def test_split_off_runs_fewer_flows(self, max_flows):
+        from hypersplit import complete_split_off, random_hypergraph
+
+        h = random_hypergraph(GenParams(n=10, m=25, r=4, seed=3))
+        s = max(sorted(h.vertices), key=h.degree)
+        complete_split_off(h, s)
+        # The same call ran 951 max-flows when every deletion test recomputed
+        # the tree pairs, and the certificate and both stage baselines
+        # recomputed tables the pipeline already had; it now runs 149.
+        assert len(max_flows) < 951 // 4

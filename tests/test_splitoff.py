@@ -6,6 +6,7 @@ import pytest
 
 from hypersplit import (
     Merge,
+    SplitMix64,
     Trim,
     UnknownVertexError,
     apply_op,
@@ -274,3 +275,42 @@ class TestDegenerateShapes:
         rest = sorted(h.vertices - {9})
         for u, v in itertools.combinations(rest, 2):
             assert oracle_lambda(res.h_star, u, v) == oracle_lambda(h, u, v)
+
+
+def _through_s(n, m, seed):
+    """m hyperedges on vertices 0..n-1, each s=0 plus one to three others."""
+    rng = SplitMix64(seed)
+    edges = []
+    for _ in range(m):
+        others = rng.sample(n - 1, 1 + rng.below(3))
+        edges.append({0, *(v + 1 for v in others)})
+    return edges
+
+
+class TestAdversarialShapes:
+    """Shapes that force rejected deletions (so contractions) and flows over
+    parallel edges, each checked against the brute-force oracle and replay."""
+
+    CASES = {
+        "s_in_every_hyperedge": (hypergraph(_through_s(8, 12, seed=1)), 0),
+        "all_parallel": (hypergraph([{0, 1, 2}] * 10), 0),
+        "parallel_classes": (hypergraph([{0, 1, 2}] * 6 + [{0, 3}] * 5 + [{1, 3}] * 4), 0),
+        "deg_s_far_above_n": (hypergraph(_through_s(6, 40, seed=2)), 0),
+        "long_path_middle": (hypergraph([{i, i + 1} for i in range(11)]), 5),
+        "long_path_end": (hypergraph([{i, i + 1} for i in range(11)]), 0),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_split_off(self, name):
+        h, s = self.CASES[name]
+        res = complete_split_off(h, s)
+        assert res.h_star.degree(s) == 0
+        assert hypergraph_equal(replay(h, s, res.log), res.h_star)
+        for u, v in itertools.combinations(sorted(h.vertices - {s}), 2):
+            assert oracle_lambda(res.h_star, u, v) == oracle_lambda(h, u, v)
+
+    def test_high_degree_rejects_deletions(self):
+        h, s = self.CASES["deg_s_far_above_n"]
+        p = run_pipeline(h, s)
+        assert h.degree(s) == 40
+        assert len(p.s2) < len(p.gadget.clique)  # some clique edges were contracted
