@@ -262,7 +262,8 @@ class _TreeFlows:
     """Maximum flows of a table's tree pairs on one instance, kept across edge deletions.
 
     Building it runs the T-1 flows of ``table.tree()``, stopping at the first
-    whose value differs from the table; ``holds`` says whether none did.
+    whose value differs from the table; ``holds`` says whether none did, and
+    ``table`` keeps the table for the checker of a derived instance.
     ``delete`` then tests and applies edge deletions one at a time, each at
     the cost of at most one augmenting search per tree pair whose flow uses
     the edge (see the module docstring). Terminal capacities stay at their
@@ -270,6 +271,7 @@ class _TreeFlows:
     """
 
     def __init__(self, inst: ElementConnInstance, table: ConnTable):
+        self.table = table
         residual, index, edge_ids = _split_arcs(inst)
         self._head, _, self._out = residual
         first = 2 * len(index)

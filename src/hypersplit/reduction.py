@@ -11,8 +11,8 @@ contracting an edge between non-terminals can raise any terminal pair's
 connectivity, and connectivity obeys lambda(u,v) >= min(lambda(u,w),
 lambda(w,v)). So if the reduced instance matches the baseline on the tree
 pairs, every other pair is squeezed between the minimum along its tree path
-and its old value, which are equal. Baselines are full tables, computed
-once per reduction run.
+and its old value, which are equal. Baselines are full tables; the split-off
+pipeline passes in the tree flows of its stage checks instead.
 
 A run keeps one max flow per tree pair (``flow._TreeFlows``). A deletion
 test touches only the pairs whose flow crosses the edge: each drops its
@@ -31,7 +31,7 @@ from typing import Iterable, Literal, Mapping, Optional
 
 from .errors import InternalInvariantError, TerminalEndpointError
 from .flow import ConnTable, _TreeFlows, conn_table_elements
-from .multigraph import ElementConnInstance
+from .multigraph import ElementConnInstance, Multigraph
 
 Action = Literal["deleted", "contracted"]
 
@@ -91,12 +91,12 @@ def reduce_edge(
     for w in inst.graph.endpoints(edge_id):
         if w in inst.terminals:
             raise TerminalEndpointError(f"endpoint {w} of edge {edge_id} is a terminal")
-    out, step, _ = _reduce(inst, edge_id, _TreeFlows(inst, baseline), baseline)
+    out, step, _ = _reduce(inst, edge_id, _TreeFlows(inst, baseline))
     return out, step
 
 
 def _reduce(
-    inst: ElementConnInstance, edge_id: int, flows: _TreeFlows, baseline: ConnTable
+    inst: ElementConnInstance, edge_id: int, flows: _TreeFlows
 ) -> tuple[ElementConnInstance, ReductionStep, _TreeFlows]:
     """``reduce_edge`` with the tree flows of ``inst``; also returns those of the result.
 
@@ -109,7 +109,7 @@ def _reduce(
         return out, ReductionStep(edge=edge, edge_id=edge_id, action="deleted"), flows
     graph, kept, _ = inst.graph.contracted(edge_id)
     out = inst.with_graph(graph)
-    flows = _TreeFlows(out, baseline)
+    flows = _TreeFlows(out, flows.table)
     if not flows.holds:
         raise InternalInvariantError(
             f"neither deleting nor contracting edge {edge_id} preserved the table"
@@ -133,18 +133,17 @@ def reduce_to_stable(
     surviving endpoint is one of the two). Without it, the result has its
     non-terminals as a stable set.
     """
-    return _reduce_to_stable(inst, conn_table_elements(inst), within)
+    return _reduce_to_stable(inst, _TreeFlows(inst, conn_table_elements(inst)), within)[:2]
 
 
 def _reduce_to_stable(
-    inst: ElementConnInstance, baseline: ConnTable, within: Optional[Iterable[int]]
-) -> tuple[ElementConnInstance, MinorTrace]:
-    """``reduce_to_stable`` against a known table of ``inst``, on one set of tree flows."""
+    inst: ElementConnInstance, flows: _TreeFlows, within: Optional[Iterable[int]]
+) -> tuple[ElementConnInstance, MinorTrace, _TreeFlows]:
+    """``reduce_to_stable`` from the tree flows of ``inst``; also returns those of the result."""
     tracked = None if within is None else set(within)
     vertex_map = {v: frozenset({v}) for v in inst.graph.vertices}
     steps: list[ReductionStep] = []
     cur = inst
-    flows = _TreeFlows(inst, baseline)
     while True:
         nonterminals = cur.nonterminals
         pool = nonterminals if tracked is None else (nonterminals & tracked)
@@ -156,7 +155,7 @@ def _reduce_to_stable(
         if not candidates:
             break
         edge_id = _ordered(cur, candidates)[0]
-        cur, step, flows = _reduce(cur, edge_id, flows, baseline)
+        cur, step, flows = _reduce(cur, edge_id, flows)
         steps.append(step)
         if step.action == "contracted":
             a, b = step.edge
@@ -165,7 +164,7 @@ def _reduce_to_stable(
             vertex_map[kept] = vertex_map[kept] | vertex_map.pop(dropped)
             if tracked is not None:
                 tracked.discard(dropped)
-    return cur, MinorTrace(steps=tuple(steps), vertex_map=vertex_map)
+    return cur, MinorTrace(steps=tuple(steps), vertex_map=vertex_map), flows
 
 
 def maximal_preserving_deletions(
@@ -173,25 +172,22 @@ def maximal_preserving_deletions(
 ) -> tuple[ElementConnInstance, tuple[int, ...]]:
     """Greedily delete candidates whose removal preserves the entry table.
 
-    One deterministic pass is maximal for non-terminal edges: an edge whose
+    Each listed id is tested once and reported at most once. One
+    deterministic pass is maximal for non-terminal edges: an edge whose
     deletion breaks the table now cannot become deletable after further
     preserving reductions, so revisiting rejected candidates gains nothing.
     """
     ids = list(candidates)
     for e in ids:
         inst.graph.endpoints(e)  # raises MissingEdgeError on unknown ids
-    return _maximal_preserving_deletions(inst, ids, conn_table_elements(inst))
+    return _maximal_preserving_deletions(inst, ids, _TreeFlows(inst, conn_table_elements(inst)))
 
 
 def _maximal_preserving_deletions(
-    inst: ElementConnInstance, candidates: list[int], baseline: ConnTable
+    inst: ElementConnInstance, candidates: Iterable[int], flows: _TreeFlows
 ) -> tuple[ElementConnInstance, tuple[int, ...]]:
-    """``maximal_preserving_deletions`` against a known table of ``inst``, on one set of flows."""
-    flows = _TreeFlows(inst, baseline)
-    deleted: list[int] = []
-    cur = inst
-    for edge_id in _ordered(inst, candidates):
-        if flows.delete(edge_id):
-            cur = cur.with_graph(cur.graph.without_edge(edge_id))
-            deleted.append(edge_id)
-    return cur, tuple(deleted)
+    """``maximal_preserving_deletions`` from the tree flows of ``inst``."""
+    deleted = tuple(e for e in _ordered(inst, set(candidates)) if flows.delete(e))
+    gone = frozenset(deleted)
+    edges = {e: uv for e, uv in inst.graph.edges.items() if e not in gone}
+    return inst.with_graph(Multigraph(inst.graph.vertices, edges)), deleted

@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .errors import InternalInvariantError, ReplayError, UnknownVertexError
-from .flow import ConnTable, conn_table_elements, conn_table_hyper, table_holds
+from .flow import ConnTable, _TreeFlows, conn_table_elements, table_holds
 from .hypergraph import (
     Hypergraph,
     Incidence,
@@ -35,8 +35,9 @@ from .hypergraph import (
 from .multigraph import ElementConnInstance, Multigraph
 from .reduction import _maximal_preserving_deletions, _reduce_to_stable
 
-# Per-stage certification is quadratic in terminal count; beyond this many
-# terminals it defaults off and only the end-to-end certificate remains.
+# Per-stage certification adds T-1 flows for the G3 check and T-1 for each
+# stage-4 contraction; beyond this many terminals it defaults off, and only
+# the G1 and G2 checks and the end-to-end certificate remain.
 CERTIFY_TERMINAL_LIMIT = 64
 
 
@@ -55,7 +56,7 @@ class GadgetInstance:
 
 @dataclass(frozen=True)
 class Stage:
-    """One pipeline snapshot; the table is None unless certification is on."""
+    """One pipeline snapshot; G0 always has its table, later stages only when certifying."""
 
     name: str
     instance: ElementConnInstance
@@ -165,27 +166,25 @@ def build_gadget(h: Hypergraph, s: int) -> GadgetInstance:
     return _build_gadget(h, s, incidence_graph(h))
 
 
-def _certified_table(
-    inst: ElementConnInstance, reference: Optional[ConnTable], what: str
-) -> Optional[ConnTable]:
-    """``reference``, once shown to be the terminal table of ``inst``; None when not certifying.
+def _checked(inst: ElementConnInstance, reference: ConnTable, what: str) -> _TreeFlows:
+    """The tree flows of ``reference`` on ``inst``; an internal error if they differ.
 
-    ``inst`` descends from G0 by steps that never raise connectivity, so
-    ``table_holds`` needs only the tree pairs of ``reference``.
+    ``inst`` descends from G0 by steps that never raise connectivity, so the
+    tree pairs of ``reference`` decide the whole table.
     """
-    if reference is None:
-        return None
-    if not table_holds(inst, reference):
+    flows = _TreeFlows(inst, reference)
+    if not flows.holds:
         raise InternalInvariantError(f"{what} changed the terminal connectivity table")
-    return reference
+    return flows
 
 
 def run_pipeline(h: Hypergraph, s: int, *, certify: Optional[bool] = None) -> StagePipeline:
     """Run the five-stage construction at s and collect all bookkeeping.
 
-    With ``certify`` on (default for at most CERTIFY_TERMINAL_LIMIT
-    terminals), the terminal connectivity table of G0 is checked at every
-    stage boundary and after every stage-4 contraction, and any drift is
+    G1 and G2 are always checked against the terminal table of G0: those
+    checks are the tree flows the next stage's reductions start from. With
+    ``certify`` on (default for at most CERTIFY_TERMINAL_LIMIT terminals),
+    G3, every stage-4 contraction and G4 are checked too. Any drift is
     reported as an internal error.
     """
     if s not in h.vertices:
@@ -199,16 +198,16 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: Optional[bool] = None) -> St
     gadget = _build_gadget(h, s, inc)
     g1 = gadget.instance
 
-    # The table every stage must keep is the G0 table without s, which is the
-    # G1 table; without certification only the latter is computed.
-    table0 = conn_table_elements(g0) if certify else None
-    baseline = table0.restrict(g1.terminals) if certify else conn_table_elements(g1)
-    reference = baseline if certify else None
-    table1 = _certified_table(g1, reference, "replacing s with the clique gadget")
+    # The table every stage must keep is the G0 table without s.
+    table0 = conn_table_elements(g0)
+    reference = table0.restrict(g1.terminals)
+    flows1 = _checked(g1, reference, "replacing s with the clique gadget")
 
-    g2, _trace = _reduce_to_stable(g1, baseline, set(gadget.clique))
+    g2, trace, flows2 = _reduce_to_stable(g1, flows1, set(gadget.clique))
     s2 = tuple(v for v in gadget.clique if v in g2.graph.vertices)
-    table2 = _certified_table(g2, reference, "reducing the clique edges")
+    # Unless a deletion came last, flows2 is G1's or the last contraction's build.
+    if trace.steps and trace.steps[-1].action == "deleted":
+        flows2 = _checked(g2, reference, "reducing the clique edges")
 
     # Every hyperedge node keeps exactly one gadget attachment through stage 2:
     # clique reductions never touch the attachment edges themselves.
@@ -221,8 +220,10 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: Optional[bool] = None) -> St
             )
 
     candidates = [e for e, (a, b) in g2.graph.edges.items() if a in s2_set or b in s2_set]
-    g3, deleted = _maximal_preserving_deletions(g2, candidates, baseline)
-    table3 = _certified_table(g3, reference, "deleting gadget-incident edges")
+    g3, deleted = _maximal_preserving_deletions(g2, candidates, flows2)
+    if certify and deleted:
+        # A fresh build, so the flows kept through the deletions are re-checked.
+        _checked(g3, reference, "deleting gadget-incident edges")
 
     fa: dict[int, tuple[int, ...]] = {}
     f0: list[int] = []
@@ -249,22 +250,24 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: Optional[bool] = None) -> St
             graph4, kept, dropped = graph4.contracted(fid)
             merged = members.pop(dropped, ()) + members.pop(kept, ())
             members[kept] = tuple(sorted(merged))
-            _certified_table(
-                g3.with_graph(graph4), reference, f"contracting gadget vertex {a} with its neighbors"
-            )
+            if certify:
+                what = f"contracting gadget vertex {a} with its neighbors"
+                _checked(g3.with_graph(graph4), reference, what)
 
     g4 = g3.with_graph(graph4)
     for a, b in g4.graph.edges.values():
         if a not in g4.terminals and b not in g4.terminals:
             raise InternalInvariantError("final stage still has an edge between non-terminals")
-    table4 = _certified_table(g4, reference, "the full pipeline")
+    if certify and isolated and not fa:  # else a contraction checked g4, or g4 is g3
+        _checked(g4, reference, "the full pipeline")
 
+    later = reference if certify else None
     stages = (
         Stage("G0", g0, table0),
-        Stage("G1", g1, table1),
-        Stage("G2", g2, table2),
-        Stage("G3", g3, table3),
-        Stage("G4", g4, table4),
+        Stage("G1", g1, later),
+        Stage("G2", g2, later),
+        Stage("G3", g3, later),
+        Stage("G4", g4, later),
     )
     live_members = {
         node: ids for node, ids in members.items() if node in graph4.vertices
@@ -353,12 +356,9 @@ def complete_split_off(
 
     # h_star is h after the log's trims and merges (the replay above shows
     # it), and these never raise connectivity, so the tree pairs of the
-    # table of h decide whether h_star has all of it. A certified pipeline
-    # already holds that table: it is the G0 table, keyed by incidence node.
-    if pipeline.certified:
-        full = pipeline.stage("G0").table.remapped(pipeline.incidence.node_vertex)
-    else:
-        full = conn_table_hyper(h)
+    # table of h decide whether h_star has all of it. That table is the G0
+    # table, keyed by incidence node.
+    full = pipeline.stage("G0").table.remapped(pipeline.incidence.node_vertex)
     before = full.restrict(h.vertices - {s})
     inc_star = incidence_graph(h_star)
     if not table_holds(inc_star.instance, before.remapped(inc_star.vertex_node)):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from hypersplit import (
     ElementConnInstance,
     GenParams,
@@ -72,3 +74,19 @@ def hypergraph(edge_list, extra_vertices=()) -> Hypergraph:
     for members in edge_list:
         vertices.update(members)
     return Hypergraph(frozenset(vertices), {i: frozenset(e) for i, e in enumerate(edge_list)})
+
+
+@pytest.fixture
+def max_flows(monkeypatch):
+    """Source/sink of every call of the one max-flow routine everything uses."""
+    from hypersplit import flow
+
+    calls = []
+    real = flow._max_flow
+
+    def counted(residual, source, sink):
+        calls.append((source, sink))
+        return real(residual, source, sink)
+
+    monkeypatch.setattr(flow, "_max_flow", counted)
+    return calls

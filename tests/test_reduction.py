@@ -156,6 +156,13 @@ class TestMaximalDeletions:
                     continue
                 assert not is_deletion_preserving(out, e, baseline)
 
+    def test_duplicate_candidates_tested_once(self):
+        # Edges 4 and 5 are redundant copies of 2-1; a repeated id is tested once.
+        inst = instance([(0, 2), (2, 1), (2, 1), (2, 1), (2, 1), (2, 1)], terminals=[0, 1])
+        out, deleted = maximal_preserving_deletions(inst, [4, 4, 5])
+        assert deleted == (4, 5)
+        assert set(out.graph.edges) == {0, 1, 2, 3}
+
     def test_rejects_unknown_candidate(self):
         inst = instance([(0, 2), (2, 1)], terminals=[0, 1])
         with pytest.raises(MissingEdgeError):
@@ -419,22 +426,6 @@ class TestKeptTreeFlows:
         assert ("plain", False) in seen and ("parallel", True) in seen
 
 
-@pytest.fixture
-def max_flows(monkeypatch):
-    """Source/sink of every call of the one max-flow routine everything uses."""
-    from hypersplit import flow
-
-    calls = []
-    real = flow._max_flow
-
-    def counted(residual, source, sink):
-        calls.append((source, sink))
-        return real(residual, source, sink)
-
-    monkeypatch.setattr(flow, "_max_flow", counted)
-    return calls
-
-
 class TestFlowCounts:
     def test_unused_edge_costs_no_flow(self, max_flows, monkeypatch):
         # kappa(0,1) = 2 over 2 and 3; the pendant edge 2-4 carries no flow.
@@ -466,5 +457,6 @@ class TestFlowCounts:
         complete_split_off(h, s)
         # The same call ran 951 max-flows when every deletion test recomputed
         # the tree pairs, and the certificate and both stage baselines
-        # recomputed tables the pipeline already had; it now runs 149.
+        # recomputed tables the pipeline already had; 149 when stage checks
+        # repeated the reductions' tree flows; it now runs 125.
         assert len(max_flows) < 951 // 4

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from hypersplit import (
+    GenParams,
     Merge,
     SplitMix64,
     Trim,
@@ -17,6 +18,7 @@ from hypersplit import (
     hypergraph_equal,
     incidence_graph,
     oracle_lambda,
+    random_hypergraph,
     replay,
     run_pipeline,
 )
@@ -128,8 +130,11 @@ class TestRunPipeline:
                 assert stage.table == reference
 
     def test_certify_off_skips_tables(self):
+        from hypersplit import conn_table_elements
+
         p = run_pipeline(two_star(), 2, certify=False)
-        assert all(stage.table is None for stage in p.stages)
+        assert all(stage.table is None for stage in p.stages[1:])
+        assert p.stage("G0").table == conn_table_elements(p.stage("G0").instance)
         assert not p.certified
 
     def test_stage_tables_match_hypergraph_tables(self):
@@ -314,3 +319,77 @@ class TestAdversarialShapes:
         p = run_pipeline(h, s)
         assert h.degree(s) == 40
         assert len(p.s2) < len(p.gadget.clique)  # some clique edges were contracted
+
+
+class TestOneCheckerPerInstance:
+    """Stage checks and the reductions share their tree flows, and G0's
+    table is the only full table, whether or not stages are certified."""
+
+    @staticmethod
+    def seeded():
+        h = random_hypergraph(GenParams(10, 25, 4, seed=3))
+        return h, max(sorted(h.vertices), key=h.degree)
+
+    def test_certified_builds_no_checker_twice(self, monkeypatch):
+        from hypersplit import flow
+
+        built = []
+        real = flow._TreeFlows.__init__
+
+        def counted(self, inst, table):
+            built.append((inst.graph.vertices, frozenset(inst.graph.edges.items()), inst.terminals))
+            real(self, inst, table)
+
+        monkeypatch.setattr(flow._TreeFlows, "__init__", counted)
+        cases = [self.seeded(), (two_star(), 2), (hypergraph(FIG_SHAPE_EDGES), FIG_SHAPE_S)]
+        cases += [(h, 9) for h in TestDegenerateShapes.CASES]
+        cases += [TestAdversarialShapes.CASES[name] for name in ("deg_s_far_above_n", "all_parallel")]
+        for h, s in cases:
+            built.clear()
+            complete_split_off(h, s, certify=True)
+            assert built and len(built) == len(set(built))
+
+    def test_uncertified_computes_one_table(self, monkeypatch):
+        from hypersplit import flow, reduction, splitoff
+
+        tables = []
+        real = flow.conn_table_elements
+
+        def counted(inst):
+            tables.append(inst)
+            return real(inst)
+
+        for module in (flow, reduction, splitoff):
+            monkeypatch.setattr(module, "conn_table_elements", counted)
+        h, s = self.seeded()
+        complete_split_off(h, s, certify=False)
+        assert len(tables) == 1
+
+    def test_stage_checks_catch_faults(self, monkeypatch):
+        # Stage 3 trusting its kept flows, or a broken gadget, must not slip
+        # through: G3 is re-checked by a fresh build, and G1 in both modes.
+        from hypersplit import InternalInvariantError, Multigraph, splitoff
+
+        def delete_all(inst, candidates, flows):
+            gone = set(candidates)
+            edges = {e: uv for e, uv in inst.graph.edges.items() if e not in gone}
+            return inst.with_graph(Multigraph(inst.graph.vertices, edges)), tuple(sorted(gone))
+
+        h, s = self.seeded()
+        with monkeypatch.context() as m:
+            m.setattr(splitoff, "_maximal_preserving_deletions", delete_all)
+            with pytest.raises(InternalInvariantError, match="deleting gadget-incident edges"):
+                complete_split_off(h, s, certify=True)
+
+        real_gadget = splitoff._build_gadget
+
+        def no_clique(h, s, inc):
+            g = real_gadget(h, s, inc)
+            graph = g.instance.graph
+            edges = {e: uv for e, uv in graph.edges.items() if not set(uv) <= set(g.clique)}
+            inst = g.instance.with_graph(Multigraph(graph.vertices, edges))
+            return splitoff.GadgetInstance(inst, g.clique, g.attachments)
+
+        monkeypatch.setattr(splitoff, "_build_gadget", no_clique)
+        with pytest.raises(InternalInvariantError, match="replacing s with the clique gadget"):
+            complete_split_off(h, s, certify=False)
