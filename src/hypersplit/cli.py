@@ -29,7 +29,12 @@ from .errors import (
     ReplayError,
     UnknownVertexError,
 )
-from .flow import element_connectivity, hyperedge_connectivity
+from .flow import (
+    conn_table_elements,
+    conn_table_hyper,
+    element_connectivity,
+    hyperedge_connectivity,
+)
 from .hypergraph import Hypergraph, Merge, hypergraph_equal, replay
 from .oracle import oracle_element_conn, oracle_lambda
 from .reduction import reduce_to_stable
@@ -73,11 +78,13 @@ def _resolve_pairs(args, table: formats.NameTable, eligible: Sequence[int]) -> l
     return [(table.id_of(args.u), table.id_of(args.v))]
 
 
-def _query_pairs(args, element: bool, value_of, flow_of=None) -> int:
+def _query_pairs(args, element: bool, value_of, flow_of=None, table_of=None) -> int:
     """Answer every requested pair with ``value_of(graph, u, v)`` and print the rows.
 
     With ``flow_of`` each value is also compared to the flow engine; every
     difference is reported on stderr and makes the exit status a mismatch.
+    With ``table_of``, ``--all-pairs`` reads every value from the one table
+    ``table_of(graph)`` instead.
     """
     if element:
         graph, table = formats.load_element_instance(args.file)
@@ -85,9 +92,13 @@ def _query_pairs(args, element: bool, value_of, flow_of=None) -> int:
     else:
         graph, table, _ = formats.load_hypergraph(args.file, args.format)
         name, eligible = "lambda", graph.vertices
+    pairs = _resolve_pairs(args, table, sorted(eligible))
+    if args.all_pairs and table_of is not None:
+        values = table_of(graph)
+        value_of = lambda _graph, u, v: values.get(u, v)
     rows = []
     mismatches = 0
-    for u, v in _resolve_pairs(args, table, sorted(eligible)):
+    for u, v in pairs:
         a, b = sorted((table.name_of(u), table.name_of(v)))
         value = value_of(graph, u, v)
         rows.append((a, b, value))
@@ -104,11 +115,11 @@ def _query_pairs(args, element: bool, value_of, flow_of=None) -> int:
 
 
 def cmd_conn(args) -> int:
-    return _query_pairs(args, False, hyperedge_connectivity)
+    return _query_pairs(args, False, hyperedge_connectivity, table_of=conn_table_hyper)
 
 
 def cmd_econn(args) -> int:
-    return _query_pairs(args, True, element_connectivity)
+    return _query_pairs(args, True, element_connectivity, table_of=conn_table_elements)
 
 
 def cmd_oracle(args) -> int:

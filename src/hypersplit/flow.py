@@ -24,6 +24,28 @@ value. If the checked instance matches the table on the T-1 tree pairs,
 each other pair is at least the minimum along its tree path, which is its
 old value, and at most its old value: the whole table holds.
 
+A full table also costs T-1 flows, by Gusfield's flow-equivalent tree
+("Very simple methods for all pairs network flow analysis", 1990). Every
+terminal i = 1..T-1 runs one flow to its current tree parent t; the source
+side of that flow's minimum cut re-parents each later terminal j with
+parent t to i; and the value between two terminals is the smallest flow
+along their tree path. This is exact for any symmetric submodular function
+f of terminal sets when each flow's side X is a minimiser of f(X) over the
+sets holding i but not t (Cheng and Hu, "Ancestor tree for arbitrary
+multi-terminal cut functions", 1991). Element-connectivity has such an f.
+Subdivide every edge, so that elements are exactly the non-terminals. Then
+f(X) = min |S| over element sets S separating X from T - X. It is
+symmetric, and it is submodular: it is the vertex-boundary function of
+vertex sets, weighted 1 on non-terminals and infinite on terminals,
+minimised over the non-terminal coordinates, and a partial minimum of a
+submodular function is submodular. The terminals whose out-node the source
+still reaches in a maximum flow's residual form such a minimiser: the arcs
+leaving the reachable nodes have total capacity k, the flow value, and
+replacing a cut terminal arc by that terminal's edges gives an element set
+of size at most k that separates them from the other terminals. The last,
+failing search of the flow labels exactly those nodes. Hyperedge
+connectivity is element-connectivity on the incidence instance.
+
 A run of edge deletions keeps each tree pair's flow instead of recomputing
 it. Deleting edge e leaves a pair whose flow f of value k uses neither arc
 of e with a flow of value k. If f sends its unit over e's arc x->y, drop
@@ -94,19 +116,31 @@ def _residual(num_nodes: int, arcs: Iterable[tuple[int, int, int]]) -> _Residual
     return head, cap, out
 
 
-def _max_flow(residual: _Residual, source: int, sink: int) -> tuple[int, list[int]]:
-    """Maximum source->sink flow: its value and the residual capacities it leaves."""
+def _max_flow(residual: _Residual, source: int, sink: int) -> tuple[int, list[int], list[int]]:
+    """Maximum source->sink flow: its value, the residual capacities it leaves,
+    and the labels of its last, failing search (see ``_augment``), which are
+    -1 exactly on the nodes the source cannot reach in that residual."""
     head, initial, out = residual
     cap = initial.copy()
     total = 0
-    while push := _augment(head, cap, out, source, sink):
+    while True:
+        push, via = _augment(head, cap, out, source, sink)
+        if not push:
+            return total, cap, via
         total += push
-    return total, cap
 
 
-def _augment(head: list[int], cap: list[int], out: list[list[int]], source: int, sink: int) -> int:
-    """Push the bottleneck of one shortest source->sink residual path; 0 if none."""
-    via = [-1] * len(out)  # residual arc that labelled each node
+def _augment(
+    head: list[int], cap: list[int], out: list[list[int]], source: int, sink: int
+) -> tuple[int, list[int]]:
+    """Push the bottleneck of one shortest source->sink residual path.
+
+    Returns the amount pushed, 0 if there is no path, and the search's labels:
+    the residual arc that labelled each node, -2 at the source and -1 where
+    the search did not reach. A search that finds no path labels every node
+    reachable from the source.
+    """
+    via = [-1] * len(out)
     via[source] = -2
     queue = deque([source])
     while queue and via[sink] == -1:
@@ -115,7 +149,7 @@ def _augment(head: list[int], cap: list[int], out: list[list[int]], source: int,
                 via[head[a]] = a
                 queue.append(head[a])
     if via[sink] == -1:
-        return 0
+        return 0, via
     path = []
     node = sink
     while node != source:
@@ -125,7 +159,7 @@ def _augment(head: list[int], cap: list[int], out: list[list[int]], source: int,
     for a in path:
         cap[a] -= push
         cap[a ^ 1] += push
-    return push
+    return push, via
 
 
 @dataclass(frozen=True)
@@ -245,17 +279,29 @@ def element_connectivity(inst: ElementConnInstance, u: int, v: int) -> int:
 def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
     """Element-connectivity for every unordered terminal pair.
 
-    Fewer than two terminals yields an empty table.
+    Fewer than two terminals yields an empty table. The T-1 flows of
+    Gusfield's flow-equivalent tree give every value (see the module
+    docstring).
     """
     terms = sorted(inst.terminals)
     if len(terms) < 2:
         return ConnTable({})
     residual, index, _ = _split_arcs(inst)
-    values = {}
-    for i, u in enumerate(terms):
-        for v in terms[i + 1 :]:
-            values[(u, v)] = _max_flow(residual, 2 * index[u] + 1, 2 * index[v])[0]
-    return ConnTable(values)
+    out_node = [2 * index[v] + 1 for v in terms]
+    parent = [0] * len(terms)  # tree parent of each terminal; always an earlier one
+    low = [[0] * len(terms) for _ in terms]  # smallest flow on each tree path
+    for i in range(1, len(terms)):
+        t = parent[i]
+        k, _, via = _max_flow(residual, out_node[i], out_node[t] - 1)
+        for j in range(i + 1, len(terms)):
+            if parent[j] == t and via[out_node[j]] != -1:
+                parent[j] = i
+        # Only later terminals hang below i, so i's path to an earlier j runs through t.
+        for j in range(i):
+            low[i][j] = low[j][i] = k if j == t else min(k, low[t][j])
+    return ConnTable(
+        {(u, terms[j]): low[i][j] for i, u in enumerate(terms) for j in range(i + 1, len(terms))}
+    )
 
 
 class _TreeFlows:
@@ -279,7 +325,7 @@ class _TreeFlows:
         self._caps: list[list[int]] = []  # residual capacities left by each pair's flow
         self.holds = True
         for u, v, k in table.tree():
-            value, cap = _max_flow(residual, 2 * index[u] + 1, 2 * index[v])
+            value, cap, _ = _max_flow(residual, 2 * index[u] + 1, 2 * index[v])
             if value != k:
                 self.holds = False
                 break
@@ -315,7 +361,7 @@ class _TreeFlows:
                 # deficit at y; an x->y path restores the value, and none exists
                 # exactly when the value drops.
                 x, y = head[used[0] ^ 1], head[used[0]]
-                if not _augment(head, cap, out, x, y):
+                if not _augment(head, cap, out, x, y)[0]:
                     return False
             rerouted[i] = cap
         for i, cap in enumerate(self._caps):

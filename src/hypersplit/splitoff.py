@@ -36,8 +36,9 @@ from .multigraph import ElementConnInstance, Multigraph
 from .reduction import _maximal_preserving_deletions, _reduce_to_stable
 
 # Per-stage certification adds T-1 flows for the G3 check and T-1 for each
-# stage-4 contraction; beyond this many terminals it defaults off, and only
-# the G1 and G2 checks and the end-to-end certificate remain.
+# contracted gadget star in stage 4; beyond this many terminals it defaults
+# off, and only the G0 table (T-1 flows), the G1 and G2 checks and the
+# end-to-end certificate remain.
 CERTIFY_TERMINAL_LIMIT = 64
 
 
@@ -181,11 +182,12 @@ def _checked(inst: ElementConnInstance, reference: ConnTable, what: str) -> _Tre
 def run_pipeline(h: Hypergraph, s: int, *, certify: Optional[bool] = None) -> StagePipeline:
     """Run the five-stage construction at s and collect all bookkeeping.
 
-    G1 and G2 are always checked against the terminal table of G0: those
-    checks are the tree flows the next stage's reductions start from. With
-    ``certify`` on (default for at most CERTIFY_TERMINAL_LIMIT terminals),
-    G3, every stage-4 contraction and G4 are checked too. Any drift is
-    reported as an internal error.
+    The terminal table of G0 costs T-1 flows (``conn_table_elements``). G1
+    and G2 are always checked against it: those checks are the tree flows
+    the next stage's reductions start from. With ``certify`` on (default
+    for at most CERTIFY_TERMINAL_LIMIT terminals), G3, the instance after
+    each gadget vertex's star is contracted, and G4 are checked too, T-1
+    flows each. Any drift is reported as an internal error.
     """
     if s not in h.vertices:
         raise UnknownVertexError(f"unknown vertex {s}")
@@ -250,15 +252,17 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: Optional[bool] = None) -> St
             graph4, kept, dropped = graph4.contracted(fid)
             merged = members.pop(dropped, ()) + members.pop(kept, ())
             members[kept] = tuple(sorted(merged))
-            if certify:
-                what = f"contracting gadget vertex {a} with its neighbors"
-                _checked(g3.with_graph(graph4), reference, what)
+        if certify:
+            # Contraction never raises a value, so the state after the whole
+            # star holding the table shows that every state before it did.
+            what = f"contracting gadget vertex {a} with its neighbors"
+            _checked(g3.with_graph(graph4), reference, what)
 
     g4 = g3.with_graph(graph4)
     for a, b in g4.graph.edges.values():
         if a not in g4.terminals and b not in g4.terminals:
             raise InternalInvariantError("final stage still has an edge between non-terminals")
-    if certify and isolated and not fa:  # else a contraction checked g4, or g4 is g3
+    if certify and isolated and not fa:  # else the last star's check was on g4, or g4 is g3
         _checked(g4, reference, "the full pipeline")
 
     later = reference if certify else None

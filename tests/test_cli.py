@@ -46,6 +46,14 @@ class TestConn:
             "lambda(b, c) = 2",
         ]
 
+    def test_all_pairs_reads_one_table(self, tmp_path, max_flows, capsys):
+        # Five vertices, ten pairs: the flow-equivalent tree needs four flows.
+        path = tmp_path / "five.he"
+        path.write_text("a b c\nb c d\nc d e\na e\nb d\n")
+        assert main(["conn", str(path), "--all-pairs"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10
+        assert len(max_flows) == 4
+
     def test_single_pair_json(self, triangle, capsys):
         assert main(["conn", str(triangle), "-u", "a", "-v", "b", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -93,6 +101,23 @@ class TestEconn:
     def test_pair(self, element_file, capsys):
         assert main(["econn", str(element_file), "-u", "u", "-v", "v"]) == 0
         assert capsys.readouterr().out == "kappa(u, v) = 1\n"
+
+    def test_all_pairs_reads_one_table(self, tmp_path, max_flows, capsys):
+        path = tmp_path / "four.json"
+        path.write_text(
+            '{"vertices": ["a","b","c","d","p"], "edges": [["a","p"],["b","p"],["c","p"],'
+            '["d","p"],["a","b"],["c","d"]], "terminals": ["a","b","c","d"]}\n'
+        )
+        assert main(["econn", str(path), "--all-pairs"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "kappa(a, b) = 2",
+            "kappa(a, c) = 1",
+            "kappa(a, d) = 1",
+            "kappa(b, c) = 1",
+            "kappa(b, d) = 1",
+            "kappa(c, d) = 2",
+        ]
+        assert len(max_flows) == 3
 
     def test_non_terminal_endpoint_exits_3(self, element_file):
         assert main(["econn", str(element_file), "-u", "u", "-v", "p"]) == 3

@@ -318,6 +318,95 @@ class TestTableTree:
         assert not table_holds(inst.with_graph(inst.graph.without_edge(0)), table)
 
 
+def _pair_loop_table(inst):
+    """Reference table: one fresh max-flow per terminal pair on the shared residual."""
+    from hypersplit import flow
+
+    terms = sorted(inst.terminals)
+    residual, index, _ = flow._split_arcs(inst)
+    return {
+        (u, v): flow._max_flow(residual, 2 * index[u] + 1, 2 * index[v])[0]
+        for i, u in enumerate(terms)
+        for v in terms[i + 1 :]
+    }
+
+
+def _gusfield_element_corpus(count):
+    """Seeded element instances: any terminal subset, parallel and
+    terminal-terminal edges, and graphs in several components."""
+    from hypersplit import GenParams, SplitMix64, random_element_instance
+
+    for trial in range(count):
+        rng = SplitMix64(trial * 0x9E3779B9 + 0x6F5F)
+        n = 3 + rng.below(10)
+        yield random_element_instance(GenParams(n=n, m=rng.below(3 * n + 1), r=2, seed=trial))
+
+
+class TestGusfieldTable:
+    """conn_table_elements runs the T-1 flows of a flow-equivalent tree and
+    must give the same table as one flow per pair."""
+
+    def test_element_instances_match_pair_loop(self):
+        seen = dict.fromkeys(("parallel", "terminal_edge", "zero", "all_terminals"), 0)
+        for inst in _gusfield_element_corpus(800):
+            table = conn_table_elements(inst)
+            assert dict(table.values) == _pair_loop_table(inst)
+            pairs = [tuple(sorted(uv)) for uv in inst.graph.edges.values()]
+            seen["parallel"] += len(set(pairs)) < len(pairs)
+            seen["terminal_edge"] += any(set(uv) <= inst.terminals for uv in pairs)
+            seen["zero"] += 0 in table.values.values()
+            seen["all_terminals"] += inst.terminals == inst.graph.vertices
+        assert min(seen.values()) >= 20, seen
+
+    def test_incidence_instances_match_pair_loop(self):
+        from hypersplit import incidence_graph
+
+        for trial in range(300):
+            h = corpus_hypergraph(trial, max_n=10, max_m=20, salt=0x6F5F)
+            inst = incidence_graph(h).instance
+            assert dict(conn_table_elements(inst).values) == _pair_loop_table(inst)
+
+    def test_matches_oracles_on_small_cases(self):
+        for trial in range(60):
+            inst = corpus_element_instance(trial, salt=0x6F5F)
+            for u, v, k in conn_table_elements(inst).pairs():
+                assert k == oracle_element_conn(inst, u, v)
+        for trial in range(40):
+            h = corpus_hypergraph(trial, max_n=7, max_m=10, salt=0x6F5F)
+            for u, v, k in conn_table_hyper(h).pairs():
+                assert k == oracle_lambda(h, u, v)
+
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @st.composite
+        def element_instances(draw):
+            n = draw(st.integers(2, 9))
+            vertex = st.integers(0, n - 1)
+            edges = draw(st.lists(
+                st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=3 * n
+            ))
+            terminals = draw(st.sets(st.integers(0, n - 1), min_size=2))
+            return instance(edges, terminals, extra_vertices=range(n))
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(element_instances())
+        def check(inst):
+            assert dict(conn_table_elements(inst).values) == _pair_loop_table(inst)
+
+        check()
+
+    def test_runs_one_flow_per_tree_edge(self, max_flows):
+        from hypersplit import GenParams, random_element_instance
+
+        inst = random_element_instance(GenParams(n=12, m=30, r=2, seed=5))
+        t = len(inst.terminals)
+        assert t >= 6
+        conn_table_elements(inst)
+        assert len(max_flows) == t - 1
+
+
 class TestSplitOffCheckProperty:
     """table_holds on split-off results and on their weakened copies agrees
     with comparing full tables: trims, merges and hyperedge deletions never

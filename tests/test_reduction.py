@@ -440,14 +440,15 @@ class TestFlowCounts:
         assert max_flows == []
 
     def test_deletion_tests_run_no_flows(self, max_flows):
-        # Only the baseline table and one T-1 tree per checker (the first,
-        # then one per contraction) run flows; deletion tests reroute.
+        # Only the baseline table (T-1 flows of its flow-equivalent tree) and
+        # one T-1 tree per checker (the first, then one per contraction) run
+        # flows; deletion tests reroute.
         inst = random_element_instance(GenParams(n=12, m=22, r=2, seed=32))
         t = len(inst.terminals)
         _, trace = reduce_to_stable(inst)
         contractions = sum(1 for step in trace.steps if step.action == "contracted")
         assert (t, len(trace.steps), contractions) == (5, 10, 3)
-        assert len(max_flows) == t * (t - 1) // 2 + (t - 1) * (1 + contractions)
+        assert len(max_flows) == (t - 1) + (t - 1) * (1 + contractions)
 
     def test_split_off_runs_fewer_flows(self, max_flows):
         from hypersplit import complete_split_off, random_hypergraph
@@ -458,5 +459,6 @@ class TestFlowCounts:
         # The same call ran 951 max-flows when every deletion test recomputed
         # the tree pairs, and the certificate and both stage baselines
         # recomputed tables the pipeline already had; 149 when stage checks
-        # repeated the reductions' tree flows; it now runs 125.
+        # repeated the reductions' tree flows; 125 when the G0 table ran every
+        # pair and stage 4 was checked after each contraction; it now runs 73.
         assert len(max_flows) < 951 // 4

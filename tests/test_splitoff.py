@@ -349,6 +349,28 @@ class TestOneCheckerPerInstance:
             complete_split_off(h, s, certify=True)
             assert built and len(built) == len(set(built))
 
+    def test_one_stage_four_check_per_star(self, monkeypatch):
+        # Contraction never raises a value, so one check after each gadget
+        # vertex's whole star covers every contraction in it.
+        from hypersplit import splitoff
+
+        checks = []
+        real = splitoff._checked
+
+        def counted(inst, reference, what):
+            checks.append(what)
+            return real(inst, reference, what)
+
+        monkeypatch.setattr(splitoff, "_checked", counted)
+        h = random_hypergraph(GenParams(8, 16, 4, seed=1))
+        s = max(sorted(h.vertices), key=h.degree)
+        p = run_pipeline(h, s, certify=True)
+        g3 = p.stage("G3").instance.graph
+        assert sum(len(g3.incident(a)) for a in p.fa) == 6  # contractions
+        stars = [w for w in checks if w.startswith("contracting gadget vertex")]
+        assert stars == [f"contracting gadget vertex {a} with its neighbors" for a in sorted(p.fa)]
+        assert len(stars) == 3
+
     def test_uncertified_computes_one_table(self, monkeypatch):
         from hypersplit import flow, reduction, splitoff
 
