@@ -214,11 +214,12 @@ def cmd_verify(args) -> int:
     if not args.conn:
         return EXIT_OK if structural else EXIT_MISMATCH
     common = sorted(names_a & names_b)
+    table_a, table_b = conn_table_hyper(ha), conn_table_hyper(hb)
     ok = True
     for i, a in enumerate(common):
         for b in common[i + 1 :]:
-            ka = hyperedge_connectivity(ha, ta.id_of(a), ta.id_of(b))
-            kb = hyperedge_connectivity(hb, tb.id_of(a), tb.id_of(b))
+            ka = table_a.get(ta.id_of(a), ta.id_of(b))
+            kb = table_b.get(tb.id_of(a), tb.id_of(b))
             if ka != kb:
                 ok = False
                 print(f"lambda({a}, {b}): {ka} != {kb}")
@@ -272,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-s", required=True, metavar="VERTEX", help="vertex to split off")
     p.add_argument("-o", "--out", help="write the resulting hypergraph here")
     p.add_argument("--log-out", help="write the operation log JSON here")
-    p.add_argument("--certify", action=argparse.BooleanOptionalAction, default=None,
-                   help="force per-stage certification on/off")
+    p.add_argument("--certify", action=argparse.BooleanOptionalAction, default=True,
+                   help="re-check the deletion stage with fresh flows (default on)")
     p.add_argument("--drop-s", action="store_true", help="omit the isolated vertex from the output")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
 

@@ -69,33 +69,6 @@ from .hypergraph import Hypergraph, incidence_graph
 from .multigraph import ElementConnInstance
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
-    """Directed arcs with nonnegative integer capacities and fixed endpoints."""
-
-    num_nodes: int
-    arcs: tuple[tuple[int, int, int], ...]
-    source: int
-    sink: int
-
-    def __post_init__(self):
-        for tail, head, cap in self.arcs:
-            if not (0 <= tail < self.num_nodes and 0 <= head < self.num_nodes):
-                raise ValueError(f"arc ({tail},{head}) endpoint out of range")
-            if cap < 0:
-                raise ValueError(f"arc ({tail},{head}) has negative capacity {cap}")
-        for node in (self.source, self.sink):
-            if not 0 <= node < self.num_nodes:
-                raise ValueError(f"designated node {node} out of range")
-
-
-def max_flow(net: FlowNetwork) -> int:
-    """Exact value of an integral maximum source->sink flow."""
-    if net.source == net.sink:
-        raise InvalidQueryError("source and sink coincide")
-    return _max_flow(_residual(net.num_nodes, net.arcs), net.source, net.sink)[0]
-
-
 _Residual = tuple[list[int], list[int], list[list[int]]]
 
 

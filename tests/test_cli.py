@@ -1,6 +1,8 @@
 """CLI behavior: subcommands, exit codes, determinism of written artifacts."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +252,20 @@ class TestReplayVerify:
         assert "hypergraphs equal: no" in out
         assert "2 common vertices" in out
 
+    def test_verify_conn_reads_one_table_per_file(self, tmp_path, max_flows, capsys):
+        # Ten vertices each, 45 common pairs: one flow-equivalent tree of nine
+        # flows per file, not two flows per pair.
+        ring = "".join(f"v{i} v{(i + 1) % 10}\n" for i in range(10))
+        a, b = tmp_path / "ring.he", tmp_path / "chord.he"
+        a.write_text(ring)
+        b.write_text(ring + "v0 v5\n")
+        assert main(["verify", str(a), str(b), "--conn"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "hypergraphs equal: no"
+        assert "lambda(v0, v5): 2 != 3" in out
+        assert out[-1] == "connectivity over 10 common vertices (45 pairs): DIFFERENT"
+        assert len(max_flows) == 18
+
 
 class TestExportDot:
     def test_writes_dot(self, triangle, tmp_path):
@@ -262,3 +278,22 @@ class TestExportDot:
     def test_stdout(self, triangle, capsys):
         assert main(["export-dot", str(triangle)]) == 0
         assert "shape=circle" in capsys.readouterr().out
+
+
+class TestBenchmarkTracing:
+    def test_tracer_wraps_a_split(self, two_star):
+        # The benchmark's per-layer view wraps this package from outside by
+        # name; a renamed or removed function or method it looks up fails here.
+        path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            code = cli.main(["split", str(two_star), "-s", "s"])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        assert "splitoff.run_pipeline" in {tracer.names[span[0]] for span in tracer.spans}
+        assert tracer.layer_metrics()["flow.maxflows"][0] > 0

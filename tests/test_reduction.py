@@ -460,5 +460,6 @@ class TestFlowCounts:
         # the tree pairs, and the certificate and both stage baselines
         # recomputed tables the pipeline already had; 149 when stage checks
         # repeated the reductions' tree flows; 125 when the G0 table ran every
-        # pair and stage 4 was checked after each contraction; it now runs 73.
+        # pair and stage 4 was checked after each contraction; 73 when stage 4
+        # was checked after each gadget star; it now runs 57.
         assert len(max_flows) < 951 // 4

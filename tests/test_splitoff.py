@@ -11,9 +11,9 @@ from hypersplit import (
     Trim,
     UnknownVertexError,
     apply_op,
-    build_gadget,
     complete_split_off,
-    extract_h_star,
+    conn_table_elements,
+    conn_table_hyper,
     extract_op_log,
     hypergraph_equal,
     incidence_graph,
@@ -40,6 +40,22 @@ FIG_SHAPE_EDGES = [
 FIG_SHAPE_S = 2
 
 
+@pytest.fixture
+def stage_checks(monkeypatch):
+    """The ``what`` of every stage check ``run_pipeline`` makes, in order."""
+    from hypersplit import splitoff
+
+    checks = []
+    real = splitoff._checked
+
+    def counted(inst, reference, what):
+        checks.append(what)
+        return real(inst, reference, what)
+
+    monkeypatch.setattr(splitoff, "_checked", counted)
+    return checks
+
+
 def two_star():
     # {{s,a},{s,b}} with s=2, a=0, b=1
     return hypergraph([{2, 0}, {2, 1}])
@@ -49,7 +65,7 @@ class TestBuildGadget:
     def test_degree_zero_strips_s_only(self):
         h = hypergraph([{0, 1}], extra_vertices=[9])
         inc = incidence_graph(h)
-        gadget = build_gadget(h, 9)
+        gadget = run_pipeline(h, 9).gadget
         s_node = inc.vertex_node[9]
         assert gadget.clique == ()
         assert gadget.attachments == ()
@@ -58,14 +74,14 @@ class TestBuildGadget:
 
     def test_degree_one_has_no_clique_edges(self):
         h = hypergraph([{9, 0, 1}])
-        gadget = build_gadget(h, 9)
+        gadget = run_pipeline(h, 9).gadget
         assert len(gadget.clique) == 1
         (leaf,) = gadget.clique
         assert gadget.instance.graph.degree(leaf) == 1
 
     def test_degree_five_builds_complete_clique(self):
         h = hypergraph(FIG_SHAPE_EDGES)
-        gadget = build_gadget(h, FIG_SHAPE_S)
+        gadget = run_pipeline(h, FIG_SHAPE_S).gadget
         assert len(gadget.clique) == 5
         clique = set(gadget.clique)
         # complete graph among the gadget vertices
@@ -83,12 +99,12 @@ class TestBuildGadget:
 
     def test_gadget_vertices_are_nonterminals(self):
         h = two_star()
-        gadget = build_gadget(h, 2)
+        gadget = run_pipeline(h, 2).gadget
         assert not set(gadget.clique) & gadget.instance.terminals
 
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertexError):
-            build_gadget(two_star(), 42)
+            run_pipeline(two_star(), 42)
 
 
 class TestRunPipeline:
@@ -99,19 +115,18 @@ class TestRunPipeline:
         assert p.deleted_edges == ()
         assert p.f0 == ()
         assert list(p.fa.values()) == [(0, 1)]
-        g4 = p.stage("G4").instance
-        nonterminals = sorted(g4.graph.vertices - g4.terminals)
-        assert len(nonterminals) == 1
-        assert g4.graph.neighbors(nonterminals[0]) == g4.terminals
+        g3 = p.stage("G3").instance
+        inc = p.incidence
+        assert g3.graph.neighbors(p.s2[0]) == {inc.edge_node[0], inc.edge_node[1]}
 
     def test_degree_zero_degenerates(self):
         h = hypergraph([{0, 1}], extra_vertices=[9])
         p = run_pipeline(h, 9)
         g0 = p.stage("G0").instance
-        g4 = p.stage("G4").instance
+        g3 = p.stage("G3").instance
         s_node = p.incidence.vertex_node[9]
-        assert g4.graph.vertices == g0.graph.vertices - {s_node}
-        assert dict(g4.graph.edges) == dict(g0.graph.edges)
+        assert g3.graph.vertices == g0.graph.vertices - {s_node}
+        assert dict(g3.graph.edges) == dict(g0.graph.edges)
         assert p.s2 == () and p.f0 == () and not p.fa
 
     def test_fig_shape_deletes_and_merges(self):
@@ -125,65 +140,63 @@ class TestRunPipeline:
             h = corpus_hypergraph(trial, max_n=6, max_m=8)
             s = sorted(h.vertices)[trial % len(h.vertices)]
             p = run_pipeline(h, s, certify=True)
-            reference = p.stage("G0").table.restrict(p.stage("G1").instance.terminals)
+            assert p.table == conn_table_elements(p.stage("G0").instance)
+            reference = p.table.restrict(p.stage("G1").instance.terminals)
+            assert [st.name for st in p.stages] == ["G0", "G1", "G2", "G3"]
             for stage in p.stages[1:]:
-                assert stage.table == reference
+                assert conn_table_elements(stage.instance) == reference
 
-    def test_certify_off_skips_tables(self):
-        from hypersplit import conn_table_elements
-
-        p = run_pipeline(two_star(), 2, certify=False)
-        assert all(stage.table is None for stage in p.stages[1:])
-        assert p.stage("G0").table == conn_table_elements(p.stage("G0").instance)
-        assert not p.certified
+    def test_certify_off_skips_tables(self, stage_checks):
+        # certify=False skips only the fresh G3 check; the G0 table and the
+        # G1 check, whose flows stage 2 starts from, still run.
+        h = hypergraph(FIG_SHAPE_EDGES)
+        for certify in (True, False):
+            stage_checks.clear()
+            p = run_pipeline(h, FIG_SHAPE_S, certify=certify)
+            assert p.deleted_edges
+            assert p.table == conn_table_elements(p.stage("G0").instance)
+            assert stage_checks[0] == "replacing s with the clique gadget"
+            assert ("deleting gadget-incident edges" in stage_checks) == certify
 
     def test_stage_tables_match_hypergraph_tables(self):
-        from hypersplit import conn_table_hyper
-
         for trial in range(20):
             h = corpus_hypergraph(trial, max_n=6, max_m=8)
             s = sorted(h.vertices)[trial % len(h.vertices)]
             res = complete_split_off(h, s, certify=True)
             p = res.pipeline
             rest = h.vertices - {s}
-            g0_table = p.stage("G0").table.remapped(p.incidence.node_vertex)
+            g0_table = p.table.remapped(p.incidence.node_vertex)
             assert g0_table == conn_table_hyper(h)
             assert g0_table.restrict(rest) == res.certificate.before
-            g4_table = p.stage("G4").table.remapped(p.incidence.node_vertex)
-            assert g4_table == conn_table_hyper(res.h_star).restrict(rest)
+            assert conn_table_hyper(res.h_star).restrict(rest) == res.certificate.before
 
 
 class TestExtraction:
     def test_two_star_extracts_single_edge(self):
-        p = run_pipeline(two_star(), 2)
-        h_star = extract_h_star(p)
+        h_star = complete_split_off(two_star(), 2).h_star
         assert hypergraph_equal(h_star, hypergraph([{0, 1}], extra_vertices=[2]))
 
     def test_untouched_hyperedges_keep_ids(self):
         h = hypergraph([{9, 0}, {0, 1}, {1, 2}])
-        p = run_pipeline(h, 9)
-        h_star = extract_h_star(p)
+        h_star = complete_split_off(h, 9).h_star
         assert h_star.hyperedges[1] == h.hyperedges[1]
         assert h_star.hyperedges[2] == h.hyperedges[2]
 
     def test_empty_nonterminal_side(self):
         h = hypergraph([{9, 0}])
-        assert extract_h_star(run_pipeline(h, 9)).num_edges == 0
+        assert complete_split_off(h, 9).h_star.num_edges == 0
 
     def test_two_star_log(self):
-        h = two_star()
-        p = run_pipeline(h, 2)
-        assert extract_op_log(p, h, 2) == (Merge(keep=0, absorb=1), Trim(edge=0))
+        p = run_pipeline(two_star(), 2)
+        assert extract_op_log(p) == (Merge(keep=0, absorb=1), Trim(edge=0))
 
     def test_degree_one_log_is_single_trim(self):
-        h = hypergraph([{9, 0, 1}])
-        p = run_pipeline(h, 9)
-        assert extract_op_log(p, h, 9) == (Trim(edge=0),)
+        p = run_pipeline(hypergraph([{9, 0, 1}]), 9)
+        assert extract_op_log(p) == (Trim(edge=0),)
 
     def test_fig_shape_log(self):
-        h = hypergraph(FIG_SHAPE_EDGES)
-        p = run_pipeline(h, FIG_SHAPE_S)
-        assert extract_op_log(p, h, FIG_SHAPE_S) == (
+        p = run_pipeline(hypergraph(FIG_SHAPE_EDGES), FIG_SHAPE_S)
+        assert extract_op_log(p) == (
             Trim(5),
             Trim(7),
             Trim(8),
@@ -191,10 +204,21 @@ class TestExtraction:
             Trim(2),
         )
 
-    def test_log_rejects_foreign_hypergraph(self):
-        p = run_pipeline(two_star(), 2)
-        with pytest.raises(ValueError):
-            extract_op_log(p, hypergraph([{2, 0, 1}]), 2)
+    def test_fig_shape_result_ids(self):
+        # The result is the log replayed on the input, so each hyperedge keeps
+        # its id; a merge chain keeps its smallest.
+        h_star = complete_split_off(hypergraph(FIG_SHAPE_EDGES), FIG_SHAPE_S).h_star
+        assert h_star.vertices == frozenset({0, 1, 2, 3})
+        assert dict(h_star.hyperedges) == {
+            0: {0, 1, 3},
+            1: {0, 1, 3},
+            2: {0, 1},
+            4: {1, 3},
+            5: {0, 1},
+            6: {1, 3},
+            7: {0, 3},
+            8: {0, 1},
+        }
 
 
 class TestCompleteSplitOff:
@@ -202,7 +226,7 @@ class TestCompleteSplitOff:
         res = complete_split_off(two_star(), 2)
         assert hypergraph_equal(res.h_star, hypergraph([{0, 1}], extra_vertices=[2]))
         assert res.log == (Merge(keep=0, absorb=1), Trim(edge=0))
-        assert res.certificate.ok and res.certificate.pairs_checked == 1
+        assert res.certificate.pairs_checked == 1
 
     def test_degree_zero_is_identity(self):
         h = hypergraph([{0, 1}], extra_vertices=[9])
@@ -213,10 +237,6 @@ class TestCompleteSplitOff:
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertexError):
             complete_split_off(two_star(), 42)
-
-    def test_pipeline_only_kept_when_certified(self):
-        assert complete_split_off(two_star(), 2, certify=True).pipeline is not None
-        assert complete_split_off(two_star(), 2, certify=False).pipeline is None
 
     def test_random_instances_certify_and_agree_with_oracle(self):
         for trial in range(60):
@@ -270,13 +290,10 @@ class TestDegenerateShapes:
     def test_certified_splitoff(self, h):
         res = complete_split_off(h, 9, certify=True)
         assert res.h_star.degree(9) == 0
-        assert res.certificate.ok
         assert hypergraph_equal(replay(h, 9, res.log), res.h_star)
-        reference = res.pipeline.stage("G0").table.restrict(
-            res.pipeline.stage("G1").instance.terminals
-        )
+        reference = res.pipeline.table.restrict(res.pipeline.stage("G1").instance.terminals)
         for stage in res.pipeline.stages[1:]:
-            assert stage.table == reference
+            assert conn_table_elements(stage.instance) == reference
         rest = sorted(h.vertices - {9})
         for u, v in itertools.combinations(rest, 2):
             assert oracle_lambda(res.h_star, u, v) == oracle_lambda(h, u, v)
@@ -349,27 +366,13 @@ class TestOneCheckerPerInstance:
             complete_split_off(h, s, certify=True)
             assert built and len(built) == len(set(built))
 
-    def test_one_stage_four_check_per_star(self, monkeypatch):
-        # Contraction never raises a value, so one check after each gadget
-        # vertex's whole star covers every contraction in it.
-        from hypersplit import splitoff
-
-        checks = []
-        real = splitoff._checked
-
-        def counted(inst, reference, what):
-            checks.append(what)
-            return real(inst, reference, what)
-
-        monkeypatch.setattr(splitoff, "_checked", counted)
-        h = random_hypergraph(GenParams(8, 16, 4, seed=1))
-        s = max(sorted(h.vertices), key=h.degree)
-        p = run_pipeline(h, s, certify=True)
-        g3 = p.stage("G3").instance.graph
-        assert sum(len(g3.incident(a)) for a in p.fa) == 6  # contractions
-        stars = [w for w in checks if w.startswith("contracting gadget vertex")]
-        assert stars == [f"contracting gadget vertex {a} with its neighbors" for a in sorted(p.fa)]
-        assert len(stars) == 3
+    def test_default_checks_stage_three_at_any_size(self, stage_checks):
+        # Every check costs T-1 flows, so no instance size turns the G3 check off.
+        h = hypergraph(FIG_SHAPE_EDGES + [{v, v + 1} for v in range(3, 70)])
+        assert len(h.vertices) - 1 > 64
+        res = complete_split_off(h, FIG_SHAPE_S)
+        assert res.pipeline.deleted_edges
+        assert "deleting gadget-incident edges" in stage_checks
 
     def test_uncertified_computes_one_table(self, monkeypatch):
         from hypersplit import flow, reduction, splitoff
@@ -413,5 +416,6 @@ class TestOneCheckerPerInstance:
             return splitoff.GadgetInstance(inst, g.clique, g.attachments)
 
         monkeypatch.setattr(splitoff, "_build_gadget", no_clique)
-        with pytest.raises(InternalInvariantError, match="replacing s with the clique gadget"):
-            complete_split_off(h, s, certify=False)
+        for certify in (True, False):
+            with pytest.raises(InternalInvariantError, match="replacing s with the clique gadget"):
+                complete_split_off(h, s, certify=certify)
