@@ -55,6 +55,18 @@ value k, and if G-e had some flow g of value k, then g-f' would split into
 an x->y residual path and cycles, so no path means the value dropped. A
 flow with a unit on each arc of e runs them in a cycle through both vertex
 arcs; cancelling the cycle removes both without changing the value.
+
+The kept flows also follow the contraction of an edge xy between two
+non-terminals into x. In the residual, y's arcs move to x's nodes, and
+y's vertex arc and the arcs of every x-y edge, self-loops now, are zeroed.
+A flow that used neither x nor y, or x alone, is still a flow. A unit
+through y alone moves to x's free vertex arc. A unit that ran over an x-y
+edge through both drops that edge and y's vertex arc and stays a path, and
+a unit each way over x-y edges is a cycle, cancelled as above. If x and y
+carried different units, dropping y's vertex unit leaves a surplus at x's
+in-node and a deficit at its out-node, and one search for a path between
+them decides the pair by the same g-f' argument as for deletion: a path
+restores value k, and no path means the contraction lowered the value.
 """
 
 from __future__ import annotations
@@ -278,19 +290,21 @@ def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
 
 
 class _TreeFlows:
-    """Maximum flows of a table's tree pairs on one instance, kept across edge deletions.
+    """Maximum flows of a table's tree pairs on one instance, kept across reductions.
 
     Building it runs the T-1 flows of ``table.tree()``, stopping at the first
-    whose value differs from the table; ``holds`` says whether none did, and
-    ``table`` keeps the table for the checker of a derived instance.
+    whose value differs from the table, and ``holds`` says whether none did.
     ``delete`` then tests and applies edge deletions one at a time, each at
     the cost of at most one augmenting search per tree pair whose flow uses
-    the edge (see the module docstring). Terminal capacities stay at their
-    degrees before any deletion, which still bounds every flow.
+    the edge, and ``contract`` contracts edges between non-terminals at the
+    cost of at most one search per pair whose flow ran through both ends on
+    different paths (see the module docstring). All pairs share one
+    residual graph, which a contraction rewires, and keep their own
+    capacities. Terminal capacities stay at their degrees before any
+    deletion, which still bounds every flow.
     """
 
     def __init__(self, inst: ElementConnInstance, table: ConnTable):
-        self.table = table
         residual, index, edge_ids = _split_arcs(inst)
         self._head, _, self._out = residual
         first = 2 * len(index)
@@ -308,25 +322,27 @@ class _TreeFlows:
         """Delete the edge if every tree pair keeps its value; True iff it did.
 
         A rejected deletion, and any deletion once ``holds`` is False,
-        changes nothing.
+        changes nothing: the capacities each test touched are restored from
+        an undo log.
         """
         if not self.holds:
             return False
         head, out = self._head, self._out
         first = self._edge_arc[edge_id]
         arcs = (first, first + 2)
-        rerouted: dict[int, list[int]] = {}
-        for i, cap in enumerate(self._caps):
-            used = [a for a in arcs if cap[a ^ 1]]  # an arc's flow is its reverse's capacity
-            if not used:
+        undo: list[tuple[list[int], int, int]] = []  # (capacities, arc, value before)
+        for cap in self._caps:
+            if not (cap[first + 1] or cap[first + 3]):  # an arc's flow is its reverse's capacity
                 continue
-            cap = cap.copy()
-            if len(used) == 2:
-                # A unit each way closes a cycle through both vertex arcs (residual
-                # arcs head[first + 2] and head[first]); cancelling it keeps the value.
-                for a in (first, head[first], first + 2, head[first + 2]):
-                    cap[a] += 1
-                    cap[a ^ 1] -= 1
+            used = [a for a in arcs if cap[a ^ 1]]
+            # A unit each way closes a cycle through both vertex arcs (residual
+            # arcs head[first + 2] and head[first]); cancelling it keeps the value.
+            cycle = (head[first], head[first + 2]) if len(used) == 2 else ()
+            for a in (first, first + 2, *cycle):
+                undo += ((cap, a, cap[a]), (cap, a ^ 1, cap[a ^ 1]))
+            for a in cycle:
+                cap[a] += 1
+                cap[a ^ 1] -= 1
             for a in arcs:
                 cap[a] = cap[a ^ 1] = 0
             if len(used) == 1:
@@ -334,15 +350,59 @@ class _TreeFlows:
                 # deficit at y; an x->y path restores the value, and none exists
                 # exactly when the value drops.
                 x, y = head[used[0] ^ 1], head[used[0]]
-                if not _augment(head, cap, out, x, y)[0]:
+                push, via = _augment(head, cap, out, x, y)
+                if not push:
+                    for touched, a, value in reversed(undo):
+                        touched[a] = value
                     return False
-            rerouted[i] = cap
-        for i, cap in enumerate(self._caps):
-            if i in rerouted:
-                self._caps[i] = rerouted[i]
-            else:
-                for a in arcs:
-                    cap[a] = 0
+                node = y
+                while node != x:  # log the path the search pushed along
+                    a = via[node]
+                    undo += ((cap, a, cap[a] + push), (cap, a ^ 1, cap[a ^ 1] - push))
+                    node = head[a ^ 1]
+        for a in range(first, first + 4):
+            out[head[a ^ 1]].remove(a)  # searches no longer scan the edge
+        for cap in self._caps:
+            cap[first] = cap[first + 2] = 0
+        return True
+
+    def contract(self, edge_id: int) -> bool:
+        """Contract the edge, between two non-terminals, into its smaller end x.
+
+        True iff every tree pair keeps its value. Otherwise, or if ``holds``
+        already was False, ``holds`` is False and the flows are of no
+        further use.
+        """
+        if not self.holds:
+            return False
+        head, out = self._head, self._out
+        first = self._edge_arc[edge_id]
+        x, y = sorted((head[first], head[first + 2]))  # in-nodes, numbered like vertex arcs
+        loops = [a for a in out[x + 1] if head[a] == y] + [a for a in out[y + 1] if head[a] == x]
+        dead = {y, y + 1, *loops, *(a ^ 1 for a in loops)}
+        for node, kept in ((y, x), (y + 1, x + 1)):
+            for a in out[node]:
+                head[a ^ 1] = kept
+            out[kept] = [a for a in out[kept] + out[node] if a not in dead]
+            out[node] = []
+        for cap in self._caps:
+            through_y = cap[y + 1]  # the flow on y's vertex arc
+            crossing = sum(cap[a ^ 1] for a in loops)
+            for a in dead:
+                cap[a] = 0
+            if not through_y or crossing == 1:
+                continue  # y carried no unit, or one unit ran over an x-y edge through both
+            if crossing == 2:  # a unit each way: cancel the cycle through both vertex arcs
+                cap[x] += 1
+                cap[x + 1] -= 1
+            elif cap[x]:  # x was free: y's unit moves to x's vertex arc
+                cap[x] -= 1
+                cap[x + 1] += 1
+            elif not _augment(head, cap, out, x, x + 1)[0]:
+                # x and y carried different units: x's in-node now has one unit
+                # too many, and only a path to its out-node keeps the value.
+                self.holds = False
+                return False
         return True
 
 

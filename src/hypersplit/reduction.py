@@ -19,18 +19,28 @@ test touches only the pairs whose flow crosses the edge: each drops its
 unit there and looks for one augmenting path around the edge, which exists
 exactly when the pair keeps its value (the argument is in ``flow``). An
 accepted deletion keeps the rerouted flows; a rejected one leaves them as
-they were, and the contraction that follows builds the flows of the
-contracted instance afresh, which re-checks it.
+they were, and the contraction that follows is made inside them: at most
+one search per pair whose flow ran through both ends, and no fresh flows.
+So ``reduce_to_stable`` ends with one fresh check of its result, and the
+split-off re-checks its stage 2 the same way.
+
+The run itself works on a private mutable copy of the edges, with the
+candidates in a heap keyed by (min endpoint, max endpoint, id). A
+contraction keeps the smaller endpoint, so every key it changes gets
+smaller: pushing the new key and skipping stale entries keeps the order
+of always taking the smallest candidate. One immutable instance is built
+at the end.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping, Optional
 
 from .errors import InternalInvariantError, TerminalEndpointError
-from .flow import ConnTable, _TreeFlows, conn_table_elements
+from .flow import ConnTable, _TreeFlows, conn_table_elements, table_holds
 from .multigraph import ElementConnInstance, Multigraph
 
 Action = Literal["deleted", "contracted"]
@@ -88,39 +98,29 @@ def reduce_edge(
     only mean a bug on our side. ``baseline`` must be the table of ``inst``,
     or of an instance that ``inst`` was reduced from.
     """
-    for w in inst.graph.endpoints(edge_id):
+    edge = inst.graph.endpoints(edge_id)
+    for w in edge:
         if w in inst.terminals:
             raise TerminalEndpointError(f"endpoint {w} of edge {edge_id} is a terminal")
-    out, step, _ = _reduce(inst, edge_id, _TreeFlows(inst, baseline))
-    return out, step
+    step = _reduce(_TreeFlows(inst, baseline), edge_id, edge)
+    if step.action == "deleted":
+        return inst.with_graph(inst.graph.without_edge(edge_id)), step
+    return inst.with_graph(inst.graph.contracted(edge_id)[0]), step
 
 
-def _reduce(
-    inst: ElementConnInstance, edge_id: int, flows: _TreeFlows
-) -> tuple[ElementConnInstance, ReductionStep, _TreeFlows]:
-    """``reduce_edge`` with the tree flows of ``inst``; also returns those of the result.
+def _reduce(flows: _TreeFlows, edge_id: int, edge: tuple[int, int]) -> ReductionStep:
+    """Delete or else contract the edge, with ends ``edge``, inside ``flows``.
 
-    A deletion keeps the flows, rerouted; a contraction builds them afresh,
-    which is its re-check.
+    The contraction keeps the smaller end; if it does not keep the table
+    either, that is an internal error.
     """
-    edge = inst.graph.endpoints(edge_id)
     if flows.delete(edge_id):
-        out = inst.with_graph(inst.graph.without_edge(edge_id))
-        return out, ReductionStep(edge=edge, edge_id=edge_id, action="deleted"), flows
-    graph, kept, _ = inst.graph.contracted(edge_id)
-    out = inst.with_graph(graph)
-    flows = _TreeFlows(out, flows.table)
-    if not flows.holds:
+        return ReductionStep(edge=edge, edge_id=edge_id, action="deleted")
+    if not flows.contract(edge_id):
         raise InternalInvariantError(
             f"neither deleting nor contracting edge {edge_id} preserved the table"
         )
-    step = ReductionStep(edge=edge, edge_id=edge_id, action="contracted", merged_into=kept)
-    return out, step, flows
-
-
-def _ordered(inst: ElementConnInstance, edge_ids: Iterable[int]) -> list[int]:
-    # (min endpoint, max endpoint, id among parallels): fixed processing order.
-    return sorted(edge_ids, key=lambda e: (*inst.graph.endpoints(e), e))
+    return ReductionStep(edge=edge, edge_id=edge_id, action="contracted", merged_into=edge[0])
 
 
 def reduce_to_stable(
@@ -131,40 +131,63 @@ def reduce_to_stable(
     With ``within``, only edges whose endpoints both descend from that vertex
     set are reduced (contraction keeps candidates inside the set because the
     surviving endpoint is one of the two). Without it, the result has its
-    non-terminals as a stable set.
+    non-terminals as a stable set. A result that differs from the input is
+    re-checked by fresh flows.
     """
-    return _reduce_to_stable(inst, _TreeFlows(inst, conn_table_elements(inst)), within)[:2]
+    baseline = conn_table_elements(inst)
+    out, trace = _reduce_to_stable(inst, _TreeFlows(inst, baseline), within)
+    if trace.steps and not table_holds(out, baseline):
+        raise InternalInvariantError(
+            "reducing non-terminal edges changed the terminal connectivity table"
+        )
+    return out, trace
 
 
 def _reduce_to_stable(
     inst: ElementConnInstance, flows: _TreeFlows, within: Optional[Iterable[int]]
-) -> tuple[ElementConnInstance, MinorTrace, _TreeFlows]:
-    """``reduce_to_stable`` from the tree flows of ``inst``; also returns those of the result."""
-    tracked = None if within is None else set(within)
+) -> tuple[ElementConnInstance, MinorTrace]:
+    """``reduce_to_stable`` from the tree flows of ``inst``, without its final
+    check; every step is applied to ``flows`` too."""
+    pool = set(inst.nonterminals if within is None else inst.nonterminals & set(within))
+    edges = dict(inst.graph.edges)  # id -> (min, max) ends, updated in place
+    incident: dict[int, set[int]] = {v: set() for v in pool}
+    heap = []
+    for e, (a, b) in edges.items():
+        for w in (a, b):
+            if w in pool:
+                incident[w].add(e)
+        if a in pool and b in pool:
+            heap.append((a, b, e))
+    heapq.heapify(heap)
     vertex_map = {v: frozenset({v}) for v in inst.graph.vertices}
     steps: list[ReductionStep] = []
-    cur = inst
-    while True:
-        nonterminals = cur.nonterminals
-        pool = nonterminals if tracked is None else (nonterminals & tracked)
-        candidates = [
-            e
-            for e, (a, b) in cur.graph.edges.items()
-            if a in pool and b in pool
-        ]
-        if not candidates:
-            break
-        edge_id = _ordered(cur, candidates)[0]
-        cur, step, flows = _reduce(cur, edge_id, flows)
+    while heap:
+        x, y, edge_id = heapq.heappop(heap)
+        if edges.get(edge_id) != (x, y):
+            continue  # gone, or already re-keyed to a smaller key
+        step = _reduce(flows, edge_id, (x, y))
         steps.append(step)
-        if step.action == "contracted":
-            a, b = step.edge
-            kept = step.merged_into
-            dropped = b if kept == a else a
-            vertex_map[kept] = vertex_map[kept] | vertex_map.pop(dropped)
-            if tracked is not None:
-                tracked.discard(dropped)
-    return cur, MinorTrace(steps=tuple(steps), vertex_map=vertex_map), flows
+        del edges[edge_id]
+        incident[x].discard(edge_id)
+        incident[y].discard(edge_id)
+        if step.action == "deleted":
+            continue
+        # y merges into x: its edges to x become self-loops and go, the rest move to x.
+        for e in incident.pop(y):
+            a, b = edges[e]
+            w = b if a == y else a
+            if w == x:
+                del edges[e]
+                incident[x].discard(e)
+                continue
+            edges[e] = key = (x, w) if x < w else (w, x)
+            incident[x].add(e)
+            if w in pool:
+                heapq.heappush(heap, (*key, e))
+        pool.discard(y)
+        vertex_map[x] = vertex_map[x] | vertex_map.pop(y)
+    out = inst.with_graph(Multigraph(frozenset(vertex_map), edges))
+    return out, MinorTrace(steps=tuple(steps), vertex_map=vertex_map)
 
 
 def maximal_preserving_deletions(
@@ -187,7 +210,9 @@ def _maximal_preserving_deletions(
     inst: ElementConnInstance, candidates: Iterable[int], flows: _TreeFlows
 ) -> tuple[ElementConnInstance, tuple[int, ...]]:
     """``maximal_preserving_deletions`` from the tree flows of ``inst``."""
-    deleted = tuple(e for e in _ordered(inst, set(candidates)) if flows.delete(e))
+    # (min endpoint, max endpoint, id among parallels): the order reduce_to_stable uses.
+    order = sorted(set(candidates), key=lambda e: (*inst.graph.endpoints(e), e))
+    deleted = tuple(e for e in order if flows.delete(e))
     gone = frozenset(deleted)
     edges = {e: uv for e, uv in inst.graph.edges.items() if e not in gone}
     return inst.with_graph(Multigraph(inst.graph.vertices, edges)), deleted

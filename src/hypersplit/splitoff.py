@@ -161,10 +161,11 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
     """Run the construction G0..G3 at s and collect all bookkeeping.
 
     The terminal table of G0 costs T-1 flows (``conn_table_elements``). G1
-    and G2 are always checked against it: those checks are the tree flows
-    the next stage's reductions start from. With ``certify`` on, G3 is
-    checked too, by T-1 fresh flows rather than the ones its deletions kept.
-    Any drift is reported as an internal error.
+    and G2 are always checked against it, G2 by fresh flows whenever stage 2
+    changed anything: those checks are the tree flows the next stage's
+    reductions start from. With ``certify`` on, G3 is checked too, by T-1
+    fresh flows rather than the ones its deletions kept. Any drift is
+    reported as an internal error.
     """
     if s not in h.vertices:
         raise UnknownVertexError(f"unknown vertex {s}")
@@ -179,11 +180,11 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
     reference = table0.restrict(g1.terminals)
     flows1 = _checked(g1, reference, "replacing s with the clique gadget")
 
-    g2, trace, flows2 = _reduce_to_stable(g1, flows1, set(gadget.clique))
+    g2, trace = _reduce_to_stable(g1, flows1, set(gadget.clique))
     s2 = tuple(v for v in gadget.clique if v in g2.graph.vertices)
-    # Unless a deletion came last, flows2 is G1's or the last contraction's build.
-    if trace.steps and trace.steps[-1].action == "deleted":
-        flows2 = _checked(g2, reference, "reducing the clique edges")
+    # Flows kept through the reductions are re-checked by a fresh build, which
+    # stage 3 starts from.
+    flows2 = _checked(g2, reference, "reducing the clique edges") if trace.steps else flows1
 
     # Every hyperedge node keeps exactly one gadget attachment through stage 2:
     # clique reductions never touch the attachment edges themselves.

@@ -1,5 +1,7 @@
 """Reduction of non-terminal edges: delete when possible, contract otherwise."""
 
+import copy
+
 import pytest
 
 from hypersplit import (
@@ -100,6 +102,15 @@ class TestReduceToStable:
             out, _ = reduce_to_stable(inst)
             assert not nonterminal_edges(out)
             assert conn_table_elements(out) == baseline
+
+    def test_final_check_catches_a_lossy_run(self, monkeypatch):
+        # Steps trust the kept flows; a fault there must still fail the run.
+        from hypersplit import InternalInvariantError, flow
+
+        inst = instance([(0, 2), (2, 3), (3, 1)], terminals=[0, 1])
+        monkeypatch.setattr(flow._TreeFlows, "delete", lambda self, edge_id: True)
+        with pytest.raises(InternalInvariantError, match="reducing non-terminal edges"):
+            reduce_to_stable(inst)
 
     def test_contracted_sets_are_connected_nonterminals(self):
         from conftest import sparse_element_instance
@@ -318,34 +329,91 @@ def _units_both_ways(flows, e):
     return sum(1 for cap in flows._caps if cap[first ^ 1] and cap[(first + 2) ^ 1])
 
 
-def _assert_kept_flows(flows, baseline, deleted):
-    """Each kept residual is a flow of the pair's table value avoiding the deleted edges."""
+def _vertex_index(inst):
+    """Position of each vertex in the residual: vertex i's arc is residual arc 2*i."""
+    return {v: i for i, v in enumerate(sorted(inst.graph.vertices))}
+
+
+def _assert_kept_flows(flows, baseline, inst, cur):
+    """Each kept residual is a flow of the pair's table value on ``cur``, the
+    instance ``inst`` became: the shared arcs run between the current ends of
+    every edge, and edges and vertices that are gone carry nothing."""
+    index = _vertex_index(inst)
+    head, out = flows._head, flows._out
+    for node, arcs in enumerate(out):
+        assert all(head[a ^ 1] == node for a in arcs)
+    for e, (a, b) in cur.graph.edges.items():
+        first = flows._edge_arc[e]
+        i, j = head[first + 1] // 2, head[first] // 2  # arc first runs out(i) -> in(j)
+        assert {i, j} == {index[a], index[b]}
+        assert head[first : first + 4] == [2 * j, 2 * i + 1, 2 * i, 2 * j + 1]
+    gone_edges = [flows._edge_arc[e] for e in inst.graph.edges if e not in cur.graph.edges]
+    gone_vertices = [2 * index[v] for v in inst.graph.vertices - cur.graph.vertices]
     for (_, _, k), cap in zip(baseline.tree(), flows._caps):
         assert min(cap) >= 0
-        net = [0] * len(flows._out)
+        net = [0] * len(out)
         for a in range(0, len(cap), 2):  # an arc's flow is its reverse's capacity
-            net[flows._head[a]] += cap[a + 1]
-            net[flows._head[a + 1]] -= cap[a + 1]
+            net[head[a]] += cap[a + 1]
+            net[head[a + 1]] -= cap[a + 1]
         assert sorted(x for x in net if x) == ([-k, k] if k else [])
-        for e in deleted:
-            first = flows._edge_arc[e]
+        for first in gone_edges:
             assert cap[first : first + 4] == [0, 0, 0, 0]
+        for arc in gone_vertices:
+            assert cap[arc : arc + 2] == [0, 0]
 
 
-def _sweep(inst, order, seen):
+def _contraction_kinds(flows, inst, cur, e):
+    """How the tree flows meet the ends x < y of edge e: through y alone
+    ("move"), over one x-y edge ("cross"), over x-y edges both ways
+    ("cycle"), or through both on different paths ("apart"); and whether
+    the edge has parallels."""
+    index = _vertex_index(inst)
+    x, y = cur.graph.endpoints(e)
+    loops = [flows._edge_arc[f] for f, ends in cur.graph.edges.items() if ends == (x, y)]
+    kinds = {"parallel"} if len(loops) > 1 else set()
+    for cap in flows._caps:
+        through_x, through_y = cap[2 * index[x] + 1], cap[2 * index[y] + 1]
+        crossing = sum(cap[first ^ 1] + cap[(first + 2) ^ 1] for first in loops)
+        if crossing:
+            kinds.add(("cross", "cycle")[crossing - 1])
+        elif through_y:
+            kinds.add("apart" if through_x else "move")
+    return kinds
+
+
+def _sweep(inst, order, seen, *, contract=False):
     """Delete ``order`` through one set of kept tree flows, checking each answer
     against a fresh table_holds on the instance without the edge, and that the
-    kept flows stay flows."""
+    kept flows stay flows.
+
+    With ``contract``, every edge between non-terminals is first contracted
+    in a copy of the flows, checked against a fresh table_holds on the
+    contracted instance, and an edge whose deletion is rejected is then
+    contracted in the flows themselves, as a reduction would.
+    """
     baseline = conn_table_elements(inst)
     flows = _TreeFlows(inst, baseline)
     cur = inst
-    deleted = []
     for e in order:
+        if e not in cur.graph.edges:
+            continue  # a self-loop of an earlier contraction
         a, b = cur.graph.endpoints(e)
+        inner = contract and a not in inst.terminals and b not in inst.terminals
+        if inner:
+            contracted = cur.with_graph(cur.graph.contracted(e)[0])
+            expected = table_holds(contracted, baseline)
+            trial = copy.deepcopy(flows)
+            kinds = _contraction_kinds(trial, inst, cur, e)
+            assert trial.contract(e) == expected, (sorted(cur.graph.edges.items()), e)
+            seen.update(("contract", kind, expected) for kind in kinds)
+            if expected:
+                _assert_kept_flows(trial, baseline, inst, contracted)
         after = cur.with_graph(cur.graph.without_edge(e))
         expected = table_holds(after, baseline)
         cycles = _units_both_ways(flows, e)
+        before = [cap.copy() for cap in flows._caps]
         assert flows.delete(e) == expected, (sorted(cur.graph.edges.items()), e)
+        assert expected or flows._caps == before  # a rejected test changes nothing
         parallel = sum(1 for ends in cur.graph.edges.values() if ends == (a, b)) > 1
         terminal = a in inst.terminals or b in inst.terminals
         seen.add(("parallel" if parallel else "terminal" if terminal else "plain", expected))
@@ -353,8 +421,10 @@ def _sweep(inst, order, seen):
             seen.add(("cycle", expected))
         if expected:
             cur = after
-            deleted.append(e)
-        _assert_kept_flows(flows, baseline, deleted)
+        elif inner:
+            assert flows.contract(e)  # the reduction theorem
+            cur = contracted
+        _assert_kept_flows(flows, baseline, inst, cur)
 
 
 def _check_against_references(inst, seen):
@@ -391,6 +461,39 @@ class TestKeptTreeFlows:
                 _check_against_references(sparse_element_instance(trial), seen)
         assert seen >= self.WANTED, self.WANTED - seen
 
+    CONTRACTION_WANTED = {
+        ("contract", kind, True) for kind in ("move", "cross", "apart", "parallel")
+    } | {("contract", "apart", False)}
+
+    def test_contraction_sweeps(self):
+        # Delete where that keeps the table, contract otherwise, and contract
+        # every inner edge in a copy: parallel x-y edges, a unit crossing xy
+        # and x and y on different paths all occur, and contractions that
+        # lower a value are refused.
+        seen = set()
+        for trial in range(60):
+            for inst in (sparse_element_instance(trial),
+                         random_element_instance(GenParams(n=9, m=16, r=2, seed=trial))):
+                _sweep(inst, inst.graph.edge_ids(), seen, contract=True)
+                _sweep(inst, inst.graph.edge_ids()[::-1], seen, contract=True)
+        assert seen >= self.CONTRACTION_WANTED, self.CONTRACTION_WANTED - seen
+
+    def test_cycle_over_xy_is_cancelled(self):
+        # Terminals 0 and 1 are joined directly; non-terminals 2 and 3 hang
+        # apart, joined by two parallel edges. A unit round 2 -> 3 -> 2 is a
+        # circulation, so the flow keeps its value; contracting must cancel it.
+        inst = instance([(0, 1), (2, 3), (2, 3)], terminals=[0, 1])
+        baseline = conn_table_elements(inst)
+        flows = _TreeFlows(inst, baseline)
+        (cap,) = flows._caps
+        for arc in (flows._edge_arc[1], 2 * 3, flows._edge_arc[2] + 2, 2 * 2):
+            cap[arc] -= 1
+            cap[arc ^ 1] += 1
+        _assert_kept_flows(flows, baseline, inst, inst)
+        assert _contraction_kinds(flows, inst, inst, 1) == {"cycle", "parallel"}
+        assert flows.contract(1)
+        _assert_kept_flows(flows, baseline, inst, inst.with_graph(inst.graph.contracted(1)[0]))
+
     def test_within_matches_reference(self):
         for trial in range(40):
             inst = sparse_element_instance(trial)
@@ -420,6 +523,7 @@ class TestKeptTreeFlows:
         def check(drawn):
             inst, order = drawn
             _sweep(inst, order, seen)
+            _sweep(inst, order, seen, contract=True)
             _check_against_references(inst, seen)
 
         check()
@@ -440,15 +544,25 @@ class TestFlowCounts:
         assert max_flows == []
 
     def test_deletion_tests_run_no_flows(self, max_flows):
-        # Only the baseline table (T-1 flows of its flow-equivalent tree) and
-        # one T-1 tree per checker (the first, then one per contraction) run
-        # flows; deletion tests reroute.
+        # Only the baseline table (T-1 flows of its flow-equivalent tree), the
+        # first tree-flow build and the final fresh check run flows (T-1
+        # each); deletion tests reroute and contractions rewire the kept flows.
         inst = random_element_instance(GenParams(n=12, m=22, r=2, seed=32))
         t = len(inst.terminals)
         _, trace = reduce_to_stable(inst)
         contractions = sum(1 for step in trace.steps if step.action == "contracted")
         assert (t, len(trace.steps), contractions) == (5, 10, 3)
-        assert len(max_flows) == (t - 1) + (t - 1) * (1 + contractions)
+        assert len(max_flows) == 3 * (t - 1)
+
+    def test_contractions_run_no_flows(self, max_flows):
+        from hypersplit.reduction import _reduce_to_stable
+
+        inst = random_element_instance(GenParams(n=12, m=22, r=2, seed=32))
+        flows = _TreeFlows(inst, conn_table_elements(inst))
+        max_flows.clear()
+        _, trace = _reduce_to_stable(inst, flows, None)
+        assert any(step.action == "contracted" for step in trace.steps)
+        assert max_flows == []
 
     def test_split_off_runs_fewer_flows(self, max_flows):
         from hypersplit import complete_split_off, random_hypergraph
@@ -461,5 +575,6 @@ class TestFlowCounts:
         # recomputed tables the pipeline already had; 149 when stage checks
         # repeated the reductions' tree flows; 125 when the G0 table ran every
         # pair and stage 4 was checked after each contraction; 73 when stage 4
-        # was checked after each gadget star; it now runs 57.
+        # was checked after each gadget star; 57 when each clique contraction
+        # recomputed its tree flows; it now runs 41.
         assert len(max_flows) < 951 // 4

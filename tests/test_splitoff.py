@@ -309,6 +309,13 @@ def _through_s(n, m, seed):
     return edges
 
 
+def _star(d, spokes, rims):
+    """s=0 joined to leaves 1..d by ``spokes`` copies of each {0, i}, plus
+    ``rims`` copies of each ring hyperedge {i, i+1 mod d}."""
+    ring = [{i, i % d + 1} for i in range(1, d + 1)]
+    return [{0, i} for i in range(1, d + 1)] * spokes + ring * rims
+
+
 class TestAdversarialShapes:
     """Shapes that force rejected deletions (so contractions) and flows over
     parallel edges, each checked against the brute-force oracle and replay."""
@@ -326,6 +333,23 @@ class TestAdversarialShapes:
     def test_split_off(self, name):
         h, s = self.CASES[name]
         res = complete_split_off(h, s)
+        assert res.h_star.degree(s) == 0
+        assert hypergraph_equal(replay(h, s, res.log), res.h_star)
+        for u, v in itertools.combinations(sorted(h.vertices - {s}), 2):
+            assert oracle_lambda(res.h_star, u, v) == oracle_lambda(h, u, v)
+
+    # High-degree stars: most clique edges are contracted, over parallel edges.
+    STARS = {
+        "ring_star": (hypergraph(_star(12, 1, 1)), 0),
+        "parallel_star": (hypergraph(_star(10, 3, 2) + [{0, i, i % 10 + 1} for i in range(1, 11)]), 0),
+    }
+
+    @pytest.mark.parametrize("certify", (True, False))
+    @pytest.mark.parametrize("name", STARS)
+    def test_star_split_off(self, name, certify):
+        h, s = self.STARS[name]
+        res = complete_split_off(h, s, certify=certify)
+        assert len(res.pipeline.s2) < len(res.pipeline.gadget.clique) // 2
         assert res.h_star.degree(s) == 0
         assert hypergraph_equal(replay(h, s, res.log), res.h_star)
         for u, v in itertools.combinations(sorted(h.vertices - {s}), 2):
@@ -389,6 +413,23 @@ class TestOneCheckerPerInstance:
         h, s = self.seeded()
         complete_split_off(h, s, certify=False)
         assert len(tables) == 1
+
+    def test_stage_two_rechecked_after_a_final_contraction(self, monkeypatch):
+        # Contractions run inside the kept flows, so G2 gets a fresh check
+        # even when a contraction was stage 2's last step.
+        from hypersplit import InternalInvariantError, Multigraph, splitoff
+
+        real = splitoff._reduce_to_stable
+
+        def lossy(inst, flows, within):
+            out, trace = real(inst, flows, within)
+            assert trace.steps[-1].action == "contracted"
+            edges = {e: uv for e, uv in out.graph.edges.items() if not set(uv) & within}
+            return out.with_graph(Multigraph(out.graph.vertices, edges)), trace
+
+        monkeypatch.setattr(splitoff, "_reduce_to_stable", lossy)
+        with pytest.raises(InternalInvariantError, match="reducing the clique edges"):
+            complete_split_off(two_star(), 2, certify=False)
 
     def test_stage_checks_catch_faults(self, monkeypatch):
         # Stage 3 trusting its kept flows, or a broken gadget, must not slip
