@@ -8,11 +8,24 @@ counts pairwise element-disjoint u-v paths. Hyperedge-connectivity of a
 hypergraph is the element-connectivity of its incidence instance, where
 hyperedge nodes get unit capacity.
 
-Max-flows use shortest augmenting paths (Edmonds-Karp): each breadth-first
-search over the residual arcs finds one shortest source-sink path and pushes
-its bottleneck, so a flow of value k costs k+1 searches of O(arcs) each. The
-residual arrays of an instance are built once; each flow copies only the
-capacities, so every pair of a table or a check shares one residual.
+Max-flows push the bottleneck of one shortest residual source-sink path per
+search (Edmonds-Karp), so a flow of value k costs k+1 searches. A search is
+two-ended: it grows labels from the source along residual arcs and from the
+sink against them, one full level at a time, always on the side with the
+smaller frontier, and stops at the first node both sides label. The path
+through that node is a shortest one. Before a level is grown, the nodes
+within df arcs of the source and those within db arcs of the sink are all
+labelled, and the two sets are disjoint, so every path has at least
+df+db+1 arcs; a meeting in the new level closes a path of at most df+1+db.
+A failing search must still label exactly the nodes the source reaches,
+which Gusfield's method below needs. If the source side runs out first, it
+has labelled them all. If the sink side runs out first, no node the source
+side labelled can reach the sink, and the source side goes on alone until
+it runs out. A single-pair query starts at its end of smaller degree:
+connectivity is symmetric, and once the flow saturates that end the last
+search ends at once. The residual arrays of an instance are built once;
+each flow copies only the capacities, so every pair of a table or a check
+shares one residual.
 
 Checking that an instance still has a known table costs T-1 flows, not
 T(T-1)/2. Connectivity obeys lambda(u,v) >= min(lambda(u,w), lambda(w,v)),
@@ -71,7 +84,6 @@ restores value k, and no path means the contraction lowered the value.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -82,23 +94,6 @@ from .multigraph import ElementConnInstance
 
 
 _Residual = tuple[list[int], list[int], list[list[int]]]
-
-
-def _residual(num_nodes: int, arcs: Iterable[tuple[int, int, int]]) -> _Residual:
-    """Residual arrays (head, cap, out) of a directed arc list.
-
-    Residual arc i runs to head[i] with capacity cap[i]; arc i ^ 1 is its
-    reverse, and out[node] lists the arcs leaving node.
-    """
-    head: list[int] = []
-    cap: list[int] = []
-    out: list[list[int]] = [[] for _ in range(num_nodes)]
-    for tail, tip, c in arcs:
-        out[tail].append(len(head))
-        out[tip].append(len(head) + 1)
-        head += (tip, tail)
-        cap += (c, 0)
-    return head, cap, out
 
 
 def _max_flow(residual: _Residual, source: int, sink: int) -> tuple[int, list[int], list[int]]:
@@ -122,21 +117,28 @@ def _augment(
 
     Returns the amount pushed, 0 if there is no path, and the search's labels:
     the residual arc that labelled each node, -2 at the source and -1 where
-    the search did not reach. A search that finds no path labels every node
-    reachable from the source.
+    the search did not reach. After a push the labels trace the path back
+    from the sink. A search that finds no path labels every node reachable
+    from the source.
     """
     via = [-1] * len(out)
-    via[source] = -2
-    queue = deque([source])
-    while queue and via[sink] == -1:
-        for a in out[queue.popleft()]:
-            if cap[a] > 0 and via[head[a]] == -1:
-                via[head[a]] = a
-                queue.append(head[a])
-    if via[sink] == -1:
+    back = [-1] * len(out)  # sink side: the residual arc leading from each node toward the sink
+    via[source] = back[sink] = -2
+    front, rear = [source], [sink]
+    meet = -1
+    while front and meet == -1:
+        if rear and len(rear) < len(front):
+            rear, meet = _grow(rear, head, cap, out, back, via, 1)
+        else:
+            front, meet = _grow(front, head, cap, out, via, back, 0)
+    if meet == -1:
         return 0, via
+    node = meet
+    while node != sink:  # hand the sink-side half over to the labels
+        a = back[node]
+        node = head[a]
+        via[node] = a
     path = []
-    node = sink
     while node != source:
         path.append(via[node])
         node = head[via[node] ^ 1]
@@ -145,6 +147,27 @@ def _augment(
         cap[a] -= push
         cap[a ^ 1] += push
     return push, via
+
+
+def _grow(
+    level: list[int], head: list[int], cap: list[int], out: list[list[int]],
+    labels: list[int], other: list[int], flip: int,
+) -> tuple[list[int], int]:
+    """Label the next level of one side of a search: the source side with
+    ``flip`` 0, along residual arcs, or the sink side with ``flip`` 1, against
+    them. Returns that level and -1, or, at the first node the other side
+    already labelled, the level so far and that node."""
+    grown = []
+    for w in level:
+        for a in out[w]:
+            arc = a ^ flip  # the residual arc between w and head[a], in the flow's direction
+            node = head[a]
+            if cap[arc] > 0 and labels[node] == -1:
+                labels[node] = arc
+                if other[node] != -1:
+                    return grown, node
+                grown.append(node)
+    return grown, -1
 
 
 @dataclass(frozen=True)
@@ -218,30 +241,36 @@ class ConnTable:
 def _split_arcs(inst: ElementConnInstance) -> tuple[_Residual, dict[int, int], tuple[int, ...]]:
     """Vertex-split residual shared by every pair query on one instance.
 
-    Returns (residual, index of each vertex, edge ids in arc order). Vertex
-    w with index i occupies nodes 2*i (in) and 2*i+1 (out), joined by
-    residual arc 2*i, which is numbered like its in-node. With n vertices,
-    the p-th edge id, between a and b, gives residual arc 2*n + 4*p from
-    out(a) to in(b) and the next, 2*n + 4*p + 2, from out(b) to in(a).
-    Terminal capacity is its degree, which bounds any flow through it just
-    like an infinite capacity would.
+    Returns (residual, index of each vertex, edge ids in arc order). Residual
+    arc i runs to head[i] with capacity cap[i]; arc i ^ 1 is its reverse, and
+    out[node] lists the arcs leaving node in arc order. Vertex w with index i
+    occupies nodes 2*i (in) and 2*i+1 (out), joined by residual arc 2*i,
+    which is numbered like its in-node. With n vertices, the p-th edge id,
+    between a and b, gives residual arc 2*n + 4*p from out(a) to in(b) and
+    the next, 2*n + 4*p + 2, from out(b) to in(a). Terminal capacity is its
+    degree, which bounds any flow through it just like an infinite capacity
+    would.
     """
     order = sorted(inst.graph.vertices)
     index = {v: i for i, v in enumerate(order)}
-    degree = dict.fromkeys(order, 0)
-    for a, b in inst.graph.edges.values():
-        degree[a] += 1
-        degree[b] += 1
-    arcs: list[tuple[int, int, int]] = []
-    for v in order:
-        cap = degree[v] if v in inst.terminals else 1
-        arcs.append((2 * index[v], 2 * index[v] + 1, cap))
+    head = [node ^ 1 for node in range(2 * len(order))]
+    cap = [1, 0] * len(order)
+    out = [[node] for node in range(2 * len(order))]
+    edges = inst.graph.edges
     edge_ids = inst.graph.edge_ids()
     for eid in edge_ids:
-        a, b = inst.graph.endpoints(eid)
-        arcs.append((2 * index[a] + 1, 2 * index[b], 1))
-        arcs.append((2 * index[b] + 1, 2 * index[a], 1))
-    return _residual(2 * len(order), arcs), index, edge_ids
+        a, b = edges[eid]
+        in_a, in_b = 2 * index[a], 2 * index[b]
+        arc = len(head)
+        head += (in_b, in_a + 1, in_a, in_b + 1)
+        out[in_a + 1].append(arc)
+        out[in_b].append(arc + 1)
+        out[in_b + 1].append(arc + 2)
+        out[in_a].append(arc + 3)
+    cap += [1, 0, 1, 0] * len(edge_ids)
+    for v in inst.terminals:
+        cap[2 * index[v]] = len(out[2 * index[v] + 1]) - 1  # its degree: one arc per edge end
+    return (head, cap, out), index, edge_ids
 
 
 def _check_terminal(inst: ElementConnInstance, v: int) -> None:
@@ -258,6 +287,9 @@ def element_connectivity(inst: ElementConnInstance, u: int, v: int) -> int:
     _check_terminal(inst, u)
     _check_terminal(inst, v)
     residual, index, _ = _split_arcs(inst)
+    degree = residual[1]  # a terminal's vertex arc has its degree as capacity
+    if degree[2 * index[v]] < degree[2 * index[u]]:
+        u, v = v, u  # start at the end of smaller degree (see the module docstring)
     return _max_flow(residual, 2 * index[u] + 1, 2 * index[v])[0]
 
 

@@ -56,7 +56,7 @@ class NameTable:
 def _check_name(name: str) -> None:
     if not isinstance(name, str) or not name:
         raise ParseError(f"vertex name must be a non-empty string, got {name!r}")
-    if any(c.isspace() for c in name):
+    if name.split() != [name]:  # splitting changes exactly the names holding whitespace
         raise ParseError(f"vertex name {name!r} contains whitespace")
 
 
@@ -92,13 +92,20 @@ def parse_hypergraph_json(text: str) -> tuple[Hypergraph, NameTable]:
     raw_edges = obj["hyperedges"]
     if not isinstance(raw_edges, list):
         raise ParseError("'hyperedges' must be an array")
+    ids = table._ids
     edges = {}
     for i, entry in enumerate(raw_edges):
-        members = _as_name_list(entry, f"hyperedge {i}")
-        try:
-            edges[i] = _hyperedge_ids(members, table, f"hyperedge {i}")
-        except UnknownVertexError as exc:
-            raise ParseError(f"hyperedge {i}: {exc}") from exc
+        try:  # a list of at least two distinct known names maps in one step
+            members = frozenset([ids[name] for name in entry]) if type(entry) is list else ()
+        except (KeyError, TypeError):  # an unknown name, or a member that is no name
+            members = ()
+        if len(members) < 2 or len(members) != len(entry):  # fewer ids than names: a repeat
+            where = f"hyperedge {i}"
+            try:
+                members = _hyperedge_ids(_as_name_list(entry, where), table, where)
+            except UnknownVertexError as exc:
+                raise ParseError(f"hyperedge {i}: {exc}") from exc
+        edges[i] = members
     return Hypergraph(frozenset(range(len(table))), edges), table
 
 

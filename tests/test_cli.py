@@ -74,6 +74,13 @@ class TestConn:
         assert main(["conn", str(bad), "--all-pairs"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_hyperedge_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"vertices": ["a", "b"], "hyperedges": [["a", "b"], ["a", null]]}')
+        assert main(["conn", str(bad), "-u", "a", "-v", "b"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: hyperedge 1 must be an array of strings\n")
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["conn", str(tmp_path / "nope.json"), "--all-pairs"]) == 2
 

@@ -1,5 +1,7 @@
 """Flow engine and connectivity queries against the brute-force oracles."""
 
+from collections import deque
+
 import pytest
 
 from hypersplit import (
@@ -19,8 +21,23 @@ from hypersplit import (
 from conftest import corpus_element_instance, corpus_hypergraph, hypergraph, instance
 
 
+def _residual(num_nodes, arcs):
+    """Residual arrays (head, cap, out) of a directed arc list.
+
+    Residual arc i runs to head[i] with capacity cap[i]; arc i ^ 1 is its
+    reverse, and out[node] lists the arcs leaving node.
+    """
+    head, cap, out = [], [], [[] for _ in range(num_nodes)]
+    for tail, tip, c in arcs:
+        out[tail].append(len(head))
+        out[tip].append(len(head) + 1)
+        head += (tip, tail)
+        cap += (c, 0)
+    return head, cap, out
+
+
 def max_flow(num_nodes, arcs, source, sink):
-    return flow._max_flow(flow._residual(num_nodes, arcs), source, sink)[0]
+    return flow._max_flow(_residual(num_nodes, arcs), source, sink)[0]
 
 
 class TestMaxFlow:
@@ -35,6 +52,213 @@ class TestMaxFlow:
 
     def test_bottleneck_respected(self):
         assert max_flow(3, ((0, 1, 7), (1, 2, 2)), 0, 2) == 2
+
+
+def _reachable(head, cap, out, start, *, backward=False):
+    """Breadth-first distances from ``start`` over arcs of positive capacity
+    (into ``start`` instead, with ``backward``)."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        w = queue.popleft()
+        for a in out[w]:
+            if cap[a ^ 1 if backward else a] > 0 and head[a] not in dist:
+                dist[head[a]] = dist[w] + 1
+                queue.append(head[a])
+    return dist
+
+
+def _reference_augment(head, cap, out, source, sink):
+    """Plain one-ended shortest augmenting path: push its bottleneck, return it."""
+    via = {source: None}
+    queue = deque([source])
+    while queue and sink not in via:
+        w = queue.popleft()
+        for a in out[w]:
+            if cap[a] > 0 and head[a] not in via:
+                via[head[a]] = a
+                queue.append(head[a])
+    if sink not in via:
+        return 0
+    path, node = [], sink
+    while node != source:
+        path.append(via[node])
+        node = head[via[node] ^ 1]
+    push = min(cap[a] for a in path)
+    for a in path:
+        cap[a] -= push
+        cap[a ^ 1] += push
+    return push
+
+
+def _checked_augment(head, cap, out, source, sink):
+    """One ``_augment`` on ``cap``, checked against a plain BFS on the capacities
+    before it: a shortest residual path traced by the labels from the sink, its
+    bottleneck pushed along it and nowhere else, or, with no path, labels on
+    exactly the nodes the source reaches. Returns the amount pushed."""
+    before = cap.copy()
+    dist = _reachable(head, before, out, source)
+    push, via = flow._augment(head, cap, out, source, sink)
+    if sink not in dist:
+        assert push == 0 and cap == before
+        assert {node for node, label in enumerate(via) if label != -1} == set(dist)
+        assert via[source] == -2
+        return 0
+    path, node = [], sink
+    while node != source:
+        a = via[node]
+        assert head[a] == node and before[a] > 0
+        path.append(a)
+        node = head[a ^ 1]
+        assert len(path) <= dist[sink]
+    assert len(path) == dist[sink]
+    assert push == min(before[a] for a in path)
+    for a in path:
+        before[a] -= push
+        before[a ^ 1] += push
+    assert cap == before
+    return push
+
+
+class TestAugment:
+    """The two-ended search against a plain one-ended BFS."""
+
+    def test_saturated_source(self):
+        head, cap, out = _residual(4, ((0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)))
+        cap[0] = cap[4] = 0
+        cap[1] = cap[5] = 1
+        assert _checked_augment(head, cap, out, 0, 3) == 0
+        assert flow._augment(head, cap, out, 0, 3)[1] == [-2, -1, -1, -1]
+
+    def test_sink_side_closes_first(self):
+        # Only node 9, which the source cannot reach, leads to the sink, so the
+        # sink side runs out after labelling it, while the source side, three
+        # wide at its first level, must still label all it reaches.
+        arcs = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 4, 1), (2, 5, 1), (5, 6, 1), (6, 7, 2)]
+        head, cap, out = _residual(10, arcs + [(9, 8, 1)])
+        assert _checked_augment(head, cap, out, 0, 8) == 0
+        assert [node for node, label in enumerate(flow._augment(head, cap, out, 0, 8)[1])
+                if label != -1] == list(range(8))
+
+    def test_takes_the_shortest_route_left(self):
+        # Routes of lengths 1, 3 and 5 (the last of capacity 2) and a dead end at 7.
+        arcs = [(0, 9, 1), (0, 1, 1), (1, 2, 1), (2, 9, 1)]
+        arcs += [(0, 3, 2), (3, 4, 2), (4, 5, 2), (5, 6, 2), (6, 9, 2), (4, 7, 1)]
+        head, cap, out = _residual(10, arcs)
+        assert [_checked_augment(head, cap, out, 0, 9) for _ in range(4)] == [1, 1, 2, 0]
+
+    def test_meeting_on_the_sink_side(self):
+        # The source's first level is wide, so the sink side grows to meet it.
+        arcs = [(0, w, 1) for w in range(1, 6)] + [(w, 6, 1) for w in range(1, 6)]
+        head, cap, out = _residual(9, arcs + [(6, 7, 3), (7, 8, 3)])
+        assert [_checked_augment(head, cap, out, 0, 8) for _ in range(4)] == [1, 1, 1, 0]
+
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @st.composite
+        def residuals(draw):
+            n = draw(st.integers(2, 12))
+            node = st.integers(0, n - 1)
+            arcs = draw(st.lists(
+                st.tuples(node, node, st.integers(0, 3), st.integers(0, 2)), max_size=4 * n
+            ))
+            source, sink = draw(st.lists(node, min_size=2, max_size=2, unique=True))
+            return n, arcs, source, sink
+
+        @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(residuals())
+        def check(drawn):
+            n, arcs, source, sink = drawn
+            head, cap, out = _residual(n, [(a, b, c) for a, b, c, _ in arcs])
+            for i, (*_, back) in enumerate(arcs):
+                cap[2 * i + 1] = back  # a residual that already carries some flow
+            reference = cap.copy()
+            total = expected = 0
+            while push := _checked_augment(head, cap, out, source, sink):
+                total += push
+            while push := _reference_augment(head, reference, out, source, sink):
+                expected += push
+            assert total == expected
+
+        check()
+
+    def test_split_residuals_mid_flow(self):
+        from hypersplit import GenParams, incidence_graph, random_element_instance
+
+        instances = [random_element_instance(GenParams(n=12, m=30, r=2, seed=s)) for s in range(40)]
+        instances += [
+            incidence_graph(corpus_hypergraph(trial, max_n=10, max_m=20, salt=0xA06)).instance
+            for trial in range(40)
+        ]
+        seen = dict.fromkeys(("saturated_source", "sink_side_closed", "success"), 0)
+        for inst in instances:
+            (head, initial, out), index, _ = flow._split_arcs(inst)
+            terms = sorted(inst.terminals)
+            for u, v in zip(terms, terms[1:] + terms[:1]):
+                if u == v:
+                    continue
+                source, sink = 2 * index[u] + 1, 2 * index[v]
+                cap, reference = initial.copy(), initial.copy()
+                while True:
+                    ahead = _reachable(head, cap, out, source)
+                    behind = _reachable(head, cap, out, sink, backward=True)
+                    push = _checked_augment(head, cap, out, source, sink)
+                    assert push == _reference_augment(head, reference, out, source, sink)
+                    if push:
+                        seen["success"] += 1
+                        continue
+                    seen["saturated_source"] += len(ahead) == 1
+                    # Only the sink reaches the sink and the source's first level is
+                    # wider, so the sink side ran out first.
+                    seen["sink_side_closed"] += len(behind) == 1 and sum(
+                        d == 1 for d in ahead.values()) >= 2
+                    break
+        assert min(seen.values()) >= 10, seen
+
+
+def _described_arcs(inst):
+    """The arc list the ``_split_arcs`` docstring describes."""
+    order = sorted(inst.graph.vertices)
+    index = {v: i for i, v in enumerate(order)}
+    degree = {v: sum(v in ends for ends in inst.graph.edges.values()) for v in order}
+    arcs = [(2 * i, 2 * i + 1, degree[v] if v in inst.terminals else 1) for i, v in enumerate(order)]
+    for eid in sorted(inst.graph.edges):
+        a, b = inst.graph.edges[eid]
+        arcs += [(2 * index[a] + 1, 2 * index[b], 1), (2 * index[b] + 1, 2 * index[a], 1)]
+    return 2 * len(order), arcs, index
+
+
+class TestSplitArcsLayout:
+    """Arc numbering and out-list order of ``_split_arcs`` are those of the
+    described arc list fed through ``_residual``."""
+
+    def _check(self, inst):
+        num_nodes, arcs, index = _described_arcs(inst)
+        residual, got_index, edge_ids = flow._split_arcs(inst)
+        assert residual == _residual(num_nodes, arcs)
+        assert got_index == index
+        assert edge_ids == tuple(sorted(inst.graph.edges))
+
+    def test_sparse_ids_parallel_edges_and_isolated_vertices(self):
+        from hypersplit import ElementConnInstance, Multigraph
+
+        graph = Multigraph(
+            frozenset({3, 7, 10, 42, 99, 120}),
+            {50: (10, 3), 2: (3, 10), 9: (42, 7), 11: (7, 10), 31: (3, 10), 4: (120, 42)},
+        )
+        for terminals in ({3, 42, 99}, {10}, set(), {3, 7, 10, 42, 99, 120}):
+            self._check(ElementConnInstance(graph, frozenset(terminals)))
+        self._check(ElementConnInstance(Multigraph(frozenset({5}), {}), frozenset({5})))
+
+    def test_seeded_instances(self):
+        from hypersplit import incidence_graph
+
+        for inst in _gusfield_element_corpus(100):
+            self._check(inst)
+        for trial in range(40):
+            self._check(incidence_graph(corpus_hypergraph(trial, max_n=10, max_m=20)).instance)
 
 
 class TestElementConnectivity:
@@ -52,6 +276,13 @@ class TestElementConnectivity:
         inst = instance([(0, 2), (2, 1), (1, 3), (3, 0), (2, 3)], terminals=[0, 1])
         assert oracle_element_conn(inst, 0, 1) == 2
         assert element_connectivity(inst, 0, 1) == 2
+
+    def test_flow_starts_at_the_smaller_degree_end(self, max_flows):
+        # Terminal 0 has degree 1 and terminal 1 degree 3; ties keep the query's order.
+        inst = instance([(0, 2), (2, 1), (1, 3), (3, 1), (2, 3), (2, 4), (4, 5)], terminals=[0, 1, 5])
+        assert element_connectivity(inst, 1, 0) == element_connectivity(inst, 0, 1) == 1
+        assert element_connectivity(inst, 5, 0) == 1
+        assert max_flows == [(1, 2), (1, 2), (11, 0)]
 
     def test_rejects_non_terminal_endpoint(self):
         inst = instance([(0, 1), (1, 2)], terminals=[0, 2])
@@ -488,12 +719,21 @@ class TestNetworkxDifferential:
             assert table_holds(inst, table)
 
     def test_hyperedge_pairs(self):
+        # Each pair in both orders (the flow starts at the end of smaller degree
+        # whichever order the query gives), plus an isolated endpoint.
         nx = pytest.importorskip("networkx")
-        from hypersplit import GenParams, SplitMix64, random_hypergraph
+        from hypersplit import GenParams, Hypergraph, SplitMix64, random_hypergraph
 
+        orders = set()
         for n in self.SIZES:
             h = random_hypergraph(GenParams(n=n, m=2 * n, r=4, seed=n))
+            h = Hypergraph(h.vertices | {n}, h.hyperedges)  # vertex n is isolated
             rng = SplitMix64(n + 2)
-            for _ in range(3):
-                u, v = rng.sample(n, 2)
-                assert hyperedge_connectivity(h, u, v) == _nx_lambda(nx, h, u, v), (n, u, v)
+            pairs = [tuple(rng.sample(n, 2)) for _ in range(3)] + [(n, rng.below(n))]
+            for u, v in pairs:
+                expected = _nx_lambda(nx, h, u, v)
+                assert expected == 0 or n not in (u, v)
+                for a, b in ((u, v), (v, u)):
+                    assert hyperedge_connectivity(h, a, b) == expected, (n, a, b)
+                    orders.add((h.degree(a) > h.degree(b)) - (h.degree(a) < h.degree(b)))
+        assert orders >= {-1, 1}

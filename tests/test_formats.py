@@ -52,21 +52,31 @@ class TestHypergraphJson:
         assert h.num_edges == 2
         assert h.hyperedges[0] == h.hyperedges[1]
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "not json at all",
-            '{"vertices": ["a","b"]}',
-            '{"vertices": ["a","a"], "hyperedges": []}',
-            '{"vertices": ["a","b"], "hyperedges": [["a","a","b"]]}',
-            '{"vertices": ["a","b"], "hyperedges": [["a"]]}',
-            '{"vertices": ["a","b"], "hyperedges": [["a","zz"]]}',
-            '{"vertices": ["a","b"], "hyperedges": "nope"}',
-        ],
-    )
+    MALFORMED = {
+        "not json at all": "invalid JSON: Expecting value: line 1 column 1 (char 0)",
+        '{"vertices": ["a","b"]}': "expected an object with 'vertices' and 'hyperedges'",
+        '{"vertices": ["a","a"], "hyperedges": []}': "duplicate name in 'vertices'",
+        '{"vertices": ["a","b c"], "hyperedges": []}': "vertex name 'b c' contains whitespace",
+        '{"vertices": ["a","b"], "hyperedges": "nope"}': "'hyperedges' must be an array",
+        '{"vertices": ["a","b"], "hyperedges": [["a","a","b"]]}': "duplicate vertex inside hyperedge 0",
+        '{"vertices": ["a","b"], "hyperedges": [["a","zz","zz"]]}': "duplicate vertex inside hyperedge 0",
+        '{"vertices": ["a","b"], "hyperedges": [["a"]]}': "hyperedge 0 has fewer than 2 vertices",
+        '{"vertices": ["a","b"], "hyperedges": [[]]}': "hyperedge 0 has fewer than 2 vertices",
+        '{"vertices": ["a","b"], "hyperedges": [["a","zz"]]}': "hyperedge 0: unknown vertex 'zz'",
+        # Iterating the next two yields known names; neither is an array of strings.
+        '{"vertices": ["a","b"], "hyperedges": [["a","b"], "ab"]}': "hyperedge 1 must be an array of strings",
+        '{"vertices": ["a","b"], "hyperedges": [{"a": 1, "b": 2}]}': "hyperedge 0 must be an array of strings",
+        '{"vertices": ["a","b"], "hyperedges": [3]}': "hyperedge 0 must be an array of strings",
+        '{"vertices": ["a","b"], "hyperedges": [["a", 3]]}': "hyperedge 0 must be an array of strings",
+        '{"vertices": ["a","b"], "hyperedges": [["a", null]]}': "hyperedge 0 must be an array of strings",
+        '{"vertices": ["a","b"], "hyperedges": [["a", ["b"]]]}': "hyperedge 0 must be an array of strings",
+    }
+
+    @pytest.mark.parametrize("text", list(MALFORMED))
     def test_rejects_malformed(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_hypergraph_json(text)
+        assert str(info.value) == self.MALFORMED[text]
 
     def test_round_trip(self):
         h, table = parse_hypergraph_json(TRIANGLE_JSON)
