@@ -35,7 +35,9 @@ tree path between u and v is exactly lambda(u,v). Every checked operation
 terminal by the clique gadget, trim and merge) can only lower a pair's
 value. If the checked instance matches the table on the T-1 tree pairs,
 each other pair is at least the minimum along its tree path, which is its
-old value, and at most its old value: the whole table holds.
+old value, and at most its old value: the whole table holds. Every such
+check on fresh flows goes through ``_checked``, which reports a differing
+tree pair as an internal error; ``table_holds`` is the same test as a bool.
 
 A full table also costs T-1 flows, by Gusfield's flow-equivalent tree
 ("Very simple methods for all pairs network flow analysis", 1990). Every
@@ -88,7 +90,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InvalidQueryError, NonTerminalEndpointError, UnknownVertexError
+from .errors import InternalInvariantError, InvalidQueryError, NonTerminalEndpointError, UnknownVertexError
 from .hypergraph import Hypergraph, incidence_graph
 from .multigraph import ElementConnInstance
 
@@ -436,6 +438,15 @@ class _TreeFlows:
                 self.holds = False
                 return False
         return True
+
+
+def _checked(inst: ElementConnInstance, table: ConnTable, what: str) -> _TreeFlows:
+    """The tree flows of ``table`` on ``inst``, under the assumption of ``table_holds``;
+    if they differ, an internal error saying that ``what`` changed the table."""
+    flows = _TreeFlows(inst, table)
+    if not flows.holds:
+        raise InternalInvariantError(f"{what} changed the terminal connectivity table")
+    return flows
 
 
 def table_holds(inst: ElementConnInstance, table: ConnTable) -> bool:

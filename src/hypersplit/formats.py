@@ -58,6 +58,8 @@ def _check_name(name: str) -> None:
         raise ParseError(f"vertex name must be a non-empty string, got {name!r}")
     if name.split() != [name]:  # splitting changes exactly the names holding whitespace
         raise ParseError(f"vertex name {name!r} contains whitespace")
+    if name.startswith("#"):  # a .he line starting with it is a comment
+        raise ParseError(f"vertex name {name!r} starts with '#'")
 
 
 def _as_name_list(value, what: str) -> list[str]:
@@ -234,6 +236,13 @@ class OpLog:
     ops: tuple[SplitOffOp, ...]
 
 
+def _op_id(entry: dict, key: str) -> int:
+    """A hyperedge id of an op entry: a JSON integer, never a coerced 3.7, true or "2"."""
+    if type(entry[key]) is not int:  # bool is a subclass of int
+        raise TypeError(f"{key!r} must be an integer, not {json.dumps(entry[key])}")
+    return entry[key]
+
+
 def parse_oplog(text: str) -> OpLog:
     try:
         obj = json.loads(text)
@@ -255,12 +264,12 @@ def parse_oplog(text: str) -> OpLog:
         kind = entry["op"]
         try:
             if kind == "trim":
-                ops.append(Trim(int(entry["edge"])))
+                ops.append(Trim(_op_id(entry, "edge")))
             elif kind == "merge":
-                ops.append(Merge(int(entry["keep"]), int(entry["absorb"])))
+                ops.append(Merge(_op_id(entry, "keep"), _op_id(entry, "absorb")))
             else:
                 raise ParseError(f"op {i} has unknown kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"op {i} is malformed: {exc}") from exc
     return OpLog(s_name=obj["s"], hyperedges=header, ops=tuple(ops))
 

@@ -162,14 +162,13 @@ class Incidence:
     """Bipartite incidence view of a hypergraph as an element-connectivity instance.
 
     One terminal node per vertex, one non-terminal node per hyperedge,
-    adjacency = membership. Carries both directions of the node bijections.
+    adjacency = membership. Maps vertices to nodes both ways, hyperedges to nodes.
     """
 
     instance: ElementConnInstance
     vertex_node: Mapping[int, int]
     node_vertex: Mapping[int, int]
     edge_node: Mapping[int, int]
-    node_edge: Mapping[int, int]
 
 
 def incidence_graph(h: Hypergraph) -> Incidence:
@@ -198,5 +197,4 @@ def incidence_graph(h: Hypergraph) -> Incidence:
         vertex_node=MappingProxyType(vertex_node),
         node_vertex=MappingProxyType({n: v for v, n in vertex_node.items()}),
         edge_node=MappingProxyType(edge_node),
-        node_edge=MappingProxyType({n: e for e, n in edge_node.items()}),
     )

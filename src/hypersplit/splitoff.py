@@ -11,6 +11,7 @@ The pipeline walks four bipartite-instance stages:
 After G3 each hyperedge of s either lost its gadget attachment or hangs off
 exactly one surviving gadget vertex. That bookkeeping is the trim/merge
 log, and the split-off result is the log replayed on the input hypergraph.
+The result's certificate is the G0 table without s; ``flow._checked`` checks it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import InternalInvariantError, ReplayError, UnknownVertexError
-from .flow import ConnTable, _TreeFlows, conn_table_elements, table_holds
+from .flow import ConnTable, _checked, conn_table_elements
 from .hypergraph import (
     Hypergraph,
     Incidence,
@@ -88,28 +89,13 @@ class StagePipeline:
 
 
 @dataclass(frozen=True)
-class Certificate:
-    """The pairwise connectivity table over the kept vertices.
-
-    The result has every value of ``before``: only the pairs of a maximum
-    spanning tree of it are computed (see ``flow.table_holds``), and a
-    differing pair raises instead of returning a certificate.
-    """
-
-    before: ConnTable
-
-    @property
-    def pairs_checked(self) -> int:
-        return len(self.before)
-
-
-@dataclass(frozen=True)
 class SplitOffResult:
-    """Final hypergraph (s isolated), replayable log, certificate and pipeline."""
+    """Final hypergraph (s isolated), replayable log, certificate and pipeline;
+    the certificate is the input's table over V - s, checked to hold on h_star."""
 
     h_star: Hypergraph
     log: tuple[SplitOffOp, ...]
-    certificate: Certificate
+    certificate: ConnTable
     pipeline: StagePipeline
 
 
@@ -143,18 +129,6 @@ def _build_gadget(h: Hypergraph, s: int, inc: Incidence) -> GadgetInstance:
     instance = ElementConnInstance(Multigraph(vertices, edges), g0.terminals - {s_node})
     attachments = tuple((e, gadget_of[inc.edge_node[e]]) for e in incident)
     return GadgetInstance(instance=instance, clique=clique, attachments=attachments)
-
-
-def _checked(inst: ElementConnInstance, reference: ConnTable, what: str) -> _TreeFlows:
-    """The tree flows of ``reference`` on ``inst``; an internal error if they differ.
-
-    ``inst`` descends from G0 by steps that never raise connectivity, so the
-    tree pairs of ``reference`` decide the whole table.
-    """
-    flows = _TreeFlows(inst, reference)
-    if not flows.holds:
-        raise InternalInvariantError(f"{what} changed the terminal connectivity table")
-    return flows
 
 
 def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipeline:
@@ -264,15 +238,10 @@ def complete_split_off(h: Hypergraph, s: int, *, certify: bool = True) -> SplitO
     if h_star.degree(s) != 0:
         raise InternalInvariantError("split vertex is not isolated in the result")
 
-    # h_star is h after the log's trims and merges, and these never raise
-    # connectivity, so the tree pairs of the table of h decide whether
-    # h_star has all of it. That table is the G0 table, keyed by incidence
-    # node.
+    # Trims and merges never raise connectivity, so the tree pairs of the G0
+    # table (re-keyed from incidence nodes to vertices) decide all of it.
     full = pipeline.table.remapped(pipeline.incidence.node_vertex)
-    before = full.restrict(h.vertices - {s})
+    table = full.restrict(h.vertices - {s})
     inc_star = incidence_graph(h_star)
-    if not table_holds(inc_star.instance, before.remapped(inc_star.vertex_node)):
-        raise InternalInvariantError("connectivity table changed across the split-off")
-    return SplitOffResult(
-        h_star=h_star, log=log, certificate=Certificate(before=before), pipeline=pipeline
-    )
+    _checked(inc_star.instance, table.remapped(inc_star.vertex_node), "splitting off s")
+    return SplitOffResult(h_star=h_star, log=log, certificate=table, pipeline=pipeline)

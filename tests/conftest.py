@@ -56,6 +56,30 @@ def names_for(n: int) -> NameTable:
     return NameTable(tuple(f"v{i:02d}" for i in range(n)))
 
 
+def named_hypergraphs(st, *, max_n: int = 7, max_m: int = 8):
+    """Hypothesis strategy for (Hypergraph, NameTable, s) with any valid names.
+
+    Isolated vertices and parallel hyperedges are common, and s is any
+    vertex. ``st`` is ``hypothesis.strategies``, passed in so that this
+    module loads without hypothesis.
+    """
+    # Valid names: no whitespace, no leading '#' (a .he comment).
+    name = st.text(alphabet="ab#._-\u00e909", min_size=1, max_size=3).filter(lambda n: n[0] != "#")
+
+    @st.composite
+    def drawn(draw):
+        table = NameTable.from_names(draw(st.lists(name, min_size=1, max_size=max_n, unique=True)))
+        n = len(table)
+        members = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 4), unique=True)
+        edges = draw(st.lists(members, max_size=max_m)) if n > 1 else []
+        if edges:
+            edges += draw(st.lists(st.sampled_from(edges), max_size=3))  # parallel copies
+        h = Hypergraph(frozenset(range(n)), {i: frozenset(e) for i, e in enumerate(edges)})
+        return h, table, draw(st.integers(0, n - 1))
+
+    return drawn()
+
+
 def graph(edge_list, extra_vertices=()) -> Multigraph:
     """Multigraph from [(u, v), ...]; edge ids follow list order."""
     vertices = set(extra_vertices)

@@ -177,7 +177,7 @@ def test_criterion_5_main_theorem(split_corpus):
         for u, v in itertools.combinations(sorted(h.vertices - {s}), 2):
             want = oracle_lambda(h, u, v)
             assert oracle_lambda(res.h_star, u, v) == want
-            assert res.certificate.before.get(u, v) == want
+            assert res.certificate.get(u, v) == want
 
 
 @criterion(6, "stage tables G0..G3 agree on every certified pipeline")

@@ -8,6 +8,7 @@ import pytest
 
 from hypersplit import cli
 from hypersplit.cli import main
+from conftest import named_hypergraphs
 
 TRIANGLE = '{"vertices": ["a", "b", "c"], "hyperedges": [["a","b"], ["b","c"], ["a","c"]]}\n'
 TWO_STAR = "s a\ns b\n"
@@ -241,6 +242,15 @@ class TestReplayVerify:
         )
         assert main(["replay", str(two_star), "--log", str(log)]) == 2
 
+    def test_non_integer_id_exits_2(self, two_star, tmp_path, capsys):
+        # Python counts true as the int 1; a log id must be a JSON integer.
+        log = tmp_path / "log.json"
+        log.write_text('{"s": "s", "hyperedges": [["a", "s"], ["b", "s"]], "ops": [{"op": "trim", "edge": true}]}')
+        assert main(["replay", str(two_star), "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: op 0 is malformed: 'edge' must be an integer, not true\n"
+        assert captured.out == ""
+
     def test_s_flag_must_match_header(self, two_star, tmp_path):
         log = tmp_path / "log.json"
         log.write_text(json.dumps({"s": "s", "hyperedges": [["a", "s"], ["b", "s"]], "ops": []}))
@@ -272,6 +282,35 @@ class TestReplayVerify:
         assert "lambda(v0, v5): 2 != 3" in out
         assert out[-1] == "connectivity over 10 common vertices (45 pairs): DIFFERENT"
         assert len(max_flows) == 18
+
+
+class TestSplitReplayProperty:
+    """The file ``split -o OUT --log-out LOG`` writes is the file ``replay INPUT
+    --log LOG`` writes, for .json and .he inputs (derandomized)."""
+
+    def test_replayed_log_rebuilds_the_output(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        from hypersplit.formats import write_hypergraph_json, write_hypergraph_text
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(named_hypergraphs(st))
+        def check(drawn):
+            h, table, s = drawn
+            # argparse (3.11) strips a "--" option value, so no -s can name that vertex.
+            hypothesis.assume(table.name_of(s) != "--")
+            for suffix, write in ((".json", write_hypergraph_json), (".he", write_hypergraph_text)):
+                src, out, log, again = (tmp_path / f"{stem}{suffix}" for stem in ("in", "out", "log", "again"))
+                src.write_text(write(h, table), encoding="utf-8")
+                # Attached, so that a name such as "-a" is not read as an option.
+                split = ["split", str(src), f"-s{table.name_of(s)}", "-o", str(out), "--log-out", str(log)]
+                assert main(split) == 0
+                assert main(["replay", str(src), "--log", str(log), "-o", str(again)]) == 0
+                assert main(["verify", str(out), str(again)]) == 0
+                assert out.read_bytes() == again.read_bytes()
+
+        check()
 
 
 class TestExportDot:

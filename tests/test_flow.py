@@ -683,8 +683,8 @@ def _nx_element_conn(nx, inst, u, v):
     return nx.maximum_flow_value(net, ("out", u), ("in", v))
 
 
-def _nx_lambda(nx, h, u, v):
-    """lambda(u, v) by networkx max-flow on Lawler's hyperedge network."""
+def _lawler_network(nx, h):
+    """Lawler's hyperedge network: lambda(u, v) is its u-v max-flow value."""
     net = nx.DiGraph()
     net.add_nodes_from(h.vertices)
     for e, members in h.hyperedges.items():
@@ -692,7 +692,12 @@ def _nx_lambda(nx, h, u, v):
         for w in members:
             net.add_edge(w, ("e_in", e))
             net.add_edge(("e_out", e), w)
-    return nx.maximum_flow_value(net, u, v)
+    return net
+
+
+def _nx_lambda(nx, h, u, v):
+    """lambda(u, v) by networkx max-flow on Lawler's hyperedge network."""
+    return nx.maximum_flow_value(_lawler_network(nx, h), u, v)
 
 
 class TestNetworkxDifferential:
@@ -737,3 +742,28 @@ class TestNetworkxDifferential:
                     assert hyperedge_connectivity(h, a, b) == expected, (n, a, b)
                     orders.add((h.degree(a) > h.degree(b)) - (h.degree(a) < h.degree(b)))
         assert orders >= {-1, 1}
+
+    def test_split_off_past_the_brute_force_bound(self):
+        # The certificate is the table of h over V - s, which h_star must keep:
+        # every pair of its tree and 20 other seeded pairs, on both hypergraphs,
+        # against networkx on one residual per hypergraph.
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.flow import build_residual_network, edmonds_karp
+
+        from hypersplit import GenParams, SplitMix64, complete_split_off, random_hypergraph
+
+        for n in (100, 150, 200):
+            h = random_hypergraph(GenParams(n, 2 * n, 4, seed=n))
+            s = max(sorted(h.vertices), key=h.degree)
+            res = complete_split_off(h, s)
+            rest = sorted(h.vertices - {s})
+            rng = SplitMix64(n + 3)
+            pairs = [(u, v) for u, v, _ in res.certificate.tree()]
+            pairs += [tuple(rest[i] for i in rng.sample(len(rest), 2)) for _ in range(20)]
+            assert len(pairs) == n + 18 and res.h_star.degree(s) == 0
+            for g in (h, res.h_star):
+                net = _lawler_network(nx, g)
+                residual = build_residual_network(net, "capacity")
+                for u, v in pairs:
+                    value = edmonds_karp(net, u, v, residual=residual).graph["flow_value"]
+                    assert value == res.certificate.get(u, v), (n, g is h, u, v)

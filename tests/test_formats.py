@@ -1,8 +1,18 @@
 """File formats: parsing, serialization round-trips, DOT, logs, traces."""
 
+import json
+
 import pytest
 
-from hypersplit import Merge, ParseError, Trim, UnknownVertexError, hypergraph_equal
+from hypersplit import (
+    ElementConnInstance,
+    Merge,
+    Multigraph,
+    ParseError,
+    Trim,
+    UnknownVertexError,
+    hypergraph_equal,
+)
 from hypersplit.formats import (
     NameTable,
     check_oplog_header,
@@ -20,6 +30,8 @@ from hypersplit.formats import (
 )
 from hypersplit.reduction import reduce_to_stable
 
+from conftest import named_hypergraphs
+
 TRIANGLE_JSON = '{"vertices": ["a", "b", "c"], "hyperedges": [["a","b"], ["b","c"], ["a","c"]]}'
 
 
@@ -34,7 +46,7 @@ class TestNameTable:
         with pytest.raises(UnknownVertexError):
             NameTable.from_names(["a"]).id_of("zz")
 
-    @pytest.mark.parametrize("bad", ["", "has space", "tab\there"])
+    @pytest.mark.parametrize("bad", ["", "has space", "tab\there", "#hash"])
     def test_bad_names_rejected(self, bad):
         with pytest.raises(ParseError):
             NameTable.from_names(["a", bad])
@@ -102,6 +114,12 @@ class TestHypergraphText:
     def test_rejects_short_line(self):
         with pytest.raises(ParseError):
             parse_hypergraph_text("a\n")
+
+    def test_rejects_name_read_back_as_a_comment(self):
+        # Written back, the hyperedge {"#b", "a"} would be the comment line "#b a".
+        with pytest.raises(ParseError) as info:
+            parse_hypergraph_text("a #b\n")
+        assert str(info.value) == "vertex name '#b' starts with '#'"
 
     def test_round_trip_keeps_isolated_vertices(self):
         h, table = parse_hypergraph_text("#vertices: lonely\na b c\na b\n")
@@ -174,6 +192,22 @@ class TestOpLog:
         with pytest.raises(ParseError):
             parse_oplog(text)
 
+    # Each id must be a JSON integer: none of these may be coerced into one.
+    BAD_IDS = {"3.7": "3.7", "true": "true", "false": "false", '"2"': '"2"', "null": "null",
+               "[0]": "[0]", "1e2": "100.0", "2.0": "2.0"}
+
+    @pytest.mark.parametrize("value", list(BAD_IDS))
+    @pytest.mark.parametrize("key, fields", [
+        ("edge", '"op": "trim", "edge": {}'),
+        ("keep", '"op": "merge", "keep": {}, "absorb": 1'),
+        ("absorb", '"op": "merge", "keep": 0, "absorb": {}'),
+    ])
+    def test_ids_must_be_json_integers(self, key, fields, value):
+        ops = '{"op": "trim", "edge": 0}, {' + fields.format(value) + "}"
+        with pytest.raises(ParseError) as info:
+            parse_oplog('{"s": "s", "hyperedges": [], "ops": [' + ops + "]}")
+        assert str(info.value) == f"op 1 is malformed: '{key}' must be an integer, not {self.BAD_IDS[value]}"
+
 
 class TestDot:
     def test_shapes_and_edges(self):
@@ -213,3 +247,66 @@ class TestDispatch:
         assert detect_format("x.json", "he") == "he"
         with pytest.raises(ParseError):
             detect_format("x.json", "xml")
+
+
+class TestParseDumpProperty:
+    """parse after dump is the identity, and the dumped text a fixpoint, for
+    every format; derandomized, with isolated vertices and parallel edges."""
+
+    def run(self, check):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        settings = hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+        settings(hypothesis.given(named_hypergraphs(st), st.data())(check))()
+
+    def test_hypergraph_json_and_text(self):
+        def check(drawn, _data):
+            h, table, _ = drawn
+            for write, parse in ((write_hypergraph_json, parse_hypergraph_json),
+                                 (write_hypergraph_text, parse_hypergraph_text)):
+                text = write(h, table)
+                h2, table2 = parse(text)
+                assert table2.names == table.names
+                assert hypergraph_equal(h2, h)
+                assert write(h2, table2) == text
+
+        self.run(check)
+
+    def test_element_json(self):
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def check(drawn, data):
+            _, table, _ = drawn
+            n = len(table)
+            pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+            edges = data.draw(st.lists(pairs, max_size=10)) if n > 1 else []
+            edges += data.draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+            terminals = data.draw(st.sets(st.integers(0, n - 1)))
+            graph = Multigraph(frozenset(range(n)), {i: tuple(e) for i, e in enumerate(edges)})
+            inst = ElementConnInstance(graph, frozenset(terminals))
+            text = write_element_json(inst, table)
+            inst2, table2 = parse_element_json(text)
+            assert table2.names == table.names
+            assert inst2.graph.vertices == inst.graph.vertices
+            assert inst2.graph.edges == inst.graph.edges
+            assert inst2.terminals == inst.terminals
+            assert write_element_json(inst2, table2) == text
+
+        self.run(check)
+
+    def test_op_log(self):
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def check(drawn, data):
+            h, table, s = drawn
+            ids = st.integers(0, 20)
+            ops = tuple(data.draw(st.lists(st.one_of(st.builds(Trim, ids), st.builds(Merge, ids, ids)))))
+            text = write_oplog(h, table, s, ops)
+            log = parse_oplog(text)
+            assert log.s_name == table.name_of(s)
+            assert log.ops == ops
+            check_oplog_header(log, h, table)
+            assert write_oplog(h, table, s, log.ops) == text
+
+        self.run(check)
