@@ -148,9 +148,16 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+def _s_name(args) -> Optional[str]:
+    """``-s``, if given; argparse (3.11) turns ``-s--`` into an empty list."""
+    if isinstance(args.s, list):
+        raise ParseError("-s needs a vertex name, and '--' cannot be one")
+    return args.s
+
+
 def cmd_split(args) -> int:
     h, table, fmt = formats.load_hypergraph(args.file, args.format)
-    s = table.id_of(args.s)
+    s = table.id_of(_s_name(args))
     result = complete_split_off(h, s, certify=args.certify)
     h_out = result.h_star
     if args.drop_s:
@@ -188,7 +195,7 @@ def cmd_replay(args) -> int:
         log = formats.parse_oplog(Path(args.log).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {args.log}: {exc}") from exc
-    if args.s is not None and args.s != log.s_name:
+    if _s_name(args) not in (None, log.s_name):
         raise ParseError(f"-s {args.s!r} disagrees with the log header ({log.s_name!r})")
     formats.check_oplog_header(log, h, table)
     s = table.id_of(log.s_name)

@@ -21,23 +21,32 @@ A failing search must still label exactly the nodes the source reaches,
 which Gusfield's method below needs. If the source side runs out first, it
 has labelled them all. If the sink side runs out first, no node the source
 side labelled can reach the sink, and the source side goes on alone until
-it runs out. A single-pair query starts at its end of smaller degree:
+it runs out. A flow between two terminals (``_pair_flow``: a single-pair
+query, or a tree pair of a check) starts at its end of smaller degree:
 connectivity is symmetric, and once the flow saturates that end the last
-search ends at once. The residual arrays of an instance are built once;
-each flow copies only the capacities, so every pair of a table or a check
-shares one residual.
+search ends at once. Gusfield's flows below keep their direction, because
+their re-parenting reads the source side. The residual arrays of an
+instance are built once; each flow copies only the capacities, so every
+pair of a table or a check shares one residual.
 
 Checking that an instance still has a known table costs T-1 flows, not
-T(T-1)/2. Connectivity obeys lambda(u,v) >= min(lambda(u,w), lambda(w,v)),
-so on a maximum spanning tree of the table the smallest value along the
-tree path between u and v is exactly lambda(u,v). Every checked operation
-(deleting an edge, contracting an edge between non-terminals, replacing a
-terminal by the clique gadget, trim and merge) can only lower a pair's
-value. If the checked instance matches the table on the T-1 tree pairs,
-each other pair is at least the minimum along its tree path, which is its
-old value, and at most its old value: the whole table holds. Every such
-check on fresh flows goes through ``_checked``, which reports a differing
-tree pair as an internal error; ``table_holds`` is the same test as a bool.
+T(T-1)/2. ``ConnTable.tree`` hangs each vertex after the first, in key
+order, from the earlier vertex of largest value. As connectivity obeys
+lambda(u,v) >= min(lambda(u,w), lambda(w,v)), the smallest value on the
+tree path between u and v is lambda(u,v), by induction on the order: if i
+hangs from p with value m and j is earlier, then lambda(i,j) <= m, as p
+was the largest; lambda(p,j) >= min(m, lambda(i,j)) = lambda(i,j); and
+lambda(i,j) >= min(m, lambda(p,j)); so lambda(i,j) = min(m, lambda(p,j)),
+the minimum on i's path to j through p. The tree comes from the values
+alone, so no table stores one. Every checked operation (deleting an edge,
+contracting an edge between non-terminals, replacing a terminal by the
+clique gadget, trim and merge) can only lower a pair's value. If the
+checked instance matches the table on the T-1 tree pairs, each other pair
+is at least the minimum along its tree path, which is its old value, and
+at most its old value: the whole table holds. Every such check on fresh
+flows goes through ``_checked``, which reports a differing tree pair as an
+internal error; ``table_holds`` is the same test as a bool. The deletion
+and contraction arguments below hold for a flow in either direction.
 
 A full table also costs T-1 flows, by Gusfield's flow-equivalent tree
 ("Very simple methods for all pairs network flow analysis", 1990). Every
@@ -176,8 +185,8 @@ def _grow(
 class ConnTable:
     """Symmetric map from unordered terminal pairs to connectivity values.
 
-    Keys are canonical (min, max) tuples; every distinct pair of the
-    underlying terminal set appears exactly once.
+    Keys are canonical (min, max) tuples, one for every distinct pair of
+    the underlying terminal set; a table that misses one is refused.
     """
 
     values: Mapping[tuple[int, int], int]
@@ -190,6 +199,9 @@ class ConnTable:
             if k < 0:
                 raise ValueError(f"negative connectivity for pair ({u},{v})")
             canon[(u, v) if u < v else (v, u)] = k
+        t = len({w for pair in canon for w in pair})
+        if len(canon) != t * (t - 1) // 2:
+            raise ValueError("a table needs a value for every pair of its vertices")
         object.__setattr__(self, "values", MappingProxyType(canon))
 
     def get(self, u: int, v: int) -> int:
@@ -213,27 +225,17 @@ class ConnTable:
         return ConnTable({(mapping[u], mapping[v]): k for (u, v), k in self.values.items()})
 
     def tree(self) -> tuple[tuple[int, int, int], ...]:
-        """A maximum spanning tree of the table as (u, v, value) triples.
-
-        Kruskal over the pairs by descending value, ties by key, so a table
-        over T vertices gives T-1 triples. The smallest value along the tree
-        path between two vertices is their table value (see the module
-        docstring).
-        """
-        leader: dict[int, int] = {}
-
-        def find(v: int) -> int:
-            while leader.setdefault(v, v) != v:
-                leader[v] = leader[leader[v]]  # path halving
-                v = leader[v]
-            return v
-
+        """A spanning tree of the table as T-1 (parent, child, value) triples:
+        in key order, each vertex after the first hangs from the earlier
+        vertex of largest value, the first on ties. On a connectivity table
+        the smallest value along the tree path between two vertices is their
+        value (see the module docstring)."""
+        values = self.values
+        order = sorted({w for pair in values for w in pair})
         tree = []
-        for (u, v), k in sorted(self.values.items(), key=lambda item: (-item[1], item[0])):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                leader[ru] = rv
-                tree.append((u, v, k))
+        for i, v in enumerate(order[1:], 1):
+            u = max(order[:i], key=lambda w: values[(w, v)])  # max keeps the first of equals
+            tree.append((u, v, values[(u, v)]))
         return tuple(tree)
 
     def __len__(self) -> int:
@@ -289,10 +291,18 @@ def element_connectivity(inst: ElementConnInstance, u: int, v: int) -> int:
     _check_terminal(inst, u)
     _check_terminal(inst, v)
     residual, index, _ = _split_arcs(inst)
+    return _pair_flow(residual, index, u, v)[0]
+
+
+def _pair_flow(
+    residual: _Residual, index: dict[int, int], u: int, v: int
+) -> tuple[int, list[int], list[int]]:
+    """``_max_flow`` between terminals u and v, started at the end of smaller
+    degree, u on ties (see the module docstring)."""
     degree = residual[1]  # a terminal's vertex arc has its degree as capacity
     if degree[2 * index[v]] < degree[2 * index[u]]:
-        u, v = v, u  # start at the end of smaller degree (see the module docstring)
-    return _max_flow(residual, 2 * index[u] + 1, 2 * index[v])[0]
+        u, v = v, u
+    return _max_flow(residual, 2 * index[u] + 1, 2 * index[v])
 
 
 def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
@@ -303,8 +313,6 @@ def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
     docstring).
     """
     terms = sorted(inst.terminals)
-    if len(terms) < 2:
-        return ConnTable({})
     residual, index, _ = _split_arcs(inst)
     out_node = [2 * index[v] + 1 for v in terms]
     parent = [0] * len(terms)  # tree parent of each terminal; always an earlier one
@@ -326,8 +334,9 @@ def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
 class _TreeFlows:
     """Maximum flows of a table's tree pairs on one instance, kept across reductions.
 
-    Building it runs the T-1 flows of ``table.tree()``, stopping at the first
-    whose value differs from the table, and ``holds`` says whether none did.
+    Building it runs the T-1 flows of ``table.tree()`` by ``_pair_flow``,
+    stopping at the first whose value differs from the table, and ``holds``
+    says whether none did. A flow may run from either end of its pair.
     ``delete`` then tests and applies edge deletions one at a time, each at
     the cost of at most one augmenting search per tree pair whose flow uses
     the edge, and ``contract`` contracts edges between non-terminals at the
@@ -346,7 +355,7 @@ class _TreeFlows:
         self._caps: list[list[int]] = []  # residual capacities left by each pair's flow
         self.holds = True
         for u, v, k in table.tree():
-            value, cap, _ = _max_flow(residual, 2 * index[u] + 1, 2 * index[v])
+            value, cap, _ = _pair_flow(residual, index, u, v)
             if value != k:
                 self.holds = False
                 break
@@ -452,10 +461,11 @@ def _checked(inst: ElementConnInstance, table: ConnTable, what: str) -> _TreeFlo
 def table_holds(inst: ElementConnInstance, table: ConnTable) -> bool:
     """True iff every pair of ``table`` has that element-connectivity in ``inst``.
 
-    Only the T-1 pairs of ``table.tree()`` are computed, stopping at the
-    first that differs. That suffices when no pair of ``inst`` can exceed
-    its value in ``table``: ``inst`` came from the instance of ``table`` by
-    operations that never raise connectivity (see the module docstring).
+    Only the T-1 pairs of ``table.tree()`` are computed, each from its end
+    of smaller degree, stopping at the first that differs. That suffices
+    when no pair of ``inst`` can exceed its value in ``table``: ``inst`` came
+    from the instance of ``table`` by operations that never raise
+    connectivity (see the module docstring).
     """
     return _TreeFlows(inst, table).holds
 
@@ -476,8 +486,5 @@ def hyperedge_connectivity(h: Hypergraph, u: int, v: int) -> int:
 
 def conn_table_hyper(h: Hypergraph) -> ConnTable:
     """Local edge-connectivity for every unordered vertex pair of ``h``."""
-    if len(h.vertices) < 2:
-        return ConnTable({})
     inc = incidence_graph(h)
-    node_table = conn_table_elements(inc.instance)
-    return node_table.remapped(inc.node_vertex)
+    return conn_table_elements(inc.instance).remapped(inc.node_vertex)

@@ -91,35 +91,6 @@ class Multigraph:
             edges[e] = (a2, b2)
         return Multigraph(self.vertices - {drop}, edges), keep, drop
 
-    def connected(
-        self,
-        u: int,
-        v: int,
-        *,
-        forbidden_vertices: frozenset[int] = frozenset(),
-        forbidden_edges: frozenset[int] = frozenset(),
-    ) -> bool:
-        """BFS reachability of v from u, skipping forbidden vertices and edges."""
-        if u in forbidden_vertices or v in forbidden_vertices:
-            return False
-        adjacency: dict[int, list[int]] = {}
-        for e, (a, b) in self.edges.items():
-            if e in forbidden_edges or a in forbidden_vertices or b in forbidden_vertices:
-                continue
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-        seen = {u}
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            if w == v:
-                return True
-            for x in adjacency.get(w, ()):
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        return False
-
 
 @dataclass(frozen=True)
 class ElementConnInstance:

@@ -137,12 +137,28 @@ def oracle_element_conn(inst: ElementConnInstance, u: int, v: int) -> int:
         for combo in itertools.combinations(elements, k):
             gone_vertices = frozenset(x for kind, x in combo if kind == "v")
             gone_edges = frozenset(x for kind, x in combo if kind == "e")
-            if not inst.graph.connected(
-                u, v, forbidden_vertices=gone_vertices, forbidden_edges=gone_edges
-            ):
+            if not _connected(inst.graph, u, v, gone_vertices, gone_edges):
                 return k
     # Deleting every element leaves isolated terminals, so this is unreachable.
     raise AssertionError("u and v cannot be disconnected")
+
+
+def _connected(graph: Multigraph, u: int, v: int, gone_vertices: frozenset[int],
+               gone_edges: frozenset[int]) -> bool:
+    """Whether v is reachable from u, a vertex that stays, once the given
+    vertices and edges are gone."""
+    adjacency: dict[int, list[int]] = {}
+    for e, (a, b) in graph.edges.items():
+        if e not in gone_edges and a not in gone_vertices and b not in gone_vertices:
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+    seen, stack = {u}, [u]
+    while stack:
+        for x in adjacency.get(stack.pop(), ()):
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return v in seen
 
 
 def random_hypergraph(params: GenParams) -> Hypergraph:

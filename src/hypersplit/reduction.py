@@ -5,14 +5,13 @@ contracting it keeps every pairwise terminal connectivity unchanged. We
 prefer deletion whenever it preserves the table; when it does not, the
 contraction is guaranteed to, and we verify that instead of trusting it.
 
-Checks look only at the T-1 pairs of a maximum spanning tree of the
-baseline, not the T(T-1)/2 of a full table. Neither deleting an edge nor
-contracting an edge between non-terminals can raise any terminal pair's
-connectivity, and connectivity obeys lambda(u,v) >= min(lambda(u,w),
-lambda(w,v)). So if the reduced instance matches the baseline on the tree
-pairs, every other pair is squeezed between the minimum along its tree path
-and its old value, which are equal. Baselines are full tables; the split-off
-pipeline passes in the tree flows of its stage checks instead.
+Checks look only at the T-1 pairs of the baseline's tree
+(``ConnTable.tree``), not the T(T-1)/2 of a full table. Neither deleting
+an edge nor contracting an edge between non-terminals can raise a terminal
+pair's connectivity, so a reduced instance that matches the baseline on
+the tree pairs has all of it (the argument is in ``flow``). Baselines are
+full tables; the split-off pipeline passes in the tree flows of its stage
+checks instead.
 
 A run keeps one max flow per tree pair (``flow._TreeFlows``). A deletion
 test touches only the pairs whose flow crosses the edge: each drops its
@@ -79,7 +78,7 @@ def is_deletion_preserving(inst: ElementConnInstance, edge_id: int, baseline: Co
     """True iff deleting the edge leaves the whole terminal pair table intact.
 
     ``baseline`` must be the table of ``inst``, or of an instance that
-    ``inst`` was reduced from: only its spanning-tree pairs are computed,
+    ``inst`` was reduced from: only its tree pairs are computed,
     on ``inst``, and then rerouted around the edge. If ``inst`` does not
     have that table, the answer is False.
     """

@@ -182,9 +182,8 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
         holders = [nb for nb in g3.graph.neighbors(node) if nb in s2_set]
         if len(holders) > 1:
             raise InternalInvariantError(f"hyperedge node {node} attached to several gadget vertices")
-        if holders:
-            fa.setdefault(holders[0], ())
-            fa[holders[0]] = fa[holders[0]] + (eid,)
+        if holders:  # hyperedges come in ascending id order
+            fa[holders[0]] = fa.get(holders[0], ()) + (eid,)
         else:
             f0.append(eid)
 
@@ -197,8 +196,8 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
         table=table0,
         stages=stages,
         s2=s2,
-        fa={a: tuple(sorted(ids)) for a, ids in fa.items()},
-        f0=tuple(sorted(f0)),
+        fa=fa,
+        f0=tuple(f0),
         deleted_edges=deleted,
     )
 

@@ -198,6 +198,13 @@ class TestSplit:
     def test_unknown_vertex(self, two_star):
         assert main(["split", str(two_star), "-s", "zz"]) == 3
 
+    def test_s_double_dash_is_a_usage_error(self, two_star, capsys):
+        # argparse (3.11) strips the value of -s-- and leaves an empty list.
+        assert main(["split", str(two_star), "-s--"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: -s needs a vertex name, and '--' cannot be one\n"
+        assert captured.out == ""
+
     def test_deterministic_outputs(self, two_star, tmp_path, capsys):
         files = []
         for tag in ("one", "two"):
@@ -255,6 +262,14 @@ class TestReplayVerify:
         log = tmp_path / "log.json"
         log.write_text(json.dumps({"s": "s", "hyperedges": [["a", "s"], ["b", "s"]], "ops": []}))
         assert main(["replay", str(two_star), "--log", str(log), "-s", "a"]) == 2
+
+    def test_s_double_dash_is_a_usage_error(self, two_star, tmp_path, capsys):
+        log = tmp_path / "log.json"
+        log.write_text(json.dumps({"s": "s", "hyperedges": [["a", "s"], ["b", "s"]], "ops": []}))
+        assert main(["replay", str(two_star), "--log", str(log), "-s--"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: -s needs a vertex name, and '--' cannot be one\n"
+        assert captured.out == ""
 
     def test_verify_mismatch_exits_1(self, triangle, two_star, capsys):
         assert main(["verify", str(triangle), str(two_star)]) == 1

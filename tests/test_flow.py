@@ -483,6 +483,13 @@ class TestConnTables:
         with pytest.raises(ValueError):
             ConnTable({(1, 1): 2})
 
+    def test_rejects_a_missing_pair(self):
+        # The tree of a table reads every pair of its vertices.
+        with pytest.raises(ValueError, match="every pair"):
+            ConnTable({(0, 1): 2, (2, 3): 1})
+        with pytest.raises(ValueError, match="every pair"):
+            ConnTable({(0, 1): 2, (0, 2): 1})
+
 
 def _path_minimum(tree, u, v):
     """Smallest value on the tree path from u to v."""
@@ -507,9 +514,46 @@ class TestTableTree:
         inst = instance([(0, 1)], terminals=[0])
         assert table_holds(inst, conn_table_elements(inst))
 
-    def test_ties_break_by_key(self):
+    def test_ties_hang_from_the_first_earlier_vertex(self):
         table = ConnTable({(0, 1): 2, (0, 2): 2, (1, 2): 2})
         assert table.tree() == ((0, 1, 2), (0, 2, 2))
+        # 2 hangs from 1, its earlier vertex of largest value, not from 0.
+        table = ConnTable({(0, 1): 1, (0, 2): 1, (1, 2): 3})
+        assert table.tree() == ((0, 1, 1), (1, 2, 3))
+
+    def test_each_vertex_hangs_from_an_earlier_maximum(self):
+        # In key order every vertex but the first is a child exactly once, of
+        # the first earlier vertex with the largest value.
+        tables = [conn_table_elements(corpus_element_instance(trial)) for trial in range(40)]
+        tables += [conn_table_hyper(corpus_hypergraph(trial, max_n=7, max_m=10)) for trial in range(30)]
+        for table in tables:
+            order = sorted({w for pair in table.values for w in pair})
+            tree = table.tree()
+            assert [child for _, child, _ in tree] == order[1:]
+            for i, (parent, child, k) in enumerate(tree, 1):
+                earlier = [table.get(u, child) for u in order[:i]]
+                assert k == table.get(parent, child) == max(earlier)
+                assert order.index(parent) == earlier.index(k)
+
+    def test_tree_flows_start_at_the_smaller_degree_end(self, max_flows):
+        from hypersplit import incidence_graph
+        from hypersplit.flow import _TreeFlows
+
+        instances = [corpus_element_instance(trial) for trial in range(40)]
+        instances += [incidence_graph(corpus_hypergraph(trial)).instance for trial in range(40)]
+        reversed_pairs = 0
+        for inst in instances:
+            table = conn_table_elements(inst)
+            max_flows.clear()
+            _TreeFlows(inst, table)
+            order = sorted(inst.graph.vertices)
+            assert len(max_flows) == len(table.tree())
+            for (parent, child, _), (source, sink) in zip(table.tree(), max_flows):
+                start, end = order[source // 2], order[sink // 2]
+                assert (source % 2, sink % 2) == (1, 0) and {start, end} == {parent, child}
+                assert inst.graph.degree(start) <= inst.graph.degree(end)
+                reversed_pairs += start == child
+        assert reversed_pairs >= 20
 
     def test_tree_path_minimum_reproduces_table(self):
         checked = 0
@@ -767,3 +811,29 @@ class TestNetworkxDifferential:
                 for u, v in pairs:
                     value = edmonds_karp(net, u, v, residual=residual).graph["flow_value"]
                     assert value == res.certificate.get(u, v), (n, g is h, u, v)
+
+    def test_split_off_on_adversarial_stars(self):
+        # deg(s) far above the other degrees: a ring star (s joined to 50
+        # leaves by 2-hyperedges, the leaves in a ring) and a star of 60
+        # hyperedges at s, mostly parallel copies. Certified or not, h_star
+        # must keep every tree pair of the certificate, against networkx.
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.flow import build_residual_network, edmonds_karp
+
+        from hypersplit import complete_split_off
+
+        ring = [{50, i} for i in range(50)] + [{i, (i + 1) % 50} for i in range(50)]
+        parallel = [
+            e for i in range(12) for e in [{12, i}] * 4 + [{12, i, (i + 1) % 12}, {i, (i + 3) % 12}]
+        ]
+        for edge_list in (ring, parallel):
+            h = hypergraph(edge_list)
+            s = max(h.vertices)
+            res = complete_split_off(h, s)
+            loose = complete_split_off(h, s, certify=False)
+            assert (loose.h_star, loose.log, loose.certificate) == (res.h_star, res.log, res.certificate)
+            assert h.degree(s) in (50, 60) and res.h_star.degree(s) == 0
+            net = _lawler_network(nx, res.h_star)
+            residual = build_residual_network(net, "capacity")
+            for u, v, k in res.certificate.tree():
+                assert edmonds_karp(net, u, v, residual=residual).graph["flow_value"] == k, (s, u, v)

@@ -381,6 +381,22 @@ def _contraction_kinds(flows, inst, cur, e):
     return kinds
 
 
+def _flow_directions(flows, baseline, inst):
+    """For each tree pair (parent, child, k) with k > 0, whether its kept flow
+    runs parent -> child ("down") or child -> parent ("up")."""
+    index = _vertex_index(inst)
+    found = set()
+    for (parent, _, k), cap in zip(baseline.tree(), flows._caps):
+        node = 2 * index[parent] + 1  # the parent's out-node, the source of a "down" flow
+        # Out along its edge arcs (an arc's flow is its reverse's capacity),
+        # less what came in over the parent's vertex arc.
+        sent = sum(cap[a ^ 1] for a in flows._out[node] if a % 2 == 0) - cap[node]
+        assert sent in (0, k)
+        if k:
+            found.add("down" if sent else "up")
+    return found
+
+
 def _sweep(inst, order, seen, *, contract=False):
     """Delete ``order`` through one set of kept tree flows, checking each answer
     against a fresh table_holds on the instance without the edge, and that the
@@ -393,6 +409,7 @@ def _sweep(inst, order, seen, *, contract=False):
     """
     baseline = conn_table_elements(inst)
     flows = _TreeFlows(inst, baseline)
+    seen.update(("flow", direction) for direction in _flow_directions(flows, baseline, inst))
     cur = inst
     for e in order:
         if e not in cur.graph.edges:
@@ -443,12 +460,15 @@ class TestKeptTreeFlows:
     Every deletion of a sweep over all edges (terminal-incident and parallel
     ones included) goes through one ``_TreeFlows``, so a rerouted flow that
     kept a deleted edge, or a rejected test that changed the flows, shows up
-    in a later answer.
+    in a later answer. Each kept flow starts at its pair's end of smaller
+    degree, so flows run both from parent to child and from child to parent.
     """
 
     WANTED = {
         (kind, accepted) for kind in ("plain", "parallel", "terminal") for accepted in (True, False)
-    } | {("cycle", True), ("reduce", "deleted"), ("reduce", "contracted")}
+    } | {("cycle", True), ("reduce", "deleted"), ("reduce", "contracted")} | {
+        ("flow", "down"), ("flow", "up")
+    }
 
     def test_seeded_instances(self):
         seen = set()
@@ -463,7 +483,7 @@ class TestKeptTreeFlows:
 
     CONTRACTION_WANTED = {
         ("contract", kind, True) for kind in ("move", "cross", "apart", "parallel")
-    } | {("contract", "apart", False)}
+    } | {("contract", "apart", False), ("flow", "down"), ("flow", "up")}
 
     def test_contraction_sweeps(self):
         # Delete where that keeps the table, contract otherwise, and contract
