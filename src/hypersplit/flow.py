@@ -6,7 +6,9 @@ non-terminals and deg(w) for terminals, and every undirected edge becomes a
 unit arc in each direction between the matching out/in nodes. The flow value
 counts pairwise element-disjoint u-v paths. Hyperedge-connectivity of a
 hypergraph is the element-connectivity of its incidence instance, where
-hyperedge nodes get unit capacity.
+hyperedge nodes get unit capacity. That residual is written straight from
+the hyperedges (``_incidence_arcs``), in the layout ``_split_arcs`` gives
+the incidence instance, with no incidence graph in between.
 
 Max-flows push the bottleneck of one shortest residual source-sink path per
 search (Edmonds-Karp), so a flow of value k costs k+1 searches. A search is
@@ -100,11 +102,12 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InternalInvariantError, InvalidQueryError, NonTerminalEndpointError, UnknownVertexError
-from .hypergraph import Hypergraph, incidence_graph
+from .hypergraph import Hypergraph
 from .multigraph import ElementConnInstance
 
 
 _Residual = tuple[list[int], list[int], list[list[int]]]
+_Network = tuple[_Residual, dict[int, int], tuple[int, ...]]  # residual, index, edge ids
 
 
 def _max_flow(residual: _Residual, source: int, sink: int) -> tuple[int, list[int], list[int]]:
@@ -186,7 +189,7 @@ class ConnTable:
     """Symmetric map from unordered terminal pairs to connectivity values.
 
     Keys are canonical (min, max) tuples, one for every distinct pair of
-    the underlying terminal set; a table that misses one is refused.
+    the underlying terminal set; a table that misses or repeats one is refused.
     """
 
     values: Mapping[tuple[int, int], int]
@@ -198,7 +201,10 @@ class ConnTable:
                 raise ValueError(f"pair key ({u},{v}) is not a pair")
             if k < 0:
                 raise ValueError(f"negative connectivity for pair ({u},{v})")
-            canon[(u, v) if u < v else (v, u)] = k
+            key = (u, v) if u < v else (v, u)
+            if key in canon:
+                raise ValueError(f"pair ({u},{v}) is given twice")
+            canon[key] = k
         t = len({w for pair in canon for w in pair})
         if len(canon) != t * (t - 1) // 2:
             raise ValueError("a table needs a value for every pair of its vertices")
@@ -242,7 +248,7 @@ class ConnTable:
         return len(self.values)
 
 
-def _split_arcs(inst: ElementConnInstance) -> tuple[_Residual, dict[int, int], tuple[int, ...]]:
+def _split_arcs(inst: ElementConnInstance) -> _Network:
     """Vertex-split residual shared by every pair query on one instance.
 
     Returns (residual, index of each vertex, edge ids in arc order). Residual
@@ -255,15 +261,34 @@ def _split_arcs(inst: ElementConnInstance) -> tuple[_Residual, dict[int, int], t
     degree, which bounds any flow through it just like an infinite capacity
     would.
     """
-    order = sorted(inst.graph.vertices)
-    index = {v: i for i, v in enumerate(order)}
-    head = [node ^ 1 for node in range(2 * len(order))]
-    cap = [1, 0] * len(order)
-    out = [[node] for node in range(2 * len(order))]
+    index = {v: i for i, v in enumerate(sorted(inst.graph.vertices))}
     edges = inst.graph.edges
     edge_ids = inst.graph.edge_ids()
-    for eid in edge_ids:
-        a, b = edges[eid]
+    return _vertex_split(index, [edges[e] for e in edge_ids], inst.terminals), index, edge_ids
+
+
+def _incidence_arcs(h: Hypergraph) -> _Network:
+    """``_split_arcs(incidence_graph(h).instance)``, its index keyed by the vertices
+    of ``h``, written straight from the hyperedges: vertices, then hyperedges,
+    each by sorted id, and each hyperedge's members in sorted order."""
+    index = {v: i for i, v in enumerate(sorted(h.vertices))}
+    edges = h.hyperedges
+    nodes = list(range(len(index) + len(edges)))  # incidence nodes, each its own key
+    ends = ((index[v], j) for j, e in enumerate(sorted(edges), len(index)) for v in sorted(edges[e]))
+    residual = _vertex_split(nodes, ends, range(len(index)))
+    return residual, index, tuple(range(sum(map(len, edges.values()))))
+
+
+def _vertex_split(
+    index: Mapping[int, int] | list[int], ends: Iterable[tuple[int, int]], terminals: Iterable[int]
+) -> _Residual:
+    """The residual of ``_split_arcs``'s layout for the nodes keyed by ``index``,
+    the p-th edge joining the p-th pair of ``ends`` and the ``terminals`` at
+    their degree: the one loop that writes the layout."""
+    n = len(index)
+    head = [node ^ 1 for node in range(2 * n)]
+    out = [[node] for node in range(2 * n)]
+    for a, b in ends:
         in_a, in_b = 2 * index[a], 2 * index[b]
         arc = len(head)
         head += (in_b, in_a + 1, in_a, in_b + 1)
@@ -271,10 +296,10 @@ def _split_arcs(inst: ElementConnInstance) -> tuple[_Residual, dict[int, int], t
         out[in_b].append(arc + 1)
         out[in_b + 1].append(arc + 2)
         out[in_a].append(arc + 3)
-    cap += [1, 0, 1, 0] * len(edge_ids)
-    for v in inst.terminals:
+    cap = [1, 0] * n + [1, 0, 1, 0] * ((len(head) - 2 * n) // 4)
+    for v in terminals:
         cap[2 * index[v]] = len(out[2 * index[v] + 1]) - 1  # its degree: one arc per edge end
-    return (head, cap, out), index, edge_ids
+    return head, cap, out
 
 
 def _check_terminal(inst: ElementConnInstance, v: int) -> None:
@@ -312,8 +337,12 @@ def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
     Gusfield's flow-equivalent tree give every value (see the module
     docstring).
     """
-    terms = sorted(inst.terminals)
-    residual, index, _ = _split_arcs(inst)
+    return _gusfield(_split_arcs(inst), sorted(inst.terminals))
+
+
+def _gusfield(network: _Network, terms: list[int]) -> ConnTable:
+    """The table of the terminals ``terms``, in ascending order, by Gusfield's T-1 flows."""
+    residual, index, _ = network
     out_node = [2 * index[v] + 1 for v in terms]
     parent = [0] * len(terms)  # tree parent of each terminal; always an earlier one
     low = [[0] * len(terms) for _ in terms]  # smallest flow on each tree path
@@ -334,9 +363,10 @@ def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
 class _TreeFlows:
     """Maximum flows of a table's tree pairs on one instance, kept across reductions.
 
-    Building it runs the T-1 flows of ``table.tree()`` by ``_pair_flow``,
-    stopping at the first whose value differs from the table, and ``holds``
-    says whether none did. A flow may run from either end of its pair.
+    Building it on a network (``_split_arcs`` or ``_incidence_arcs``) runs
+    the T-1 flows of ``table.tree()`` by ``_pair_flow``, stopping at the
+    first whose value differs from the table, and ``holds`` says whether
+    none did. A flow may run from either end of its pair.
     ``delete`` then tests and applies edge deletions one at a time, each at
     the cost of at most one augmenting search per tree pair whose flow uses
     the edge, and ``contract`` contracts edges between non-terminals at the
@@ -347,10 +377,10 @@ class _TreeFlows:
     deletion, which still bounds every flow.
     """
 
-    def __init__(self, inst: ElementConnInstance, table: ConnTable):
-        residual, index, edge_ids = _split_arcs(inst)
+    def __init__(self, network: _Network, table: ConnTable):
+        residual, index, edge_ids = network
         self._head, _, self._out = residual
-        first = 2 * len(index)
+        first = len(self._out)  # edge arcs follow the vertex arcs, numbered like nodes
         self._edge_arc = dict(zip(edge_ids, range(first, first + 4 * len(edge_ids), 4)))
         self._caps: list[list[int]] = []  # residual capacities left by each pair's flow
         self.holds = True
@@ -449,10 +479,10 @@ class _TreeFlows:
         return True
 
 
-def _checked(inst: ElementConnInstance, table: ConnTable, what: str) -> _TreeFlows:
-    """The tree flows of ``table`` on ``inst``, under the assumption of ``table_holds``;
+def _checked(network: _Network, table: ConnTable, what: str) -> _TreeFlows:
+    """The tree flows of ``table`` on ``network``, under the assumption of ``table_holds``;
     if they differ, an internal error saying that ``what`` changed the table."""
-    flows = _TreeFlows(inst, table)
+    flows = _TreeFlows(network, table)
     if not flows.holds:
         raise InternalInvariantError(f"{what} changed the terminal connectivity table")
     return flows
@@ -467,7 +497,7 @@ def table_holds(inst: ElementConnInstance, table: ConnTable) -> bool:
     from the instance of ``table`` by operations that never raise
     connectivity (see the module docstring).
     """
-    return _TreeFlows(inst, table).holds
+    return _TreeFlows(_split_arcs(inst), table).holds
 
 
 def hyperedge_connectivity(h: Hypergraph, u: int, v: int) -> int:
@@ -480,11 +510,10 @@ def hyperedge_connectivity(h: Hypergraph, u: int, v: int) -> int:
     for w in (u, v):
         if w not in h.vertices:
             raise UnknownVertexError(f"unknown vertex {w}")
-    inc = incidence_graph(h)
-    return element_connectivity(inc.instance, inc.vertex_node[u], inc.vertex_node[v])
+    residual, index, _ = _incidence_arcs(h)
+    return _pair_flow(residual, index, u, v)[0]
 
 
 def conn_table_hyper(h: Hypergraph) -> ConnTable:
     """Local edge-connectivity for every unordered vertex pair of ``h``."""
-    inc = incidence_graph(h)
-    return conn_table_elements(inc.instance).remapped(inc.node_vertex)
+    return _gusfield(_incidence_arcs(h), sorted(h.vertices))

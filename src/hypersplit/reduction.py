@@ -39,7 +39,7 @@ from types import MappingProxyType
 from typing import Iterable, Literal, Mapping, Optional
 
 from .errors import InternalInvariantError, TerminalEndpointError
-from .flow import ConnTable, _TreeFlows, _checked, conn_table_elements
+from .flow import ConnTable, _TreeFlows, _checked, _split_arcs, conn_table_elements
 from .multigraph import ElementConnInstance, Multigraph
 
 Action = Literal["deleted", "contracted"]
@@ -83,7 +83,7 @@ def is_deletion_preserving(inst: ElementConnInstance, edge_id: int, baseline: Co
     have that table, the answer is False.
     """
     inst.graph.endpoints(edge_id)  # raises MissingEdgeError on unknown ids
-    return _TreeFlows(inst, baseline).delete(edge_id)
+    return _TreeFlows(_split_arcs(inst), baseline).delete(edge_id)
 
 
 def reduce_edge(
@@ -101,7 +101,7 @@ def reduce_edge(
     for w in edge:
         if w in inst.terminals:
             raise TerminalEndpointError(f"endpoint {w} of edge {edge_id} is a terminal")
-    step = _reduce(_TreeFlows(inst, baseline), edge_id, edge)
+    step = _reduce(_TreeFlows(_split_arcs(inst), baseline), edge_id, edge)
     if step.action == "deleted":
         return inst.with_graph(inst.graph.without_edge(edge_id)), step
     return inst.with_graph(inst.graph.contracted(edge_id)[0]), step
@@ -134,9 +134,9 @@ def reduce_to_stable(
     re-checked by fresh flows.
     """
     baseline = conn_table_elements(inst)
-    out, trace = _reduce_to_stable(inst, _TreeFlows(inst, baseline), within)
+    out, trace = _reduce_to_stable(inst, _TreeFlows(_split_arcs(inst), baseline), within)
     if trace.steps:
-        _checked(out, baseline, "reducing non-terminal edges")
+        _checked(_split_arcs(out), baseline, "reducing non-terminal edges")
     return out, trace
 
 
@@ -200,7 +200,7 @@ def maximal_preserving_deletions(
     ids = list(candidates)
     for e in ids:
         inst.graph.endpoints(e)  # raises MissingEdgeError on unknown ids
-    return _maximal_preserving_deletions(inst, ids, _TreeFlows(inst, conn_table_elements(inst)))
+    return _maximal_preserving_deletions(inst, ids, _TreeFlows(_split_arcs(inst), conn_table_elements(inst)))
 
 
 def _maximal_preserving_deletions(

@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import InternalInvariantError, ReplayError, UnknownVertexError
-from .flow import ConnTable, _checked, conn_table_elements
+from .flow import ConnTable, _checked, _incidence_arcs, _split_arcs, conn_table_elements
 from .hypergraph import (
     Hypergraph,
     Incidence,
@@ -152,13 +152,13 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
     # The table every stage must keep is the G0 table without s.
     table0 = conn_table_elements(g0)
     reference = table0.restrict(g1.terminals)
-    flows1 = _checked(g1, reference, "replacing s with the clique gadget")
+    flows1 = _checked(_split_arcs(g1), reference, "replacing s with the clique gadget")
 
     g2, trace = _reduce_to_stable(g1, flows1, set(gadget.clique))
     s2 = tuple(v for v in gadget.clique if v in g2.graph.vertices)
     # Flows kept through the reductions are re-checked by a fresh build, which
     # stage 3 starts from.
-    flows2 = _checked(g2, reference, "reducing the clique edges") if trace.steps else flows1
+    flows2 = _checked(_split_arcs(g2), reference, "reducing the clique edges") if trace.steps else flows1
 
     # Every hyperedge node keeps exactly one gadget attachment through stage 2:
     # clique reductions never touch the attachment edges themselves.
@@ -174,7 +174,7 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
     g3, deleted = _maximal_preserving_deletions(g2, candidates, flows2)
     if certify and deleted:
         # A fresh build, so the flows kept through the deletions are re-checked.
-        _checked(g3, reference, "deleting gadget-incident edges")
+        _checked(_split_arcs(g3), reference, "deleting gadget-incident edges")
 
     fa: dict[int, tuple[int, ...]] = {}
     f0: list[int] = []
@@ -241,6 +241,5 @@ def complete_split_off(h: Hypergraph, s: int, *, certify: bool = True) -> SplitO
     # table (re-keyed from incidence nodes to vertices) decide all of it.
     full = pipeline.table.remapped(pipeline.incidence.node_vertex)
     table = full.restrict(h.vertices - {s})
-    inc_star = incidence_graph(h_star)
-    _checked(inc_star.instance, table.remapped(inc_star.vertex_node), "splitting off s")
+    _checked(_incidence_arcs(h_star), table, "splitting off s")
     return SplitOffResult(h_star=h_star, log=log, certificate=table, pipeline=pipeline)

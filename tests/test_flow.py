@@ -232,7 +232,8 @@ def _described_arcs(inst):
 
 class TestSplitArcsLayout:
     """Arc numbering and out-list order of ``_split_arcs`` are those of the
-    described arc list fed through ``_residual``."""
+    described arc list fed through ``_residual``, and ``_incidence_arcs``
+    writes exactly what ``_split_arcs`` makes of the incidence instance."""
 
     def _check(self, inst):
         num_nodes, arcs, index = _described_arcs(inst)
@@ -240,6 +241,36 @@ class TestSplitArcsLayout:
         assert residual == _residual(num_nodes, arcs)
         assert got_index == index
         assert edge_ids == tuple(sorted(inst.graph.edges))
+
+    def _check_hypergraph(self, h):
+        from hypersplit import incidence_graph
+
+        inc = incidence_graph(h)
+        self._check(inc.instance)
+        residual, index, edge_ids = flow._split_arcs(inc.instance)
+        # The same network; its index is keyed by the vertices of h, not their nodes.
+        by_vertex = {v: index[node] for v, node in inc.vertex_node.items()}
+        assert flow._incidence_arcs(h) == (residual, by_vertex, edge_ids)
+
+    def test_hypergraph_shapes(self):
+        from hypersplit import Hypergraph, Merge, Trim, replay
+
+        sparse = Hypergraph(
+            frozenset({3, 17, 40, 1000, -6}),
+            {0: frozenset({1000, 3}), 1: frozenset({3, 17, 40}), 2: frozenset({-6, 40, 1000})},
+        )
+        gaps = Hypergraph(
+            frozenset(range(6)),
+            {90: frozenset({0, 1, 5}), 7: frozenset({2, 3}), 31: frozenset({1, 4}), 8: frozenset({0, 4})},
+        )
+        # Trims and merges leave gaps: edge 1 is absorbed into 0, and 3 trimmed away.
+        trimmed = replay(hypergraph([{0, 1}, {0, 2, 3}, {1, 3}, {0, 4}]), 0, [Merge(0, 1), Trim(3), Trim(0)])
+        assert sorted(trimmed.hyperedges) == [0, 2]
+        parallel = hypergraph([{0, 1}, {0, 1}, {1, 2, 3}, {1, 2, 3}, {0, 1}])
+        isolated = hypergraph([{2, 5}, {5, 9}], extra_vertices=[0, 7, 11])
+        empty = hypergraph([], extra_vertices=[4, 8, 15])
+        for h in (sparse, gaps, trimmed, parallel, isolated, empty, hypergraph([])):
+            self._check_hypergraph(h)
 
     def test_sparse_ids_parallel_edges_and_isolated_vertices(self):
         from hypersplit import ElementConnInstance, Multigraph
@@ -253,12 +284,67 @@ class TestSplitArcsLayout:
         self._check(ElementConnInstance(Multigraph(frozenset({5}), {}), frozenset({5})))
 
     def test_seeded_instances(self):
-        from hypersplit import incidence_graph
+        from hypersplit import GenParams, random_hypergraph
 
         for inst in _gusfield_element_corpus(100):
             self._check(inst)
         for trial in range(40):
-            self._check(incidence_graph(corpus_hypergraph(trial, max_n=10, max_m=20)).instance)
+            self._check_hypergraph(corpus_hypergraph(trial, max_n=10, max_m=20))
+        for n in (50, 200):
+            self._check_hypergraph(random_hypergraph(GenParams(n, 2 * n, 4, seed=n)))
+
+
+@pytest.fixture
+def multigraphs(monkeypatch):
+    """Vertex sets of every ``Multigraph`` constructed."""
+    from hypersplit import Multigraph
+
+    built = []
+    real = Multigraph.__post_init__
+
+    def counted(self):
+        built.append(self.vertices)
+        real(self)
+
+    monkeypatch.setattr(Multigraph, "__post_init__", counted)
+    return built
+
+
+class TestNoIntermediateGraph:
+    """Hypergraph flows run on a residual written straight from the
+    hyperedges: no incidence ``Multigraph`` is built on the way."""
+
+    def test_queries_and_tables(self, multigraphs):
+        from hypersplit import GenParams, random_hypergraph
+
+        h = random_hypergraph(GenParams(40, 80, 4, seed=5))
+        assert hyperedge_connectivity(h, 0, 1) == conn_table_hyper(h).get(0, 1)
+        assert multigraphs == []
+
+    def test_cli_conn(self, tmp_path, multigraphs, capsys):
+        from hypersplit import cli
+
+        path = tmp_path / "h.he"
+        path.write_text("a b c\nb c d\nc d e\na e\nb d\n")
+        assert cli.main(["conn", str(path), "-u", "a", "-v", "d"]) == 0
+        assert cli.main(["conn", str(path), "--all-pairs"]) == 0
+        assert cli.main(["verify", str(path), str(path), "--conn"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "lambda(a, d) = 2"
+        assert multigraphs == []
+
+    def test_split_off_builds_only_the_pipeline_graphs(self, multigraphs):
+        from hypersplit import GenParams, complete_split_off, random_hypergraph, run_pipeline
+
+        for seed in range(5):
+            h = random_hypergraph(GenParams(12, 30, 4, seed=seed))
+            s = max(sorted(h.vertices), key=h.degree)
+            for certify in (True, False):
+                multigraphs.clear()
+                run_pipeline(h, s, certify=certify)
+                pipeline = len(multigraphs)
+                multigraphs.clear()
+                complete_split_off(h, s, certify=certify)
+                assert len(multigraphs) <= pipeline
 
 
 class TestElementConnectivity:
@@ -483,6 +569,13 @@ class TestConnTables:
         with pytest.raises(ValueError):
             ConnTable({(1, 1): 2})
 
+    def test_rejects_a_pair_given_twice(self):
+        # Both orders name one pair; neither value may silently win.
+        with pytest.raises(ValueError, match="given twice"):
+            ConnTable({(0, 1): 2, (1, 0): 3})
+        with pytest.raises(ValueError, match="given twice"):
+            ConnTable({(0, 1): 2, (0, 2): 1, (1, 2): 3, (2, 1): 3})
+
     def test_rejects_a_missing_pair(self):
         # The tree of a table reads every pair of its vertices.
         with pytest.raises(ValueError, match="every pair"):
@@ -545,7 +638,7 @@ class TestTableTree:
         for inst in instances:
             table = conn_table_elements(inst)
             max_flows.clear()
-            _TreeFlows(inst, table)
+            _TreeFlows(flow._split_arcs(inst), table)
             order = sorted(inst.graph.vertices)
             assert len(max_flows) == len(table.tree())
             for (parent, child, _), (source, sink) in zip(table.tree(), max_flows):
@@ -837,3 +930,22 @@ class TestNetworkxDifferential:
             residual = build_residual_network(net, "capacity")
             for u, v, k in res.certificate.tree():
                 assert edmonds_karp(net, u, v, residual=residual).graph["flow_value"] == k, (s, u, v)
+
+    @pytest.mark.slow
+    def test_split_off_on_a_ring_star_of_100(self):
+        # The ring star at d = 100 takes about 3 s: its deletion tests reroute
+        # the same few units over the clique again and again. Every tree pair
+        # of the certificate must hold on h and on h_star, against networkx.
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.flow import build_residual_network, edmonds_karp
+
+        from hypersplit import complete_split_off
+
+        h = hypergraph([{100, i} for i in range(100)] + [{i, (i + 1) % 100} for i in range(100)])
+        res = complete_split_off(h, 100, certify=False)
+        assert h.degree(100) == 100 and res.h_star.degree(100) == 0
+        for g in (h, res.h_star):
+            net = _lawler_network(nx, g)
+            residual = build_residual_network(net, "capacity")
+            for u, v, k in res.certificate.tree():
+                assert edmonds_karp(net, u, v, residual=residual).graph["flow_value"] == k, (u, v)

@@ -17,7 +17,7 @@ from hypersplit import (
     random_element_instance,
     table_holds,
 )
-from hypersplit.flow import _TreeFlows
+from hypersplit.flow import _TreeFlows, _split_arcs
 from conftest import corpus_element_instance, instance, sparse_element_instance
 
 
@@ -408,7 +408,7 @@ def _sweep(inst, order, seen, *, contract=False):
     contracted in the flows themselves, as a reduction would.
     """
     baseline = conn_table_elements(inst)
-    flows = _TreeFlows(inst, baseline)
+    flows = _TreeFlows(_split_arcs(inst), baseline)
     seen.update(("flow", direction) for direction in _flow_directions(flows, baseline, inst))
     cur = inst
     for e in order:
@@ -504,7 +504,7 @@ class TestKeptTreeFlows:
         # circulation, so the flow keeps its value; contracting must cancel it.
         inst = instance([(0, 1), (2, 3), (2, 3)], terminals=[0, 1])
         baseline = conn_table_elements(inst)
-        flows = _TreeFlows(inst, baseline)
+        flows = _TreeFlows(_split_arcs(inst), baseline)
         (cap,) = flows._caps
         for arc in (flows._edge_arc[1], 2 * 3, flows._edge_arc[2] + 2, 2 * 2):
             cap[arc] -= 1
@@ -556,7 +556,7 @@ class TestFlowCounts:
         from hypersplit import flow
 
         inst = instance([(0, 2), (2, 1), (0, 3), (3, 1), (2, 4)], terminals=[0, 1])
-        flows = _TreeFlows(inst, conn_table_elements(inst))
+        flows = _TreeFlows(_split_arcs(inst), conn_table_elements(inst))
         assert flows.holds
         max_flows.clear()
         monkeypatch.setattr(flow, "_augment", None)  # any search would raise
@@ -578,7 +578,7 @@ class TestFlowCounts:
         from hypersplit.reduction import _reduce_to_stable
 
         inst = random_element_instance(GenParams(n=12, m=22, r=2, seed=32))
-        flows = _TreeFlows(inst, conn_table_elements(inst))
+        flows = _TreeFlows(_split_arcs(inst), conn_table_elements(inst))
         max_flows.clear()
         _, trace = _reduce_to_stable(inst, flows, None)
         assert any(step.action == "contracted" for step in trace.steps)

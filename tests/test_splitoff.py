@@ -48,9 +48,9 @@ def stage_checks(monkeypatch):
     checks = []
     real = splitoff._checked
 
-    def counted(inst, reference, what):
+    def counted(network, reference, what):
         checks.append(what)
-        return real(inst, reference, what)
+        return real(network, reference, what)
 
     monkeypatch.setattr(splitoff, "_checked", counted)
     return checks
@@ -398,9 +398,10 @@ class TestOneCheckerPerInstance:
         built = []
         real = flow._TreeFlows.__init__
 
-        def counted(self, inst, table):
-            built.append((inst.graph.vertices, frozenset(inst.graph.edges.items()), inst.terminals))
-            real(self, inst, table)
+        def counted(self, network, table):
+            (head, cap, out), index, edge_ids = network
+            built.append((tuple(head), tuple(cap), tuple(map(tuple, out)), tuple(index.items()), edge_ids))
+            real(self, network, table)
 
         monkeypatch.setattr(flow._TreeFlows, "__init__", counted)
         cases = [self.seeded(), (two_star(), 2), (hypergraph(FIG_SHAPE_EDGES), FIG_SHAPE_S)]
