@@ -4,11 +4,39 @@ Element-connectivity between terminals u,v is a max-flow after the standard
 vertex split: every vertex w becomes w_in -> w_out with capacity 1 for
 non-terminals and deg(w) for terminals, and every undirected edge becomes a
 unit arc in each direction between the matching out/in nodes. The flow value
-counts pairwise element-disjoint u-v paths. Hyperedge-connectivity of a
-hypergraph is the element-connectivity of its incidence instance, where
-hyperedge nodes get unit capacity. That residual is written straight from
-the hyperedges (``_incidence_arcs``), in the layout ``_split_arcs`` gives
-the incidence instance, with no incidence graph in between.
+counts pairwise element-disjoint u-v paths.
+
+Hyperedge-connectivity runs on Lawler's network of the hypergraph
+("Cutsets and partitions of hypergraphs", 1973), built straight from the
+hyperedges (``_hyperedge_network``). Each hyperedge e has an entry node and
+an exit node joined by a unit arc, and each member v has uncapacitated arcs
+v -> entry(e) and exit(e) -> v; a vertex is one node. The paper reads lambda
+as element-connectivity of the incidence instance, where every vertex is a
+terminal of capacity deg(v). That capacity never binds, as each unit into
+or out of v uses a hyperedge of its own, so vertices need no split. A
+finite cut then consists of unit arcs, and their hyperedges separate u from
+v. Conversely, a vertex set X holding u but not v, together with the entry
+nodes of the hyperedges meeting X and the exit nodes of those inside it, is
+left only by the unit arcs of delta(X). So the flow value is exactly
+lambda(u, v).
+
+A hyperedge carries at most one unit, so a flow is an entry vertex and an
+exit vertex for each used hyperedge. A search steps from a vertex to the
+entry node of each of its hyperedges and to the exit node of each whose
+exit vertex it is; from the entry node of an unused hyperedge to its exit
+node, and from that of a used one to its entry vertex; and from an exit
+node to every member. An augmenting path changes the state in three ways:
+a step v -> entry(e) enters e at v, a step exit(e) -> w leaves e at w, and
+if e then enters and leaves at one vertex, its unit runs in a cycle and is
+cancelled, which frees e. The residual arc exit(e) -> entry(e) of a used e
+is never on a shortest path, since e's exit vertex steps to entry(e)
+directly, and searches leave it out. When the last search fails, the
+vertices X the source reaches form a minimum cut. A hyperedge with members
+inside and outside X has its entry node reached through a member inside;
+were it unused, or its exit node reached, every member would be reached.
+So each hyperedge of delta(X) is a unit arc from a reached node to an
+unreached one. There are k such arcs, the flow value, and |delta(X)| >= k
+because X holds the source but not the sink.
 
 Max-flows push the bottleneck of one shortest residual source-sink path per
 search (Edmonds-Karp), so a flow of value k costs k+1 searches. A search is
@@ -27,9 +55,9 @@ it runs out. A flow between two terminals (``_pair_flow``: a single-pair
 query, or a tree pair of a check) starts at its end of smaller degree:
 connectivity is symmetric, and once the flow saturates that end the last
 search ends at once. Gusfield's flows below keep their direction, because
-their re-parenting reads the source side. The residual arrays of an
-instance are built once; each flow copies only the capacities, so every
-pair of a table or a check shares one residual.
+their re-parenting reads the source side. A network is built once for
+all the flows of a table or a check: each flow on an element network copies
+only the capacities, and a hypergraph's starts from an empty state.
 
 Checking that an instance still has a known table costs T-1 flows, not
 T(T-1)/2. ``ConnTable.tree`` hangs each vertex after the first, in key
@@ -46,9 +74,10 @@ clique gadget, trim and merge) can only lower a pair's value. If the
 checked instance matches the table on the T-1 tree pairs, each other pair
 is at least the minimum along its tree path, which is its old value, and
 at most its old value: the whole table holds. Every such check on fresh
-flows goes through ``_checked``, which reports a differing tree pair as an
-internal error; ``table_holds`` is the same test as a bool. The deletion
-and contraction arguments below hold for a flow in either direction.
+flows runs the tree pairs through ``_tree_flows``. On an element network
+``_checked`` reports a differing pair as an internal error; ``table_holds``
+is the same test as a bool. The deletion and contraction arguments below
+hold for a flow in either direction.
 
 A full table also costs T-1 flows, by Gusfield's flow-equivalent tree
 ("Very simple methods for all pairs network flow analysis", 1990). Every
@@ -69,8 +98,9 @@ still reaches in a maximum flow's residual form such a minimiser: the arcs
 leaving the reachable nodes have total capacity k, the flow value, and
 replacing a cut terminal arc by that terminal's edges gives an element set
 of size at most k that separates them from the other terminals. The last,
-failing search of the flow labels exactly those nodes. Hyperedge
-connectivity is element-connectivity on the incidence instance.
+failing search of the flow labels exactly those nodes. For hyperedge
+connectivity f(X) = |delta(X)|, symmetric and submodular, and the
+reached vertices are a minimiser, as above.
 
 A run of edge deletions keeps each tree pair's flow instead of recomputing
 it. Deleting edge e leaves a pair whose flow f of value k uses neither arc
@@ -99,7 +129,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InternalInvariantError, InvalidQueryError, NonTerminalEndpointError, UnknownVertexError
 from .hypergraph import Hypergraph
@@ -107,21 +137,58 @@ from .multigraph import ElementConnInstance
 
 
 _Residual = tuple[list[int], list[int], list[list[int]]]
-_Network = tuple[_Residual, dict[int, int], tuple[int, ...]]  # residual, index, edge ids
 
 
-def _max_flow(residual: _Residual, source: int, sink: int) -> tuple[int, list[int], list[int]]:
-    """Maximum source->sink flow: its value, the residual capacities it leaves,
-    and the labels of its last, failing search (see ``_augment``), which are
-    -1 exactly on the nodes the source cannot reach in that residual."""
-    head, initial, out = residual
-    cap = initial.copy()
+class _Hyperedges(NamedTuple):
+    """Lawler's network of a hypergraph with ``vertices`` vertices, by the
+    neighbours ``adj`` of its nodes (see ``_hyperedge_network``)."""
+
+    adj: list[list[int]]
+    vertices: int
+
+
+_Network = tuple[_Residual | _Hyperedges, dict[int, int], tuple[int, ...]]  # graph, index, edge ids
+
+
+def _max_flow(
+    graph: _Residual | _Hyperedges, source: int, sink: int
+) -> tuple[int, list[int], list[int]]:
+    """Maximum source->sink flow: its value, the state it leaves (residual
+    capacities, or a hypergraph's vertex at each hyperedge node), and the
+    labels of its last, failing search (see ``_augment``), which are -1
+    exactly on the nodes the source cannot reach in that residual."""
+    if isinstance(graph, _Hyperedges):
+        state = [-1] * len(graph.adj)
+        augment = lambda: _hyper_augment(graph, state, source, sink)
+    else:
+        head, initial, out = graph
+        state = initial.copy()
+        augment = lambda: _augment(head, state, out, source, sink)
     total = 0
     while True:
-        push, via = _augment(head, cap, out, source, sink)
+        push, via = augment()
         if not push:
-            return total, cap, via
+            return total, state, via
         total += push
+
+
+def _two_ended(grow, network: tuple, size: int, source: int, sink: int) -> tuple[int, list[int], list[int]]:
+    """The one search rule: labels over ``size`` nodes grown a level at a
+    time by ``grow(network, level, labels, other, flip)`` from the source
+    (``flip`` 0) or the sink (``flip`` 1), on the side with the smaller
+    frontier, until the sides meet or the source side runs out. Returns the
+    meeting node, -1 if none, and both sides' labels, -2 at their own end."""
+    via = [-1] * size
+    back = [-1] * size  # sink side: how each node leads toward the sink
+    via[source] = back[sink] = -2
+    front, rear = [source], [sink]
+    meet = -1
+    while front and meet == -1:
+        if rear and len(rear) < len(front):
+            rear, meet = grow(network, rear, back, via, 1)
+        else:
+            front, meet = grow(network, front, via, back, 0)
+    return meet, via, back
 
 
 def _augment(
@@ -135,16 +202,7 @@ def _augment(
     from the sink. A search that finds no path labels every node reachable
     from the source.
     """
-    via = [-1] * len(out)
-    back = [-1] * len(out)  # sink side: the residual arc leading from each node toward the sink
-    via[source] = back[sink] = -2
-    front, rear = [source], [sink]
-    meet = -1
-    while front and meet == -1:
-        if rear and len(rear) < len(front):
-            rear, meet = _grow(rear, head, cap, out, back, via, 1)
-        else:
-            front, meet = _grow(front, head, cap, out, via, back, 0)
+    meet, via, back = _two_ended(_grow, (head, cap, out), len(out), source, sink)
     if meet == -1:
         return 0, via
     node = meet
@@ -164,13 +222,13 @@ def _augment(
 
 
 def _grow(
-    level: list[int], head: list[int], cap: list[int], out: list[list[int]],
-    labels: list[int], other: list[int], flip: int,
+    residual: _Residual, level: list[int], labels: list[int], other: list[int], flip: int
 ) -> tuple[list[int], int]:
     """Label the next level of one side of a search: the source side with
     ``flip`` 0, along residual arcs, or the sink side with ``flip`` 1, against
     them. Returns that level and -1, or, at the first node the other side
     already labelled, the level so far and that node."""
+    head, cap, out = residual
     grown = []
     for w in level:
         for a in out[w]:
@@ -181,6 +239,67 @@ def _grow(
                 if other[node] != -1:
                     return grown, node
                 grown.append(node)
+    return grown, -1
+
+
+def _hyper_augment(graph: _Hyperedges, end: list[int], source: int, sink: int) -> tuple[int, list[int]]:
+    """``_augment`` on a hypergraph's network, whose flow state ``end`` holds
+    each used hyperedge's entry and exit vertex at its two nodes and -1 at an
+    unused one's. Every path pushes one unit; the labels name the node that
+    labelled each node, not an arc."""
+    n = graph.vertices
+    meet, via, back = _two_ended(_hyper_grow, (graph.adj, n, end), len(end), source, sink)
+    if meet == -1:
+        return 0, via
+    node = meet
+    while node != sink:  # hand the sink-side half over to the labels
+        via[back[node]] = node
+        node = back[node]
+    while node != source:  # the path's steps, last first (see the module docstring)
+        prev = via[node]
+        if prev < n and not node & 1:  # enter at prev
+            end[node] = prev
+            if end[node ^ 1] == prev:
+                end[node] = end[node ^ 1] = -1  # cancel
+        elif prev & 1 and node < n:  # leave at node
+            end[prev] = node
+            if end[prev ^ 1] == node:
+                end[prev] = end[prev ^ 1] = -1  # cancel
+        node = prev
+    return 1, via
+
+
+def _hyper_grow(
+    network: tuple[list[list[int]], int, list[int]], level: list[int], labels: list[int], other: list[int],
+    flip: int,
+) -> tuple[list[int], int]:
+    """``_grow`` on a hypergraph's network (``adj``, vertex count and flow
+    state). A hyperedge's near node is its entry node for the source side
+    and its exit node for the sink side; its far node is the other one."""
+    adj, n, end = network
+    grown = []
+    for w in level:
+        if w >= n:  # from a far node to every member; from a near node through its unused hyperedge, or to its vertex
+            for node in adj[w] if (w & 1) != flip else (w ^ 1 if end[w] == -1 else end[w],):
+                if labels[node] == -1:
+                    labels[node] = w
+                    if other[node] != -1:
+                        return grown, node
+                    grown.append(node)
+        else:  # from a vertex to every near node at it, and to each far node whose vertex it is
+            for k in adj[w]:
+                node = k ^ flip
+                if labels[node] == -1:
+                    labels[node] = w
+                    if other[node] != -1:
+                        return grown, node
+                    grown.append(node)
+                node ^= 1
+                if end[node] == w and labels[node] == -1:
+                    labels[node] = w
+                    if other[node] != -1:
+                        return grown, node
+                    grown.append(node)
     return grown, -1
 
 
@@ -262,33 +381,13 @@ def _split_arcs(inst: ElementConnInstance) -> _Network:
     would.
     """
     index = {v: i for i, v in enumerate(sorted(inst.graph.vertices))}
-    edges = inst.graph.edges
-    edge_ids = inst.graph.edge_ids()
-    return _vertex_split(index, [edges[e] for e in edge_ids], inst.terminals), index, edge_ids
-
-
-def _incidence_arcs(h: Hypergraph) -> _Network:
-    """``_split_arcs(incidence_graph(h).instance)``, its index keyed by the vertices
-    of ``h``, written straight from the hyperedges: vertices, then hyperedges,
-    each by sorted id, and each hyperedge's members in sorted order."""
-    index = {v: i for i, v in enumerate(sorted(h.vertices))}
-    edges = h.hyperedges
-    nodes = list(range(len(index) + len(edges)))  # incidence nodes, each its own key
-    ends = ((index[v], j) for j, e in enumerate(sorted(edges), len(index)) for v in sorted(edges[e]))
-    residual = _vertex_split(nodes, ends, range(len(index)))
-    return residual, index, tuple(range(sum(map(len, edges.values()))))
-
-
-def _vertex_split(
-    index: Mapping[int, int] | list[int], ends: Iterable[tuple[int, int]], terminals: Iterable[int]
-) -> _Residual:
-    """The residual of ``_split_arcs``'s layout for the nodes keyed by ``index``,
-    the p-th edge joining the p-th pair of ``ends`` and the ``terminals`` at
-    their degree: the one loop that writes the layout."""
     n = len(index)
     head = [node ^ 1 for node in range(2 * n)]
     out = [[node] for node in range(2 * n)]
-    for a, b in ends:
+    edges = inst.graph.edges
+    edge_ids = inst.graph.edge_ids()
+    for e in edge_ids:
+        a, b = edges[e]
         in_a, in_b = 2 * index[a], 2 * index[b]
         arc = len(head)
         head += (in_b, in_a + 1, in_a, in_b + 1)
@@ -296,10 +395,32 @@ def _vertex_split(
         out[in_b].append(arc + 1)
         out[in_b + 1].append(arc + 2)
         out[in_a].append(arc + 3)
-    cap = [1, 0] * n + [1, 0, 1, 0] * ((len(head) - 2 * n) // 4)
-    for v in terminals:
+    cap = [1, 0] * n + [1, 0, 1, 0] * len(edge_ids)
+    for v in inst.terminals:
         cap[2 * index[v]] = len(out[2 * index[v] + 1]) - 1  # its degree: one arc per edge end
-    return head, cap, out
+    return (head, cap, out), index, edge_ids
+
+
+def _hyperedge_network(h: Hypergraph) -> _Network:
+    """Lawler's network of ``h`` (see the module docstring), in one pass over
+    its incidences, with its index keyed by the vertices.
+
+    The vertex with index i, in sorted order, is node i. The p-th hyperedge
+    has entry node b + 2*p and exit node b + 2*p + 1, for the even b of n or
+    n + 1, so ``node ^ 1`` pairs them. ``adj`` lists, at a vertex, the entry
+    nodes of its hyperedges in order, and at both nodes of a hyperedge one
+    shared list of its members' indices. The arcs follow from that and the
+    flow state: a search builds none.
+    """
+    index = {v: i for i, v in enumerate(sorted(h.vertices))}
+    adj: list[list[int]] = [[] for _ in range(len(index) + len(index) % 2)]
+    for members in h.hyperedges.values():
+        entry = len(adj)
+        ends = [index[v] for v in members]
+        for i in ends:
+            adj[i].append(entry)
+        adj += (ends, ends)
+    return _Hyperedges(adj, len(index)), index, ()
 
 
 def _check_terminal(inst: ElementConnInstance, v: int) -> None:
@@ -315,19 +436,25 @@ def element_connectivity(inst: ElementConnInstance, u: int, v: int) -> int:
         raise InvalidQueryError("endpoints coincide")
     _check_terminal(inst, u)
     _check_terminal(inst, v)
-    residual, index, _ = _split_arcs(inst)
-    return _pair_flow(residual, index, u, v)[0]
+    return _pair_flow(_split_arcs(inst), u, v)[0]
 
 
-def _pair_flow(
-    residual: _Residual, index: dict[int, int], u: int, v: int
-) -> tuple[int, list[int], list[int]]:
+def _terminal(network: _Network, v: int) -> tuple[int, int, int]:
+    """The source node, sink node and degree of terminal v in ``network``:
+    a vertex's one node, or its out- and in-node and its vertex arc's
+    capacity, which is its degree."""
+    graph, index, _ = network
+    i = index[v]
+    if isinstance(graph, _Hyperedges):
+        return i, i, len(graph.adj[i])
+    return 2 * i + 1, 2 * i, graph[1][2 * i]
+
+
+def _pair_flow(network: _Network, u: int, v: int) -> tuple[int, list[int], list[int]]:
     """``_max_flow`` between terminals u and v, started at the end of smaller
     degree, u on ties (see the module docstring)."""
-    degree = residual[1]  # a terminal's vertex arc has its degree as capacity
-    if degree[2 * index[v]] < degree[2 * index[u]]:
-        u, v = v, u
-    return _max_flow(residual, 2 * index[u] + 1, 2 * index[v])
+    start, end = sorted((_terminal(network, u), _terminal(network, v)), key=lambda t: t[2])
+    return _max_flow(network[0], start[0], end[1])
 
 
 def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
@@ -342,15 +469,14 @@ def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
 
 def _gusfield(network: _Network, terms: list[int]) -> ConnTable:
     """The table of the terminals ``terms``, in ascending order, by Gusfield's T-1 flows."""
-    residual, index, _ = network
-    out_node = [2 * index[v] + 1 for v in terms]
+    ends = [_terminal(network, v) for v in terms]
     parent = [0] * len(terms)  # tree parent of each terminal; always an earlier one
     low = [[0] * len(terms) for _ in terms]  # smallest flow on each tree path
     for i in range(1, len(terms)):
         t = parent[i]
-        k, _, via = _max_flow(residual, out_node[i], out_node[t] - 1)
+        k, _, via = _max_flow(network[0], ends[i][0], ends[t][1])
         for j in range(i + 1, len(terms)):
-            if parent[j] == t and via[out_node[j]] != -1:
+            if parent[j] == t and via[ends[j][0]] != -1:
                 parent[j] = i
         # Only later terminals hang below i, so i's path to an earlier j runs through t.
         for j in range(i):
@@ -360,13 +486,25 @@ def _gusfield(network: _Network, terms: list[int]) -> ConnTable:
     )
 
 
+def _tree_flows(network: _Network, table: ConnTable) -> list[list[int]] | None:
+    """The state the flow of each pair of ``table.tree()`` leaves on
+    ``network``, each run by ``_pair_flow``; None at the first pair whose
+    value differs from the table."""
+    states = []
+    for u, v, k in table.tree():
+        value, state, _ = _pair_flow(network, u, v)
+        if value != k:
+            return None
+        states.append(state)
+    return states
+
+
 class _TreeFlows:
     """Maximum flows of a table's tree pairs on one instance, kept across reductions.
 
-    Building it on a network (``_split_arcs`` or ``_incidence_arcs``) runs
-    the T-1 flows of ``table.tree()`` by ``_pair_flow``, stopping at the
-    first whose value differs from the table, and ``holds`` says whether
-    none did. A flow may run from either end of its pair.
+    Building it on an element network (``_split_arcs``) runs the T-1 flows
+    of ``table.tree()`` (``_tree_flows``), and ``holds`` says whether all of
+    them have the table's values. A flow may run from either end of its pair.
     ``delete`` then tests and applies edge deletions one at a time, each at
     the cost of at most one augmenting search per tree pair whose flow uses
     the edge, and ``contract`` contracts edges between non-terminals at the
@@ -378,18 +516,13 @@ class _TreeFlows:
     """
 
     def __init__(self, network: _Network, table: ConnTable):
-        residual, index, edge_ids = network
+        residual, _, edge_ids = network
         self._head, _, self._out = residual
         first = len(self._out)  # edge arcs follow the vertex arcs, numbered like nodes
         self._edge_arc = dict(zip(edge_ids, range(first, first + 4 * len(edge_ids), 4)))
-        self._caps: list[list[int]] = []  # residual capacities left by each pair's flow
-        self.holds = True
-        for u, v, k in table.tree():
-            value, cap, _ = _pair_flow(residual, index, u, v)
-            if value != k:
-                self.holds = False
-                break
-            self._caps.append(cap)
+        caps = _tree_flows(network, table)
+        self.holds = caps is not None
+        self._caps = caps or []  # residual capacities left by each pair's flow
 
     def delete(self, edge_id: int) -> bool:
         """Delete the edge if every tree pair keeps its value; True iff it did.
@@ -480,8 +613,9 @@ class _TreeFlows:
 
 
 def _checked(network: _Network, table: ConnTable, what: str) -> _TreeFlows:
-    """The tree flows of ``table`` on ``network``, under the assumption of ``table_holds``;
-    if they differ, an internal error saying that ``what`` changed the table."""
+    """``_TreeFlows`` of ``table`` on an element network, under the
+    assumption of ``table_holds``; if they differ, an internal error saying
+    that ``what`` changed the table."""
     flows = _TreeFlows(network, table)
     if not flows.holds:
         raise InternalInvariantError(f"{what} changed the terminal connectivity table")
@@ -497,23 +631,22 @@ def table_holds(inst: ElementConnInstance, table: ConnTable) -> bool:
     from the instance of ``table`` by operations that never raise
     connectivity (see the module docstring).
     """
-    return _TreeFlows(_split_arcs(inst), table).holds
+    return _tree_flows(_split_arcs(inst), table) is not None
 
 
 def hyperedge_connectivity(h: Hypergraph, u: int, v: int) -> int:
     """Local edge-connectivity: hyperedges crossing the cheapest u/v-separating cut.
 
-    Computed as element-connectivity on the incidence instance.
+    Computed as a max-flow on Lawler's network of ``h``.
     """
     if u == v:
         raise InvalidQueryError("endpoints coincide")
     for w in (u, v):
         if w not in h.vertices:
             raise UnknownVertexError(f"unknown vertex {w}")
-    residual, index, _ = _incidence_arcs(h)
-    return _pair_flow(residual, index, u, v)[0]
+    return _pair_flow(_hyperedge_network(h), u, v)[0]
 
 
 def conn_table_hyper(h: Hypergraph) -> ConnTable:
     """Local edge-connectivity for every unordered vertex pair of ``h``."""
-    return _gusfield(_incidence_arcs(h), sorted(h.vertices))
+    return _gusfield(_hyperedge_network(h), sorted(h.vertices))

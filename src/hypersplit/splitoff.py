@@ -11,7 +11,7 @@ The pipeline walks four bipartite-instance stages:
 After G3 each hyperedge of s either lost its gadget attachment or hangs off
 exactly one surviving gadget vertex. That bookkeeping is the trim/merge
 log, and the split-off result is the log replayed on the input hypergraph.
-The result's certificate is the G0 table without s; ``flow._checked`` checks it.
+The result's certificate is the G0 table without s; ``flow._tree_flows`` checks it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import InternalInvariantError, ReplayError, UnknownVertexError
-from .flow import ConnTable, _checked, _incidence_arcs, _split_arcs, conn_table_elements
+from .flow import ConnTable, _checked, _hyperedge_network, _split_arcs, _tree_flows, conn_table_elements
 from .hypergraph import (
     Hypergraph,
     Incidence,
@@ -241,5 +241,6 @@ def complete_split_off(h: Hypergraph, s: int, *, certify: bool = True) -> SplitO
     # table (re-keyed from incidence nodes to vertices) decide all of it.
     full = pipeline.table.remapped(pipeline.incidence.node_vertex)
     table = full.restrict(h.vertices - {s})
-    _checked(_incidence_arcs(h_star), table, "splitting off s")
+    if _tree_flows(_hyperedge_network(h_star), table) is None:
+        raise InternalInvariantError("splitting off s changed the terminal connectivity table")
     return SplitOffResult(h_star=h_star, log=log, certificate=table, pipeline=pipeline)

@@ -230,10 +230,28 @@ def _described_arcs(inst):
     return 2 * len(order), arcs, index
 
 
+def _check_hyperedge_layout(h):
+    """``_hyperedge_network(h)`` is laid out as its docstring says."""
+    graph, index, edge_ids = flow._hyperedge_network(h)
+    order = sorted(h.vertices)
+    n = len(order)
+    base = n + n % 2
+    members = list(h.hyperedges.values())
+    assert index == {v: i for i, v in enumerate(order)} and edge_ids == ()
+    assert graph.vertices == n and len(graph.adj) == base + 2 * len(members)
+    for i, v in enumerate(order):
+        assert list(graph.adj[i]) == [base + 2 * p for p, ms in enumerate(members) if v in ms]
+    assert all(not graph.adj[node] for node in range(n, base))
+    for p, ms in enumerate(members):
+        entry = base + 2 * p
+        assert graph.adj[entry] is graph.adj[entry + 1]
+        assert sorted(graph.adj[entry]) == sorted(index[v] for v in ms)
+
+
 class TestSplitArcsLayout:
     """Arc numbering and out-list order of ``_split_arcs`` are those of the
-    described arc list fed through ``_residual``, and ``_incidence_arcs``
-    writes exactly what ``_split_arcs`` makes of the incidence instance."""
+    described arc list fed through ``_residual``, on element instances and
+    on incidence instances; ``_hyperedge_network`` has its described layout."""
 
     def _check(self, inst):
         num_nodes, arcs, index = _described_arcs(inst)
@@ -245,12 +263,8 @@ class TestSplitArcsLayout:
     def _check_hypergraph(self, h):
         from hypersplit import incidence_graph
 
-        inc = incidence_graph(h)
-        self._check(inc.instance)
-        residual, index, edge_ids = flow._split_arcs(inc.instance)
-        # The same network; its index is keyed by the vertices of h, not their nodes.
-        by_vertex = {v: index[node] for v, node in inc.vertex_node.items()}
-        assert flow._incidence_arcs(h) == (residual, by_vertex, edge_ids)
+        self._check(incidence_graph(h).instance)
+        _check_hyperedge_layout(h)
 
     def test_hypergraph_shapes(self):
         from hypersplit import Hypergraph, Merge, Trim, replay
@@ -311,7 +325,7 @@ def multigraphs(monkeypatch):
 
 
 class TestNoIntermediateGraph:
-    """Hypergraph flows run on a residual written straight from the
+    """Hypergraph flows run on Lawler's network, built straight from the
     hyperedges: no incidence ``Multigraph`` is built on the way."""
 
     def test_queries_and_tables(self, multigraphs):
@@ -454,6 +468,169 @@ class TestHyperedgeConnectivity:
                 smaller = conn_table_hyper(type(h)(h.vertices, smaller_edges))
                 for u, v, k in base.pairs():
                     assert smaller.get(u, v) <= k
+
+
+def _lawler_residual(graph, end):
+    """Successor lists of the residual of Lawler's network under the flow
+    state ``end``, written out arc by arc from the module docstring."""
+    succ = [[] for _ in graph.adj]
+    for entry in range(graph.vertices + graph.vertices % 2, len(graph.adj), 2):
+        exit_ = entry + 1
+        for v in graph.adj[entry]:
+            succ[v].append(entry)  # uncapacitated v -> entry
+            succ[exit_].append(v)  # uncapacitated exit -> v
+        if end[entry] == -1:
+            succ[entry].append(exit_)  # the unused unit arc
+        else:  # the reverses of the used unit arc and of the unit's entry and exit arcs
+            succ[exit_].append(entry)
+            succ[entry].append(end[entry])
+            succ[end[exit_]].append(exit_)
+    return succ
+
+
+def _excess(graph, end):
+    """Units leaving minus units entering each vertex under ``end``."""
+    excess = [0] * graph.vertices
+    for entry in range(graph.vertices + graph.vertices % 2, len(graph.adj), 2):
+        assert (end[entry] == -1) == (end[entry + 1] == -1)
+        if end[entry] != -1:
+            # A unit that entered and left at one vertex would be a cycle, cancelled.
+            assert end[entry] != end[entry + 1] and {end[entry], end[entry + 1]} <= set(graph.adj[entry])
+            excess[end[entry]] += 1
+            excess[end[entry + 1]] -= 1
+    return excess
+
+
+def _checked_hyper_augment(graph, end, source, sink):
+    """One ``_hyper_augment`` on ``end``, checked against a plain BFS on the
+    residual before it: the labels trace a shortest residual path from the
+    sink, and the new state is a flow of one more unit, or, with no path,
+    the state is kept and the labels are on exactly the nodes the source
+    reaches. Returns the amount pushed."""
+    succ = _lawler_residual(graph, end)
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        w = queue.popleft()
+        for x in succ[w]:
+            if x not in dist:
+                dist[x] = dist[w] + 1
+                queue.append(x)
+    before, excess = end.copy(), _excess(graph, end)
+    push, via = flow._hyper_augment(graph, end, source, sink)
+    if sink not in dist:
+        assert push == 0 and end == before
+        assert {node for node, label in enumerate(via) if label != -1} == set(dist)
+        return 0
+    steps, node = 0, sink
+    while node != source:
+        assert node in succ[via[node]]
+        node = via[node]
+        steps += 1
+    assert push == 1 and steps == dist[sink]
+    excess[source] += 1
+    excess[sink] -= 1
+    assert _excess(graph, end) == excess
+    return push
+
+
+class TestHyperedgeNetwork:
+    """Flows on Lawler's network: each search against a plain BFS of the
+    residual it describes, values against the incidence instance, and the
+    reached vertices of every Gusfield flow against the cut they claim."""
+
+    def test_searches_against_a_plain_bfs(self):
+        from hypersplit import GenParams, random_hypergraph
+
+        seen = dict.fromkeys(("cancel", "reroute", "failed", "several_hyperedges"), 0)
+        # The second path from 0 to 9 must cross edge {1, 2} against the first.
+        crossing = hypergraph([{0, 1}, {1, 2}, {2, 9}, {0, 3}, {3, 4}, {4, 2}, {1, 5}, {5, 6}, {6, 9}])
+        hypergraphs = [crossing] + [corpus_hypergraph(trial, max_n=9, max_m=16) for trial in range(60)]
+        hypergraphs += [random_hypergraph(GenParams(20, 60, 2, seed=seed)) for seed in range(40)]
+        hypergraphs += [random_hypergraph(GenParams(n, 2 * n, 4, seed=n)) for n in (30, 60)]
+        for h in hypergraphs:
+            graph, index, _ = flow._hyperedge_network(h)
+            order = sorted(h.vertices)
+            for u in order[:4]:
+                for v in order[-4:]:
+                    if u == v:
+                        continue
+                    end = [-1] * len(graph.adj)
+                    total = 0
+                    while True:
+                        before = end.copy()
+                        push = _checked_hyper_augment(graph, end, index[u], index[v])
+                        if not push:
+                            break
+                        total += push
+                        changed = [k for k in range(len(end)) if before[k] != end[k]]
+                        seen["cancel"] += any(before[k] != -1 and end[k] == -1 for k in changed)
+                        seen["reroute"] += any(-1 not in (before[k], end[k]) for k in changed)
+                        seen["several_hyperedges"] += len(changed) > 2
+                    seen["failed"] += 1
+                    assert total == flow._max_flow(graph, index[u], index[v])[0]
+                    assert total == hyperedge_connectivity(h, u, v)
+        assert min(seen.values()) >= 10, seen
+
+    def test_shapes_against_the_incidence_instance(self):
+        # Shapes the seeded corpora lack: negative and non-contiguous ids, an
+        # isolated endpoint, only parallel hyperedges, one vertex in every
+        # hyperedge, and the 1,000-vertex path of the conn_large corpus.
+        from hypersplit import Hypergraph, incidence_graph
+
+        shapes = {
+            "negative_sparse_ids": Hypergraph(
+                frozenset({-40, -7, -3, 0, 5, 12, 99}),
+                {3: frozenset({-40, -7, 5}), 8: frozenset({-7, -3}), 1: frozenset({-3, 0, 12}),
+                 20: frozenset({12, 99, -40}), 6: frozenset({0, 5}), 2: frozenset({-7, 99})},
+            ),
+            "isolated_endpoint": hypergraph([{0, 1, 2}, {1, 2}, {2, 3}, {0, 3}], extra_vertices=[-5, 9]),
+            "all_parallel": hypergraph([{0, 1, 2, 3}] * 7),
+            "one_vertex_in_every_hyperedge": hypergraph(
+                [{0, i, i + 1} for i in range(1, 8)] + [{0, 1, 8}, {0, 4}, {0, 2, 6}]
+            ),
+            "path_1000": hypergraph([{i, i + 1} for i in range(999)]),
+        }
+        for name, h in shapes.items():
+            inc = incidence_graph(h)
+            order = sorted(h.vertices)
+            small = len(order) <= 12
+            pairs = [(u, v) for u in order for v in order if u != v] if small else [(0, 999), (999, 0), (3, 600)]
+            for u, v in pairs:
+                k = hyperedge_connectivity(h, u, v)
+                assert k == element_connectivity(inc.instance, inc.vertex_node[u], inc.vertex_node[v]), (name, u, v)
+                if small:
+                    assert k == oracle_lambda(h, u, v), (name, u, v)
+            if small:
+                for u, v, k in conn_table_hyper(h).pairs():
+                    assert k == oracle_lambda(h, u, v), (name, u, v)
+
+    def test_gusfield_flows_reach_a_minimum_cut(self, monkeypatch):
+        from hypersplit import GenParams, delta, random_hypergraph
+
+        flows = []
+        real = flow._max_flow
+
+        def recorded(graph, source, sink):
+            result = real(graph, source, sink)
+            flows.append((source, sink, result[0], result[2]))
+            return result
+
+        monkeypatch.setattr(flow, "_max_flow", recorded)
+        hypergraphs = [corpus_hypergraph(trial, max_n=10, max_m=20, salt=0x3C07) for trial in range(80)]
+        hypergraphs += [random_hypergraph(GenParams(n, 2 * n, 4, seed=n)) for n in (40, 120)]
+        checked = 0
+        for h in hypergraphs:
+            order = sorted(h.vertices)
+            flows.clear()
+            conn_table_hyper(h)
+            assert len(flows) == len(order) - 1
+            for source, sink, k, via in flows:
+                reached = {order[i] for i in range(len(order)) if via[i] != -1}
+                assert order[source] in reached and order[sink] not in reached
+                assert len(delta(h, reached)) == k
+                checked += 1
+        assert checked >= 500
 
 
 def max_element_disjoint_paths(inst, u, v, path_cap=400):

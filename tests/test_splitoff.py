@@ -453,6 +453,21 @@ class TestOneCheckerPerInstance:
         with pytest.raises(InternalInvariantError, match="reducing the clique edges"):
             complete_split_off(two_star(), 2, certify=False)
 
+    def test_end_to_end_check_catches_a_wrong_result(self, monkeypatch):
+        # Trimming every hyperedge at s replays and isolates s, but on the two
+        # star it cuts a from b: lambda(a, b) drops from 1 to 0 in h_star.
+        from hypersplit import InternalInvariantError, splitoff
+
+        def trim_all(p):
+            return tuple(Trim(e) for e in p.hypergraph.incident(p.s))
+
+        monkeypatch.setattr(splitoff, "extract_op_log", trim_all)
+        h = two_star()
+        assert replay(h, 2, trim_all(run_pipeline(h, 2))).degree(2) == 0
+        for certify in (True, False):
+            with pytest.raises(InternalInvariantError, match="splitting off s"):
+                complete_split_off(h, 2, certify=certify)
+
     def test_stage_checks_catch_faults(self, monkeypatch):
         # Stage 3 trusting its kept flows, or a broken gadget, must not slip
         # through: G3 is re-checked by a fresh build, and G1 in both modes.
