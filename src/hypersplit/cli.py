@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="write the resulting hypergraph here")
     p.add_argument("--log-out", help="write the operation log JSON here")
     p.add_argument("--certify", action=argparse.BooleanOptionalAction, default=True,
-                   help="re-check the deletion stage with fresh flows (default on)")
+                   help="re-check the gadget's reductions with fresh flows (default on)")
     p.add_argument("--drop-s", action="store_true", help="omit the isolated vertex from the output")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
 

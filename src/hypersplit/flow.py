@@ -345,10 +345,6 @@ class ConnTable:
         ks = frozenset(keep)
         return ConnTable({p: k for p, k in self.values.items() if p[0] in ks and p[1] in ks})
 
-    def remapped(self, mapping: Mapping[int, int]) -> "ConnTable":
-        """Rewrite pair keys through a vertex bijection."""
-        return ConnTable({(mapping[u], mapping[v]): k for (u, v), k in self.values.items()})
-
     def tree(self) -> tuple[tuple[int, int, int], ...]:
         """A spanning tree of the table as T-1 (parent, child, value) triples:
         in key order, each vertex after the first hangs from the earlier

@@ -161,40 +161,26 @@ def hypergraph_equal(a: Hypergraph, b: Hypergraph) -> bool:
 class Incidence:
     """Bipartite incidence view of a hypergraph as an element-connectivity instance.
 
-    One terminal node per vertex, one non-terminal node per hyperedge,
-    adjacency = membership. Maps vertices to nodes both ways, hyperedges to nodes.
+    Each vertex is a terminal node with the vertex's own id, each hyperedge a
+    non-terminal node, and adjacency is membership. ``edge_node`` maps
+    hyperedges to their nodes.
     """
 
     instance: ElementConnInstance
-    vertex_node: Mapping[int, int]
-    node_vertex: Mapping[int, int]
     edge_node: Mapping[int, int]
 
 
 def incidence_graph(h: Hypergraph) -> Incidence:
     """Build the bipartite incidence instance of ``h``.
 
-    Node ids are assigned by rank: vertices first (sorted), then hyperedges
-    (sorted by id), so the layout is deterministic.
+    Vertex v is node v, and the hyperedges, in id order, are the nodes from
+    max(V) + 1 on, so a table of the instance is keyed by vertices.
     """
-    verts = sorted(h.vertices)
-    vertex_node = {v: i for i, v in enumerate(verts)}
     edge_node = {}
     edges: dict[int, tuple[int, int]] = {}
-    next_edge = 0
-    base = len(verts)
-    for rank, eid in enumerate(h.edge_ids()):
-        node = base + rank
+    for node, eid in enumerate(h.edge_ids(), max(h.vertices, default=-1) + 1):
         edge_node[eid] = node
         for v in sorted(h.hyperedges[eid]):
-            edges[next_edge] = (vertex_node[v], node)
-            next_edge += 1
-    nodes = frozenset(range(base + h.num_edges))
-    graph = Multigraph(nodes, edges)
-    instance = ElementConnInstance(graph, frozenset(range(base)))
-    return Incidence(
-        instance=instance,
-        vertex_node=MappingProxyType(vertex_node),
-        node_vertex=MappingProxyType({n: v for v, n in vertex_node.items()}),
-        edge_node=MappingProxyType(edge_node),
-    )
+            edges[len(edges)] = (v, node)
+    graph = Multigraph(h.vertices | frozenset(edge_node.values()), edges)
+    return Incidence(ElementConnInstance(graph, h.vertices), MappingProxyType(edge_node))

@@ -10,8 +10,8 @@ Checks look only at the T-1 pairs of the baseline's tree
 an edge nor contracting an edge between non-terminals can raise a terminal
 pair's connectivity, so a reduced instance that matches the baseline on
 the tree pairs has all of it (the argument is in ``flow``). Baselines are
-full tables; the split-off pipeline passes in the tree flows of its stage
-checks instead.
+full tables; the split-off pipeline passes in the tree flows of its G1
+check instead, which both of its reduction stages continue.
 
 A run keeps one max flow per tree pair (``flow._TreeFlows``). A deletion
 test touches only the pairs whose flow crosses the edge: each drops its
@@ -21,7 +21,8 @@ accepted deletion keeps the rerouted flows; a rejected one leaves them as
 they were, and the contraction that follows is made inside them: at most
 one search per pair whose flow ran through both ends, and no fresh flows.
 So ``reduce_to_stable`` ends with one fresh check of its result, and the
-split-off re-checks its stage 2 the same way.
+split-off, under ``certify``, re-checks the result of both its stages the
+same way.
 
 The run itself works on a private mutable copy of the edges, with the
 candidates in a heap keyed by (min endpoint, max endpoint, id). A

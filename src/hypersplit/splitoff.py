@@ -11,7 +11,14 @@ The pipeline walks four bipartite-instance stages:
 After G3 each hyperedge of s either lost its gadget attachment or hangs off
 exactly one surviving gadget vertex. That bookkeeping is the trim/merge
 log, and the split-off result is the log replayed on the input hypergraph.
-The result's certificate is the G0 table without s; ``flow._tree_flows`` checks it.
+
+Vertex v of the input is node v of G0, so G0's table without s is keyed by
+vertices, and it is the one table every check compares with: G1's, the
+fresh re-check of G3 and the end-to-end check of the result, whose
+certificate it is. G1 is checked by the tree flows that both reduction
+stages then keep. The reductions only delete edges and contract edges
+between non-terminals, which never raise a pair's value, so G1 >= G2 >= G3
+pairwise, and a G3 that matches the table proves G2 too.
 """
 
 from __future__ import annotations
@@ -60,8 +67,8 @@ class Stage:
 class StagePipeline:
     """Everything the construction produced, stage by stage.
 
-    ``table`` is the terminal table of G0; every later stage keeps it
-    restricted to G1's terminals. ``s2`` holds the gadget vertices
+    ``table`` is the terminal table of G0 without s, keyed by vertices, which
+    every later stage keeps. ``s2`` holds the gadget vertices
     surviving the clique reduction; ``fa`` maps each still-attached one to
     the hyperedge ids hanging off it after the deletion stage, and ``f0``
     lists hyperedges that lost their gadget attachment entirely.
@@ -106,7 +113,6 @@ def _build_gadget(h: Hypergraph, s: int, inc: Incidence) -> GadgetInstance:
     vertex instead, so the gadget simulates a vertex capacity of deg(s).
     """
     g0 = inc.instance
-    s_node = inc.vertex_node[s]
     incident = h.incident(s)
     base = max(g0.graph.vertices) + 1 if g0.graph.vertices else 0
     clique = tuple(base + i for i in range(len(incident)))
@@ -115,8 +121,8 @@ def _build_gadget(h: Hypergraph, s: int, inc: Incidence) -> GadgetInstance:
     edges: dict[int, tuple[int, int]] = {}
     gadget_of = dict(zip((inc.edge_node[e] for e in incident), clique))
     for eid, (a, b) in g0.graph.edges.items():
-        if s_node in (a, b):
-            other = b if a == s_node else a
+        if s in (a, b):
+            other = b if a == s else a
             edges[eid] = (gadget_of[other], other)
         else:
             edges[eid] = (a, b)
@@ -125,8 +131,8 @@ def _build_gadget(h: Hypergraph, s: int, inc: Incidence) -> GadgetInstance:
             edges[next_eid] = (clique[i], clique[j])
             next_eid += 1
 
-    vertices = (g0.graph.vertices - {s_node}) | frozenset(clique)
-    instance = ElementConnInstance(Multigraph(vertices, edges), g0.terminals - {s_node})
+    vertices = (g0.graph.vertices - {s}) | frozenset(clique)
+    instance = ElementConnInstance(Multigraph(vertices, edges), g0.terminals - {s})
     attachments = tuple((e, gadget_of[inc.edge_node[e]]) for e in incident)
     return GadgetInstance(instance=instance, clique=clique, attachments=attachments)
 
@@ -135,11 +141,11 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
     """Run the construction G0..G3 at s and collect all bookkeeping.
 
     The terminal table of G0 costs T-1 flows (``conn_table_elements``). G1
-    and G2 are always checked against it, G2 by fresh flows whenever stage 2
-    changed anything: those checks are the tree flows the next stage's
-    reductions start from. With ``certify`` on, G3 is checked too, by T-1
-    fresh flows rather than the ones its deletions kept. Any drift is
-    reported as an internal error.
+    is always checked against it, by the tree flows that stage 2's
+    reductions and stage 3's deletions keep and update in place. With
+    ``certify`` on, G3 is re-checked by T-1 fresh flows whenever either
+    stage changed anything, which proves G2 as well. Any drift is reported
+    as an internal error.
     """
     if s not in h.vertices:
         raise UnknownVertexError(f"unknown vertex {s}")
@@ -150,15 +156,11 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
     g1 = gadget.instance
 
     # The table every stage must keep is the G0 table without s.
-    table0 = conn_table_elements(g0)
-    reference = table0.restrict(g1.terminals)
-    flows1 = _checked(_split_arcs(g1), reference, "replacing s with the clique gadget")
+    table = conn_table_elements(g0).restrict(g1.terminals)
+    flows = _checked(_split_arcs(g1), table, "replacing s with the clique gadget")
 
-    g2, trace = _reduce_to_stable(g1, flows1, set(gadget.clique))
+    g2, trace = _reduce_to_stable(g1, flows, set(gadget.clique))
     s2 = tuple(v for v in gadget.clique if v in g2.graph.vertices)
-    # Flows kept through the reductions are re-checked by a fresh build, which
-    # stage 3 starts from.
-    flows2 = _checked(_split_arcs(g2), reference, "reducing the clique edges") if trace.steps else flows1
 
     # Every hyperedge node keeps exactly one gadget attachment through stage 2:
     # clique reductions never touch the attachment edges themselves.
@@ -171,10 +173,10 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
             )
 
     candidates = [e for e, (a, b) in g2.graph.edges.items() if a in s2_set or b in s2_set]
-    g3, deleted = _maximal_preserving_deletions(g2, candidates, flows2)
-    if certify and deleted:
-        # A fresh build, so the flows kept through the deletions are re-checked.
-        _checked(_split_arcs(g3), reference, "deleting gadget-incident edges")
+    g3, deleted = _maximal_preserving_deletions(g2, candidates, flows)
+    del flows  # its T-1 capacity lists go before a re-check builds its own
+    if certify and (trace.steps or deleted):
+        _checked(_split_arcs(g3), table, "reducing the clique gadget")
 
     fa: dict[int, tuple[int, ...]] = {}
     f0: list[int] = []
@@ -193,7 +195,7 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
         s=s,
         incidence=inc,
         gadget=gadget,
-        table=table0,
+        table=table,
         stages=stages,
         s2=s2,
         fa=fa,
@@ -222,11 +224,12 @@ def extract_op_log(p: StagePipeline) -> tuple[SplitOffOp, ...]:
 def complete_split_off(h: Hypergraph, s: int, *, certify: bool = True) -> SplitOffResult:
     """Split off every hyperedge at s while preserving all other connectivities.
 
-    Runs the pipeline (``certify`` gates only its fresh G3 check), replays
-    the pipeline's trim/merge log on the input to get the result, and
-    certifies that s ends isolated and that the pairwise connectivity table
-    over the remaining vertices is unchanged. Any failure of those checks is
-    an internal error: the theorems say they cannot fail.
+    Runs the pipeline (``certify`` gates its fresh re-check of the gadget's
+    reductions), replays the pipeline's trim/merge log on the input to get
+    the result, and certifies, in both modes, that s ends isolated and that
+    the pipeline's table over the remaining vertices is unchanged. Any
+    failure of those checks is an internal error: the theorems say they
+    cannot fail.
     """
     pipeline = run_pipeline(h, s, certify=certify)
     log = extract_op_log(pipeline)
@@ -237,10 +240,7 @@ def complete_split_off(h: Hypergraph, s: int, *, certify: bool = True) -> SplitO
     if h_star.degree(s) != 0:
         raise InternalInvariantError("split vertex is not isolated in the result")
 
-    # Trims and merges never raise connectivity, so the tree pairs of the G0
-    # table (re-keyed from incidence nodes to vertices) decide all of it.
-    full = pipeline.table.remapped(pipeline.incidence.node_vertex)
-    table = full.restrict(h.vertices - {s})
-    if _tree_flows(_hyperedge_network(h_star), table) is None:
+    # Trims and merges never raise connectivity, so the table's tree pairs decide all of it.
+    if _tree_flows(_hyperedge_network(h_star), pipeline.table) is None:
         raise InternalInvariantError("splitting off s changed the terminal connectivity table")
-    return SplitOffResult(h_star=h_star, log=log, certificate=table, pipeline=pipeline)
+    return SplitOffResult(h_star=h_star, log=log, certificate=pipeline.table, pipeline=pipeline)

@@ -592,13 +592,13 @@ class TestHyperedgeNetwork:
             "path_1000": hypergraph([{i, i + 1} for i in range(999)]),
         }
         for name, h in shapes.items():
-            inc = incidence_graph(h)
+            inst = incidence_graph(h).instance
             order = sorted(h.vertices)
             small = len(order) <= 12
             pairs = [(u, v) for u in order for v in order if u != v] if small else [(0, 999), (999, 0), (3, 600)]
             for u, v in pairs:
                 k = hyperedge_connectivity(h, u, v)
-                assert k == element_connectivity(inc.instance, inc.vertex_node[u], inc.vertex_node[v]), (name, u, v)
+                assert k == element_connectivity(inst, u, v), (name, u, v)
                 if small:
                     assert k == oracle_lambda(h, u, v), (name, u, v)
             if small:
@@ -732,15 +732,13 @@ class TestConnTables:
             h = corpus_hypergraph(trial, max_n=6, max_m=8)
             if len(h.vertices) < 2:
                 continue
-            inc = incidence_graph(h)
-            node_table = conn_table_elements(inc.instance).remapped(inc.node_vertex)
-            assert node_table == conn_table_hyper(h)
+            # Vertex v is node v of the incidence instance, so both tables share their keys.
+            assert conn_table_elements(incidence_graph(h).instance) == conn_table_hyper(h)
 
-    def test_restrict_and_remap(self):
+    def test_restrict(self):
         table = ConnTable({(0, 1): 2, (0, 2): 1, (1, 2): 3})
         assert len(table.restrict({0, 1})) == 1
-        swapped = table.remapped({0: 10, 1: 11, 2: 12})
-        assert swapped.get(10, 11) == 2
+        assert table.restrict({1, 2}).get(2, 1) == 3
 
     def test_rejects_degenerate_pairs(self):
         with pytest.raises(ValueError):
@@ -975,8 +973,7 @@ class TestSplitOffCheckProperty:
                 for drop in edges
             ]
             for result in [h_star, *weakened]:
-                inc = incidence_graph(result)
-                holds = table_holds(inc.instance, before.remapped(inc.vertex_node))
+                holds = table_holds(incidence_graph(result).instance, before)
                 assert holds == (conn_table_hyper(result).restrict(rest) == before)
 
         check()

@@ -81,8 +81,20 @@ class TestIncidence:
                 assert (a in terminals) != (b in terminals)
             for eid in h.edge_ids():
                 assert inc.instance.graph.degree(inc.edge_node[eid]) == len(h.hyperedges[eid])
-            assert {inc.node_vertex[inc.vertex_node[v]] for v in h.vertices} == set(h.vertices)
+            assert terminals == h.vertices
 
+    def test_vertices_are_their_own_nodes(self):
+        # Hyperedge nodes follow the largest vertex in id order, whatever the ids.
+        h = Hypergraph(
+            frozenset({-40, -7, 0, 5, 12}),
+            {8: frozenset({-40, 5}), 3: frozenset({-7, 0, 12}), 5: frozenset({0, 5})},
+        )
+        inc = incidence_graph(h)
+        assert inc.instance.terminals == h.vertices
+        assert dict(inc.edge_node) == {3: 13, 5: 14, 8: 15}
+        for eid, node in inc.edge_node.items():
+            assert inc.instance.graph.neighbors(node) == h.hyperedges[eid]
+        assert incidence_graph(Hypergraph(frozenset(), {})).instance.graph.vertices == frozenset()
 
 class TestApplyOp:
     def test_trim(self):

@@ -5,7 +5,9 @@ import itertools
 import pytest
 
 from hypersplit import (
+    ConnTable,
     GenParams,
+    Hypergraph,
     Merge,
     SplitMix64,
     Trim,
@@ -66,10 +68,9 @@ class TestBuildGadget:
         h = hypergraph([{0, 1}], extra_vertices=[9])
         inc = incidence_graph(h)
         gadget = run_pipeline(h, 9).gadget
-        s_node = inc.vertex_node[9]
         assert gadget.clique == ()
         assert gadget.attachments == ()
-        assert gadget.instance.graph.vertices == inc.instance.graph.vertices - {s_node}
+        assert gadget.instance.graph.vertices == inc.instance.graph.vertices - {9}
         assert dict(gadget.instance.graph.edges) == dict(inc.instance.graph.edges)
 
     def test_degree_one_has_no_clique_edges(self):
@@ -124,8 +125,7 @@ class TestRunPipeline:
         p = run_pipeline(h, 9)
         g0 = p.stage("G0").instance
         g3 = p.stage("G3").instance
-        s_node = p.incidence.vertex_node[9]
-        assert g3.graph.vertices == g0.graph.vertices - {s_node}
+        assert g3.graph.vertices == g0.graph.vertices - {9}
         assert dict(g3.graph.edges) == dict(g0.graph.edges)
         assert p.s2 == () and p.f0 == () and not p.fa
 
@@ -140,23 +140,21 @@ class TestRunPipeline:
             h = corpus_hypergraph(trial, max_n=6, max_m=8)
             s = sorted(h.vertices)[trial % len(h.vertices)]
             p = run_pipeline(h, s, certify=True)
-            assert p.table == conn_table_elements(p.stage("G0").instance)
-            reference = p.table.restrict(p.stage("G1").instance.terminals)
+            g0 = p.stage("G0").instance
+            assert p.table == conn_table_elements(g0).restrict(g0.terminals - {s})
             assert [st.name for st in p.stages] == ["G0", "G1", "G2", "G3"]
             for stage in p.stages[1:]:
-                assert conn_table_elements(stage.instance) == reference
+                assert conn_table_elements(stage.instance) == p.table
 
-    def test_certify_off_skips_tables(self, stage_checks):
-        # certify=False skips only the fresh G3 check; the G0 table and the
-        # G1 check, whose flows stage 2 starts from, still run.
+    def test_certify_gates_only_the_recheck(self, stage_checks):
+        # certify=False skips only the fresh re-check of G3; the G0 table and
+        # the G1 check, whose flows both stages' reductions keep, still run.
         h = hypergraph(FIG_SHAPE_EDGES)
         for certify in (True, False):
             stage_checks.clear()
             p = run_pipeline(h, FIG_SHAPE_S, certify=certify)
             assert p.deleted_edges
-            assert p.table == conn_table_elements(p.stage("G0").instance)
-            assert stage_checks[0] == "replacing s with the clique gadget"
-            assert ("deleting gadget-incident edges" in stage_checks) == certify
+            assert stage_checks == ["replacing s with the clique gadget", "reducing the clique gadget"][: 1 + certify]
 
     def test_stage_tables_match_hypergraph_tables(self):
         for trial in range(20):
@@ -165,9 +163,8 @@ class TestRunPipeline:
             res = complete_split_off(h, s, certify=True)
             p = res.pipeline
             rest = h.vertices - {s}
-            g0_table = p.table.remapped(p.incidence.node_vertex)
-            assert g0_table == conn_table_hyper(h)
-            assert g0_table.restrict(rest) == res.certificate
+            assert conn_table_elements(p.stage("G0").instance) == conn_table_hyper(h)
+            assert p.table == res.certificate == conn_table_hyper(h).restrict(rest)
             assert conn_table_hyper(res.h_star).restrict(rest) == res.certificate
 
 
@@ -312,9 +309,8 @@ class TestDegenerateShapes:
         res = complete_split_off(h, 9, certify=True)
         assert res.h_star.degree(9) == 0
         assert hypergraph_equal(replay(h, 9, res.log), res.h_star)
-        reference = res.pipeline.table.restrict(res.pipeline.stage("G1").instance.terminals)
         for stage in res.pipeline.stages[1:]:
-            assert conn_table_elements(stage.instance) == reference
+            assert conn_table_elements(stage.instance) == res.pipeline.table
         rest = sorted(h.vertices - {9})
         for u, v in itertools.combinations(rest, 2):
             assert oracle_lambda(res.h_star, u, v) == oracle_lambda(h, u, v)
@@ -384,8 +380,8 @@ class TestAdversarialShapes:
 
 
 class TestOneCheckerPerInstance:
-    """Stage checks and the reductions share their tree flows, and G0's
-    table is the only full table, whether or not stages are certified."""
+    """Both reduction stages continue G1's tree flows, and G0's table is the
+    only full table, whether or not the re-check runs."""
 
     @staticmethod
     def seeded():
@@ -410,17 +406,27 @@ class TestOneCheckerPerInstance:
         for h, s in cases:
             built.clear()
             complete_split_off(h, s, certify=True)
-            assert built and len(built) == len(set(built))
+            # G1's check, and the re-check of G3 when the reductions changed anything.
+            assert len(built) in (1, 2) and len(built) == len(set(built))
 
-    def test_default_checks_stage_three_at_any_size(self, stage_checks):
-        # Every check costs T-1 flows, so no instance size turns the G3 check off.
+    def test_default_rechecks_at_any_size(self, stage_checks):
+        # Every check costs T-1 flows, so no instance size turns the re-check off.
         h = hypergraph(FIG_SHAPE_EDGES + [{v, v + 1} for v in range(3, 70)])
         assert len(h.vertices) - 1 > 64
         res = complete_split_off(h, FIG_SHAPE_S)
         assert res.pipeline.deleted_edges
-        assert "deleting gadget-incident edges" in stage_checks
+        assert "reducing the clique gadget" in stage_checks
 
-    def test_uncertified_computes_one_table(self, monkeypatch):
+    @pytest.mark.parametrize("certify, checks", ((True, 3), (False, 2)))
+    def test_check_plan(self, max_flows, certify, checks):
+        # The G0 table costs n-1 flows; the G1 check, the end-to-end check and,
+        # under certify, the re-check of G3 cost n-2 each. Reductions run none.
+        h, s = self.seeded()
+        n = len(h.vertices)
+        complete_split_off(h, s, certify=certify)
+        assert len(max_flows) == (n - 1) + checks * (n - 2) == (33 if certify else 25)
+
+    def test_one_table_in_both_modes(self, monkeypatch):
         from hypersplit import flow, reduction, splitoff
 
         tables = []
@@ -433,25 +439,28 @@ class TestOneCheckerPerInstance:
         for module in (flow, reduction, splitoff):
             monkeypatch.setattr(module, "conn_table_elements", counted)
         h, s = self.seeded()
-        complete_split_off(h, s, certify=False)
-        assert len(tables) == 1
+        for certify in (True, False):
+            tables.clear()
+            complete_split_off(h, s, certify=certify)
+            assert len(tables) == 1
 
     def test_stage_two_rechecked_after_a_final_contraction(self, monkeypatch):
-        # Contractions run inside the kept flows, so G2 gets a fresh check
-        # even when a contraction was stage 2's last step.
+        # Stage 3 trusts the flows stage 2 kept, so a wrong G2 that keeps every
+        # attachment edge must be caught by the re-check of G3.
         from hypersplit import InternalInvariantError, Multigraph, splitoff
 
         real = splitoff._reduce_to_stable
 
         def lossy(inst, flows, within):
-            out, trace = real(inst, flows, within)
+            _, trace = real(inst, flows, within)
             assert trace.steps[-1].action == "contracted"
-            edges = {e: uv for e, uv in out.graph.edges.items() if not set(uv) & within}
-            return out.with_graph(Multigraph(out.graph.vertices, edges)), trace
+            # G1 without its clique edges: the a-b route through the gadget is gone.
+            edges = {e: uv for e, uv in inst.graph.edges.items() if not set(uv) <= within}
+            return inst.with_graph(Multigraph(inst.graph.vertices, edges)), trace
 
         monkeypatch.setattr(splitoff, "_reduce_to_stable", lossy)
-        with pytest.raises(InternalInvariantError, match="reducing the clique edges"):
-            complete_split_off(two_star(), 2, certify=False)
+        with pytest.raises(InternalInvariantError, match="reducing the clique gadget"):
+            complete_split_off(two_star(), 2, certify=True)
 
     def test_end_to_end_check_catches_a_wrong_result(self, monkeypatch):
         # Trimming every hyperedge at s replays and isolates s, but on the two
@@ -481,7 +490,7 @@ class TestOneCheckerPerInstance:
         h, s = self.seeded()
         with monkeypatch.context() as m:
             m.setattr(splitoff, "_maximal_preserving_deletions", delete_all)
-            with pytest.raises(InternalInvariantError, match="deleting gadget-incident edges"):
+            with pytest.raises(InternalInvariantError, match="reducing the clique gadget"):
                 complete_split_off(h, s, certify=True)
 
         real_gadget = splitoff._build_gadget
@@ -497,3 +506,28 @@ class TestOneCheckerPerInstance:
         for certify in (True, False):
             with pytest.raises(InternalInvariantError, match="replacing s with the clique gadget"):
                 complete_split_off(h, s, certify=certify)
+
+
+class TestVertexLayout:
+    """Vertex v is node v of G0, so the split must not depend on the vertex ids."""
+
+    @staticmethod
+    def relabel(v):
+        return 3 * v + 5 - 40 * (v % 2)  # non-contiguous, partly negative, order not kept
+
+    def test_relabelled_vertices_give_the_same_split(self):
+        f = self.relabel
+        for seed in range(60):
+            n = 6 + seed % 5
+            h = random_hypergraph(GenParams(n, 2 * n + seed % n, 4, seed=seed))
+            s = max(sorted(h.vertices), key=h.degree)
+            moved = Hypergraph(
+                frozenset(map(f, h.vertices)),
+                {e: frozenset(map(f, ms)) for e, ms in h.hyperedges.items()},
+            )
+            res, again = complete_split_off(h, s), complete_split_off(moved, f(s))
+            assert again.log == res.log, seed
+            assert dict(again.h_star.hyperedges) == {
+                e: frozenset(map(f, ms)) for e, ms in res.h_star.hyperedges.items()
+            }, seed
+            assert again.certificate == ConnTable({(f(u), f(v)): k for u, v, k in res.certificate.pairs()})
