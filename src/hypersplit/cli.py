@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import formats
 from .errors import (
@@ -67,7 +67,7 @@ def _pair_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def _resolve_pairs(args, table: formats.NameTable, eligible: Sequence[int]) -> list[tuple[int, int]]:
+def _resolve_pairs(args, table: formats.NameTable, eligible: Iterable[int]) -> list[tuple[int, int]]:
     if args.all_pairs:
         if args.u or args.v:
             raise ParseError("--all-pairs excludes -u/-v")
@@ -92,7 +92,7 @@ def _query_pairs(args, element: bool, value_of, flow_of=None, table_of=None) -> 
     else:
         graph, table, _ = formats.load_hypergraph(args.file, args.format)
         name, eligible = "lambda", graph.vertices
-    pairs = _resolve_pairs(args, table, sorted(eligible))
+    pairs = _resolve_pairs(args, table, eligible)
     if args.all_pairs and table_of is not None:
         values = table_of(graph)
         value_of = lambda _graph, u, v: values.get(u, v)

@@ -76,8 +76,10 @@ is at least the minimum along its tree path, which is its old value, and
 at most its old value: the whole table holds. Every such check on fresh
 flows runs the tree pairs through ``_tree_flows``. On an element network
 ``_checked`` reports a differing pair as an internal error; ``table_holds``
-is the same test as a bool. The deletion and contraction arguments below
-hold for a flow in either direction.
+is the same test as a bool. Gusfield's tree below has the path minimum
+too, so the flows that compute a table can be kept to check it
+(``_table_flows``). The deletion and contraction arguments below hold for
+a flow in either direction.
 
 A full table also costs T-1 flows, by Gusfield's flow-equivalent tree
 ("Very simple methods for all pairs network flow analysis", 1990). Every
@@ -128,6 +130,7 @@ restores value k, and no path means the contraction lowered the value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -398,8 +401,9 @@ def _split_arcs(inst: ElementConnInstance) -> _Network:
 
 
 def _hyperedge_network(h: Hypergraph) -> _Network:
-    """Lawler's network of ``h`` (see the module docstring), in one pass over
-    its incidences, with its index keyed by the vertices.
+    """Lawler's network of ``h`` (see the module docstring), with its index
+    keyed by the vertices: the members map to indices in bulk, and one pass
+    over the incidences lists the hyperedges at each vertex.
 
     The vertex with index i, in sorted order, is node i. The p-th hyperedge
     has entry node b + 2*p and exit node b + 2*p + 1, for the even b of n or
@@ -408,14 +412,13 @@ def _hyperedge_network(h: Hypergraph) -> _Network:
     shared list of its members' indices. The arcs follow from that and the
     flow state: a search builds none.
     """
-    index = {v: i for i, v in enumerate(sorted(h.vertices))}
+    index = dict(zip(sorted(h.vertices), range(len(h.vertices))))
+    ends = list(map(list, map(map, repeat(index.__getitem__), h.hyperedges.values())))
     adj: list[list[int]] = [[] for _ in range(len(index) + len(index) % 2)]
-    for members in h.hyperedges.values():
-        entry = len(adj)
-        ends = [index[v] for v in members]
-        for i in ends:
+    for members, entry in zip(ends, range(len(adj), len(adj) + 2 * len(ends), 2)):
+        for i in members:
             adj[i].append(entry)
-        adj += (ends, ends)
+    adj += chain.from_iterable(zip(ends, ends))
     return _Hyperedges(adj, len(index)), index, ()
 
 
@@ -463,14 +466,17 @@ def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
     return _gusfield(_split_arcs(inst), sorted(inst.terminals))
 
 
-def _gusfield(network: _Network, terms: list[int]) -> ConnTable:
-    """The table of the terminals ``terms``, in ascending order, by Gusfield's T-1 flows."""
+def _gusfield(network: _Network, terms: list[int], kept: list[list[int]] | None = None) -> ConnTable:
+    """The table of the terminals ``terms``, in ascending order, by Gusfield's
+    T-1 flows; with a list ``kept``, the state each flow leaves goes there."""
     ends = [_terminal(network, v) for v in terms]
     parent = [0] * len(terms)  # tree parent of each terminal; always an earlier one
     low = [[0] * len(terms) for _ in terms]  # smallest flow on each tree path
     for i in range(1, len(terms)):
         t = parent[i]
-        k, _, via = _max_flow(network[0], ends[i][0], ends[t][1])
+        k, state, via = _max_flow(network[0], ends[i][0], ends[t][1])
+        if kept is not None:
+            kept.append(state)
         for j in range(i + 1, len(terms)):
             if parent[j] == t and via[ends[j][0]] != -1:
                 parent[j] = i
@@ -495,12 +501,20 @@ def _tree_flows(network: _Network, table: ConnTable) -> list[list[int]] | None:
     return states
 
 
+def _table_flows(inst: ElementConnInstance) -> tuple[ConnTable, "_TreeFlows"]:
+    """``conn_table_elements(inst)``, with its Gusfield flows kept as a ``_TreeFlows`` of it."""
+    network, kept = _split_arcs(inst), []
+    return _gusfield(network, sorted(inst.terminals), kept), _TreeFlows(network, kept)
+
+
 class _TreeFlows:
     """Maximum flows of a table's tree pairs on one instance, kept across reductions.
 
-    Building it on an element network (``_split_arcs``) runs the T-1 flows
-    of ``table.tree()`` (``_tree_flows``), and ``holds`` says whether all of
-    them have the table's values. A flow may run from either end of its pair.
+    It keeps the states ``caps`` that the T-1 flows of a table's tree left
+    on an element network (``_split_arcs``): those of ``table.tree()``'s
+    pairs (``_tree_flows``), or Gusfield's (``_table_flows``). ``holds`` says
+    whether all of them had the table's values, which a ``caps`` of None
+    denies. A flow may run from either end of its pair.
     ``delete`` then tests and applies edge deletions one at a time, each at
     the cost of at most one augmenting search per tree pair whose flow uses
     the edge, and ``contract`` contracts edges between non-terminals at the
@@ -511,12 +525,11 @@ class _TreeFlows:
     deletion, which still bounds every flow.
     """
 
-    def __init__(self, network: _Network, table: ConnTable):
+    def __init__(self, network: _Network, caps: list[list[int]] | None):
         residual, _, edge_ids = network
         self._head, _, self._out = residual
         first = len(self._out)  # edge arcs follow the vertex arcs, numbered like nodes
         self._edge_arc = dict(zip(edge_ids, range(first, first + 4 * len(edge_ids), 4)))
-        caps = _tree_flows(network, table)
         self.holds = caps is not None
         self._caps = caps or []  # residual capacities left by each pair's flow
 
@@ -612,7 +625,7 @@ def _checked(network: _Network, table: ConnTable, what: str) -> _TreeFlows:
     """``_TreeFlows`` of ``table`` on an element network, under the
     assumption of ``table_holds``; if they differ, an internal error saying
     that ``what`` changed the table."""
-    flows = _TreeFlows(network, table)
+    flows = _TreeFlows(network, _tree_flows(network, table))
     if not flows.holds:
         raise InternalInvariantError(f"{what} changed the terminal connectivity table")
     return flows

@@ -3,12 +3,19 @@
 Vertex names in files are strings; ids are assigned by sorted name order, so
 identical files always produce identical instances. Writers are fully
 deterministic and every written file re-parses to an equal value.
+
+Parsers check in bulk and walk the items only to word the error: names,
+hyperedges and edges are tested and mapped to ids by C-level passes over
+whole lists, and only when a test fails does a loop find the first bad
+item and report it as the item-by-item check always has.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress, repeat, starmap
+from operator import itemgetter, ne, not_
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -27,11 +34,14 @@ class NameTable:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        for name in self.names:
-            _check_name(name)
-        if len(set(self.names)) != len(self.names):
+        names = self.names
+        joined = " " + " ".join(names) if all(map(str.__instancecheck__, names)) else None
+        if joined is None or joined.split() != list(names) or " #" in joined:  # empty, blank or '#' names
+            for name in names:
+                _check_name(name)
+        if len(set(names)) != len(names):
             raise ParseError("duplicate vertex name")
-        object.__setattr__(self, "_ids", {n: i for i, n in enumerate(self.names)})
+        object.__setattr__(self, "_ids", dict(zip(names, range(len(names)))))
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "NameTable":
@@ -63,17 +73,19 @@ def _check_name(name: str) -> None:
 
 
 def _as_name_list(value, what: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, list) or not all(map(str.__instancecheck__, value)):
         raise ParseError(f"{what} must be an array of strings")
     return value
 
 
-def _hyperedge_ids(members: Sequence[str], table: NameTable, where: str) -> frozenset[int]:
-    if len(set(members)) != len(members):
-        raise ParseError(f"duplicate vertex inside {where}")
-    if len(members) < 2:
-        raise ParseError(f"{where} has fewer than 2 vertices")
-    return frozenset(table.id_of(m) for m in members)
+def _mapped(entries: list, ids: dict[str, int], kind: type) -> Optional[list]:
+    """Every entry's ids as a ``kind``, or None unless each entry is a list of known names."""
+    if not {list}.issuperset(map(type, entries)):  # a string or an object iterates names too
+        return None
+    try:
+        return list(map(kind, map(map, repeat(ids.__getitem__), entries)))
+    except (KeyError, TypeError):  # an unknown name, or a member that is no name
+        return None
 
 
 def parse_hypergraph_json(text: str) -> tuple[Hypergraph, NameTable]:
@@ -94,21 +106,20 @@ def parse_hypergraph_json(text: str) -> tuple[Hypergraph, NameTable]:
     raw_edges = obj["hyperedges"]
     if not isinstance(raw_edges, list):
         raise ParseError("'hyperedges' must be an array")
-    ids = table._ids
-    edges = {}
-    for i, entry in enumerate(raw_edges):
-        try:  # a list of at least two distinct known names maps in one step
-            members = frozenset([ids[name] for name in entry]) if type(entry) is list else ()
-        except (KeyError, TypeError):  # an unknown name, or a member that is no name
-            members = ()
-        if len(members) < 2 or len(members) != len(entry):  # fewer ids than names: a repeat
-            where = f"hyperedge {i}"
+    edges = _mapped(raw_edges, table._ids, frozenset)
+    sizes = list(map(len, edges or ()))  # fewer ids than names: a repeat
+    if edges is None or sizes != list(map(len, raw_edges)) or min(sizes, default=2) < 2:
+        for i, entry in enumerate(raw_edges):
+            members = _as_name_list(entry, f"hyperedge {i}")
+            if len(set(members)) != len(members):
+                raise ParseError(f"duplicate vertex inside hyperedge {i}")
+            if len(members) < 2:
+                raise ParseError(f"hyperedge {i} has fewer than 2 vertices")
             try:
-                members = _hyperedge_ids(_as_name_list(entry, where), table, where)
+                list(map(table.id_of, members))
             except UnknownVertexError as exc:
                 raise ParseError(f"hyperedge {i}: {exc}") from exc
-        edges[i] = members
-    return Hypergraph(frozenset(range(len(table))), edges), table
+    return Hypergraph(frozenset(range(len(table))), dict(enumerate(edges))), table
 
 
 def parse_hypergraph_text(text: str) -> tuple[Hypergraph, NameTable]:
@@ -117,28 +128,22 @@ def parse_hypergraph_text(text: str) -> tuple[Hypergraph, NameTable]:
     The vertex set is the union of all members plus any ``#vertices:`` header
     lines; other ``#`` lines are comments.
     """
-    extra: set[str] = set()
-    edge_lines: list[list[str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith(VERTICES_HEADER):
-                extra.update(line[len(VERTICES_HEADER) :].split())
-            continue
-        members = line.split()
-        if len(set(members)) != len(members):
-            raise ParseError(f"line {lineno}: duplicate vertex inside hyperedge")
-        if len(members) < 2:
-            raise ParseError(f"line {lineno}: hyperedge has fewer than 2 vertices")
-        edge_lines.append(members)
-    names = set(extra)
-    for members in edge_lines:
-        names.update(members)
-    table = NameTable.from_names(names)
-    edges = {i: frozenset(table.id_of(m) for m in members) for i, members in enumerate(edge_lines)}
-    return Hypergraph(frozenset(range(len(table))), edges), table
+    rows = list(filter(None, map(str.split, text.splitlines())))  # the names of each non-blank line
+    comment = list(map(str.startswith, map(itemgetter(0), rows), repeat("#")))
+    headers = [" ".join(row)[len(VERTICES_HEADER) :].split()
+               for row in compress(rows, comment) if row[0].startswith(VERTICES_HEADER)]
+    edge_rows = list(compress(rows, map(not_, comment)))
+    sizes = list(map(len, edge_rows))
+    if sizes != list(map(len, map(set, edge_rows))) or min(sizes, default=2) < 2:
+        for lineno, members in enumerate(map(str.split, text.splitlines()), start=1):
+            if members[:1] and not members[0].startswith("#"):  # blank lines and comments pass
+                if len(set(members)) != len(members):
+                    raise ParseError(f"line {lineno}: duplicate vertex inside hyperedge")
+                if len(members) < 2:
+                    raise ParseError(f"line {lineno}: hyperedge has fewer than 2 vertices")
+    table = NameTable.from_names(set().union(*headers, *edge_rows))
+    edges = _mapped(edge_rows, table._ids, frozenset)
+    return Hypergraph(frozenset(range(len(table))), dict(enumerate(edges))), table
 
 
 def _sorted_names(vertices: Iterable[int], table: NameTable) -> list[str]:
@@ -175,22 +180,23 @@ def parse_element_json(text: str) -> tuple[ElementConnInstance, NameTable]:
         raise ParseError("duplicate name in 'vertices'")
     if not isinstance(obj["edges"], list):
         raise ParseError("'edges' must be an array")
-    edges = {}
-    for i, entry in enumerate(obj["edges"]):
-        pair = _as_name_list(entry, f"edge {i}")
-        if len(pair) != 2:
-            raise ParseError(f"edge {i} must have exactly 2 endpoints")
-        if pair[0] == pair[1]:
-            raise ParseError(f"edge {i} is a self-loop")
-        try:
-            edges[i] = (table.id_of(pair[0]), table.id_of(pair[1]))
-        except UnknownVertexError as exc:
-            raise ParseError(f"edge {i}: {exc}") from exc
+    edges = _mapped(obj["edges"], table._ids, tuple)
+    if edges is None or not {2}.issuperset(map(len, edges)) or not all(starmap(ne, edges)):
+        for i, entry in enumerate(obj["edges"]):
+            pair = _as_name_list(entry, f"edge {i}")
+            if len(pair) != 2:
+                raise ParseError(f"edge {i} must have exactly 2 endpoints")
+            if pair[0] == pair[1]:
+                raise ParseError(f"edge {i} is a self-loop")
+            try:
+                list(map(table.id_of, pair))
+            except UnknownVertexError as exc:
+                raise ParseError(f"edge {i}: {exc}") from exc
     try:
-        terminals = frozenset(table.id_of(t) for t in _as_name_list(obj["terminals"], "'terminals'"))
+        terminals = frozenset(map(table.id_of, _as_name_list(obj["terminals"], "'terminals'")))
     except UnknownVertexError as exc:
         raise ParseError(f"terminals: {exc}") from exc
-    graph = Multigraph(frozenset(range(len(table))), edges)
+    graph = Multigraph(frozenset(range(len(table))), dict(enumerate(edges)))
     return ElementConnInstance(graph, terminals), table
 
 

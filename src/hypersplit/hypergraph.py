@@ -33,14 +33,18 @@ class Hypergraph:
 
     def __post_init__(self):
         vertices = frozenset(self.vertices)
-        edges: dict[int, frozenset[int]] = {}
-        for eid, members in self.hyperedges.items():
-            ms = frozenset(members)
-            if len(ms) < 2:
-                raise ValueError(f"hyperedge {eid} has fewer than 2 vertices")
-            if not ms <= vertices:
-                raise ValueError(f"hyperedge {eid} is not a subset of the vertex set")
-            edges[eid] = ms
+        try:  # one size test and one subset test over all hyperedges
+            edges = dict(zip(self.hyperedges, map(frozenset, self.hyperedges.values())))
+            bad = min(map(len, edges.values()), default=2) < 2 or not set().union(*edges.values()) <= vertices
+        except TypeError:
+            bad = True
+        if bad:
+            for eid, members in self.hyperedges.items():
+                ms = frozenset(members)
+                if len(ms) < 2:
+                    raise ValueError(f"hyperedge {eid} has fewer than 2 vertices")
+                if not ms <= vertices:
+                    raise ValueError(f"hyperedge {eid} is not a subset of the vertex set")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "hyperedges", MappingProxyType(edges))
 

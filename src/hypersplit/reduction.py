@@ -5,13 +5,13 @@ contracting it keeps every pairwise terminal connectivity unchanged. We
 prefer deletion whenever it preserves the table; when it does not, the
 contraction is guaranteed to, and we verify that instead of trusting it.
 
-Checks look only at the T-1 pairs of the baseline's tree
-(``ConnTable.tree``), not the T(T-1)/2 of a full table. Neither deleting
-an edge nor contracting an edge between non-terminals can raise a terminal
-pair's connectivity, so a reduced instance that matches the baseline on
-the tree pairs has all of it (the argument is in ``flow``). Baselines are
-full tables; the split-off pipeline passes in the tree flows of its G1
-check instead, which both of its reduction stages continue.
+Checks look only at the T-1 pairs of a tree of the baseline, not the
+T(T-1)/2 of a full table. Neither deleting an edge nor contracting an edge
+between non-terminals can raise a terminal pair's connectivity, so a
+reduced instance that matches the baseline on the tree pairs has all of it
+(the argument is in ``flow``). A baseline's own Gusfield flows are such a
+tree's (``flow._table_flows``); the split-off pipeline passes in the tree
+flows of its G1 check instead, which both of its reduction stages continue.
 
 A run keeps one max flow per tree pair (``flow._TreeFlows``). A deletion
 test touches only the pairs whose flow crosses the edge: each drops its
@@ -40,7 +40,7 @@ from types import MappingProxyType
 from typing import Iterable, Literal, Mapping, Optional
 
 from .errors import InternalInvariantError, TerminalEndpointError
-from .flow import ConnTable, _TreeFlows, _checked, _split_arcs, conn_table_elements
+from .flow import ConnTable, _TreeFlows, _checked, _split_arcs, _table_flows, _tree_flows
 from .multigraph import ElementConnInstance, Multigraph
 
 Action = Literal["deleted", "contracted"]
@@ -84,7 +84,8 @@ def is_deletion_preserving(inst: ElementConnInstance, edge_id: int, baseline: Co
     have that table, the answer is False.
     """
     inst.graph.endpoints(edge_id)  # raises MissingEdgeError on unknown ids
-    return _TreeFlows(_split_arcs(inst), baseline).delete(edge_id)
+    network = _split_arcs(inst)
+    return _TreeFlows(network, _tree_flows(network, baseline)).delete(edge_id)
 
 
 def reduce_edge(
@@ -102,7 +103,8 @@ def reduce_edge(
     for w in edge:
         if w in inst.terminals:
             raise TerminalEndpointError(f"endpoint {w} of edge {edge_id} is a terminal")
-    step = _reduce(_TreeFlows(_split_arcs(inst), baseline), edge_id, edge)
+    network = _split_arcs(inst)
+    step = _reduce(_TreeFlows(network, _tree_flows(network, baseline)), edge_id, edge)
     if step.action == "deleted":
         return inst.with_graph(inst.graph.without_edge(edge_id)), step
     return inst.with_graph(inst.graph.contracted(edge_id)[0]), step
@@ -134,8 +136,8 @@ def reduce_to_stable(
     non-terminals as a stable set. A result that differs from the input is
     re-checked by fresh flows.
     """
-    baseline = conn_table_elements(inst)
-    out, trace = _reduce_to_stable(inst, _TreeFlows(_split_arcs(inst), baseline), within)
+    baseline, flows = _table_flows(inst)
+    out, trace = _reduce_to_stable(inst, flows, within)
     if trace.steps:
         _checked(_split_arcs(out), baseline, "reducing non-terminal edges")
     return out, trace
@@ -201,7 +203,7 @@ def maximal_preserving_deletions(
     ids = list(candidates)
     for e in ids:
         inst.graph.endpoints(e)  # raises MissingEdgeError on unknown ids
-    return _maximal_preserving_deletions(inst, ids, _TreeFlows(_split_arcs(inst), conn_table_elements(inst)))
+    return _maximal_preserving_deletions(inst, ids, _table_flows(inst)[1])
 
 
 def _maximal_preserving_deletions(

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,6 +96,21 @@ class TestConn:
         path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(4999)))
         assert main(["conn", str(path), "-u", "v0", "-v", "v4999"]) == 0
         assert capsys.readouterr().out == "lambda(v0, v4999) = 1\n"
+
+    @pytest.mark.parametrize("length, query", [(1000, ["-u", "v000", "-v", "v999"]), (300, ["--all-pairs"])])
+    def test_path_file_through_the_entry_point(self, tmp_path, length, query):
+        # A path hypergraph in the benchmark's JSON shape, run as a program.
+        names = [f"v{i:0{len(str(length - 1))}d}" for i in range(length)]
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"vertices": names, "hyperedges": [list(p) for p in zip(names, names[1:])]}))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-m", "hypersplit.cli", "conn", str(path), *query],
+                             capture_output=True, text=True, env=env)
+        assert (run.returncode, run.stderr) == (0, "")
+        lines = run.stdout.splitlines()
+        assert len(lines) == (1 if query[0] == "-u" else length * (length - 1) // 2)
+        assert all(line.endswith(") = 1") for line in lines)
+        assert lines[0] == f"lambda({names[0]}, {names[-1] if query[0] == '-u' else names[1]}) = 1"
 
 
 class TestUnexpectedErrors:

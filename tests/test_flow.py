@@ -805,7 +805,6 @@ class TestTableTree:
 
     def test_tree_flows_start_at_the_smaller_degree_end(self, max_flows):
         from hypersplit import incidence_graph
-        from hypersplit.flow import _TreeFlows
 
         instances = [corpus_element_instance(trial) for trial in range(40)]
         instances += [incidence_graph(corpus_hypergraph(trial)).instance for trial in range(40)]
@@ -813,7 +812,7 @@ class TestTableTree:
         for inst in instances:
             table = conn_table_elements(inst)
             max_flows.clear()
-            _TreeFlows(flow._split_arcs(inst), table)
+            flow._tree_flows(flow._split_arcs(inst), table)
             order = sorted(inst.graph.vertices)
             assert len(max_flows) == len(table.tree())
             for (parent, child, _), (source, sink) in zip(table.tree(), max_flows):

@@ -51,6 +51,39 @@ class TestNameTable:
         with pytest.raises(ParseError):
             NameTable.from_names(["a", bad])
 
+    # names -> the message; the first bad name in table order is reported,
+    # and its first failing rule: a string, no whitespace, no leading '#'.
+    BAD_NAMES = {
+        ("", "a"): "vertex name must be a non-empty string, got ''",
+        ("a", 3): "vertex name must be a non-empty string, got 3",
+        ("a", None, "b c"): "vertex name must be a non-empty string, got None",
+        ("a", "has space"): "vertex name 'has space' contains whitespace",
+        ("a", "tab\there"): "vertex name 'tab\\there' contains whitespace",
+        (" a",): "vertex name ' a' contains whitespace",
+        ("a", "b\u2028"): "vertex name 'b\\u2028' contains whitespace",
+        ("a", "#hash"): "vertex name '#hash' starts with '#'",
+        ("#x b",): "vertex name '#x b' contains whitespace",
+        ("b c", "#x"): "vertex name 'b c' contains whitespace",
+        ("#x", "b c"): "vertex name '#x' starts with '#'",
+        ("a", "a", "#x"): "vertex name '#x' starts with '#'",
+        ("a", "a"): "duplicate vertex name",
+    }
+
+    @pytest.mark.parametrize("names", list(BAD_NAMES))
+    def test_bad_name_messages(self, names):
+        with pytest.raises(ParseError) as info:
+            NameTable(names)
+        assert str(info.value) == self.BAD_NAMES[names]
+
+    def test_names_are_sorted_before_the_check(self):
+        with pytest.raises(ParseError) as info:
+            NameTable.from_names(["z z", "b c", "#y", "a"])
+        assert str(info.value) == "vertex name '#y' starts with '#'"
+
+    def test_inner_hash_is_a_name(self):
+        table = NameTable.from_names(["a#", "b#c"])
+        assert table.id_of("b#c") == 1
+
 
 class TestHypergraphJson:
     def test_parse_triangle(self):
@@ -115,6 +148,33 @@ class TestHypergraphText:
         with pytest.raises(ParseError):
             parse_hypergraph_text("a\n")
 
+    # The first bad line is reported, before any bad name; comments, blank
+    # lines and str.splitlines' other line breaks count as lines.
+    MALFORMED = {
+        "a a b\n": "line 1: duplicate vertex inside hyperedge",
+        "a\n": "line 1: hyperedge has fewer than 2 vertices",
+        "a a\n": "line 1: duplicate vertex inside hyperedge",
+        "a b\n\n# c c\n  c d c\ne\n": "line 4: duplicate vertex inside hyperedge",
+        "a b\nx\ny y\n": "line 2: hyperedge has fewer than 2 vertices",
+        "#vertices: q\na b\u2028c\n": "line 3: hyperedge has fewer than 2 vertices",
+        "a #b\nc\n": "line 2: hyperedge has fewer than 2 vertices",
+        "#vertices: #x\na b\n": "vertex name '#x' starts with '#'",
+        "#vertices:  \na b\nc #d e\n": "vertex name '#d' starts with '#'",
+        "b c\nb\xa0b c\n": "line 2: duplicate vertex inside hyperedge",
+    }
+
+    @pytest.mark.parametrize("text", list(MALFORMED))
+    def test_rejects_malformed(self, text):
+        with pytest.raises(ParseError) as info:
+            parse_hypergraph_text(text)
+        assert str(info.value) == self.MALFORMED[text]
+
+    def test_header_and_comment_lines(self):
+        text = "  # x y\n#vertices:z\n#vertices: y w\n\t\na b\n#comment a a\n"
+        h, table = parse_hypergraph_text(text)
+        assert table.names == ("a", "b", "w", "y", "z")
+        assert dict(h.hyperedges) == {0: {0, 1}}
+
     def test_rejects_name_read_back_as_a_comment(self):
         # Written back, the hyperedge {"#b", "a"} would be the comment line "#b a".
         with pytest.raises(ParseError) as info:
@@ -138,19 +198,39 @@ class TestElementJson:
         assert inst.terminals == {table.id_of("u"), table.id_of("v")}
         assert len(inst.graph.edges) == 3
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"vertices": ["a"], "edges": []}',
-            '{"vertices": ["a","b"], "edges": [["a","a"]], "terminals": ["a"]}',
-            '{"vertices": ["a","b"], "edges": [["a"]], "terminals": ["a"]}',
-            '{"vertices": ["a","b"], "edges": [["a","zz"]], "terminals": ["a"]}',
-            '{"vertices": ["a","b"], "edges": [], "terminals": ["zz"]}',
-        ],
-    )
+    # text -> the message: the first bad edge, and its first failing rule.
+    MALFORMED = {
+        '{"vertices": ["a"], "edges": []}':
+            "expected an object with 'vertices', 'edges' and 'terminals'",
+        '{"vertices": ["a","b"], "edges": [["a","a"]], "terminals": ["a"]}': "edge 0 is a self-loop",
+        '{"vertices": ["a","b"], "edges": [["a"]], "terminals": ["a"]}': "edge 0 must have exactly 2 endpoints",
+        '{"vertices": ["a","b"], "edges": [["a","zz"]], "terminals": ["a"]}': "edge 0: unknown vertex 'zz'",
+        '{"vertices": ["a","b"], "edges": [], "terminals": ["zz"]}': "terminals: unknown vertex 'zz'",
+        '{"vertices": ["a","a"], "edges": [], "terminals": []}': "duplicate name in 'vertices'",
+        '{"vertices": ["a","b c"], "edges": [], "terminals": []}': "vertex name 'b c' contains whitespace",
+        '{"vertices": ["a",1], "edges": [], "terminals": []}': "'vertices' must be an array of strings",
+        '{"vertices": ["a","b"], "edges": {}, "terminals": []}': "'edges' must be an array",
+        '{"vertices": ["a","b"], "edges": ["ab"], "terminals": []}': "edge 0 must be an array of strings",
+        '{"vertices": ["a","b"], "edges": [["a", 1]], "terminals": []}': "edge 0 must be an array of strings",
+        '{"vertices": ["a","b"], "edges": [["a", ["b"]]], "terminals": []}': "edge 0 must be an array of strings",
+        '{"vertices": ["a","b"], "edges": [["a","b","a"]], "terminals": []}': "edge 0 must have exactly 2 endpoints",
+        '{"vertices": ["a","b"], "edges": [["zz","zz"]], "terminals": []}': "edge 0 is a self-loop",
+        '{"vertices": ["a","b"], "edges": [["a","b"], ["b","b"], ["zz","a"]], "terminals": []}':
+            "edge 1 is a self-loop",
+        '{"vertices": ["a","b"], "edges": [["a","b"], ["a","zz"], ["b"]], "terminals": ["yy"]}':
+            "edge 1: unknown vertex 'zz'",
+        '{"vertices": ["a","b"], "edges": [["a","b"]], "terminals": "a"}': "'terminals' must be an array of strings",
+        '{"vertices": ["a","b"], "edges": [["a","b"]], "terminals": ["a", null]}':
+            "'terminals' must be an array of strings",
+        '{"vertices": ["a","b"], "edges": [["a","b"]], "terminals": ["a", "zz", "yy"]}':
+            "terminals: unknown vertex 'zz'",
+    }
+
+    @pytest.mark.parametrize("text", list(MALFORMED))
     def test_rejects_malformed(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_element_json(text)
+        assert str(info.value) == self.MALFORMED[text]
 
     def test_round_trip(self):
         inst, table = parse_element_json(self.GOOD)

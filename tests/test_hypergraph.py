@@ -214,3 +214,26 @@ class TestValidation:
     def test_member_outside_vertices_rejected(self):
         with pytest.raises(ValueError):
             Hypergraph(frozenset({0, 1}), {0: frozenset({0, 2})})
+
+    # The first bad hyperedge in mapping order is reported, and its first
+    # failing rule: at least two members, then all of them vertices.
+    TWO_BAD = [
+        ({0: {0, 1}, 1: {0}, 2: {0, 5}}, "hyperedge 1 has fewer than 2 vertices"),
+        ({0: {0, 1}, 1: {0, 5}, 2: {0}}, "hyperedge 1 is not a subset of the vertex set"),
+        ({3: {0, 1}, 1: {9}, 0: set()}, "hyperedge 1 has fewer than 2 vertices"),
+        ({4: {0, 9}, 2: {1, 8}}, "hyperedge 4 is not a subset of the vertex set"),
+        ({7: [1, 1], 2: {1, 8}}, "hyperedge 7 has fewer than 2 vertices"),
+    ]
+
+    @pytest.mark.parametrize("edges, message", TWO_BAD)
+    def test_first_bad_hyperedge_is_reported(self, edges, message):
+        with pytest.raises(ValueError) as info:
+            Hypergraph(frozenset({0, 1, 2}), edges)
+        assert str(info.value) == message
+
+    def test_members_are_frozen(self):
+        h = Hypergraph({0, 1, 2}, {5: [2, 0], 1: (1, 2, 0)})
+        assert h.vertices == frozenset({0, 1, 2}) and type(h.vertices) is frozenset
+        assert dict(h.hyperedges) == {5: {0, 2}, 1: {0, 1, 2}}
+        assert all(type(ms) is frozenset for ms in h.hyperedges.values())
+        assert list(h.hyperedges) == [5, 1]

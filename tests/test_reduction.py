@@ -17,8 +17,14 @@ from hypersplit import (
     random_element_instance,
     table_holds,
 )
-from hypersplit.flow import _TreeFlows, _split_arcs
+from hypersplit.flow import _TreeFlows, _split_arcs, _table_flows, _tree_flows
 from conftest import corpus_element_instance, instance, sparse_element_instance
+
+
+def tree_flows(inst, table):
+    """The kept flows of the pairs of ``table.tree()`` on ``inst``."""
+    network = _split_arcs(inst)
+    return _TreeFlows(network, _tree_flows(network, table))
 
 
 def nonterminal_edges(inst):
@@ -334,10 +340,11 @@ def _vertex_index(inst):
     return {v: i for i, v in enumerate(sorted(inst.graph.vertices))}
 
 
-def _assert_kept_flows(flows, baseline, inst, cur):
-    """Each kept residual is a flow of the pair's table value on ``cur``, the
-    instance ``inst`` became: the shared arcs run between the current ends of
-    every edge, and edges and vertices that are gone carry nothing."""
+def _assert_kept_flows(flows, pairs, inst, cur):
+    """Each kept residual is a flow of its pair's value, one (u, v, value)
+    of ``pairs`` each, on ``cur``, the instance ``inst`` became: the shared
+    arcs run between the current ends of every edge, and edges and vertices
+    that are gone carry nothing."""
     index = _vertex_index(inst)
     head, out = flows._head, flows._out
     for node, arcs in enumerate(out):
@@ -349,17 +356,44 @@ def _assert_kept_flows(flows, baseline, inst, cur):
         assert head[first : first + 4] == [2 * j, 2 * i + 1, 2 * i, 2 * j + 1]
     gone_edges = [flows._edge_arc[e] for e in inst.graph.edges if e not in cur.graph.edges]
     gone_vertices = [2 * index[v] for v in inst.graph.vertices - cur.graph.vertices]
-    for (_, _, k), cap in zip(baseline.tree(), flows._caps):
+    assert len(pairs) == len(flows._caps)
+    for (_, _, k), cap in zip(pairs, flows._caps):
         assert min(cap) >= 0
-        net = [0] * len(out)
-        for a in range(0, len(cap), 2):  # an arc's flow is its reverse's capacity
-            net[head[a]] += cap[a + 1]
-            net[head[a + 1]] -= cap[a + 1]
+        net = _net_flow(flows, cap)
         assert sorted(x for x in net if x) == ([-k, k] if k else [])
         for first in gone_edges:
             assert cap[first : first + 4] == [0, 0, 0, 0]
         for arc in gone_vertices:
             assert cap[arc : arc + 2] == [0, 0]
+
+
+def _net_flow(flows, cap):
+    """What each node of the shared residual receives less what it sends."""
+    head = flows._head
+    net = [0] * len(flows._out)
+    for a in range(0, len(cap), 2):  # an arc's flow is its reverse's capacity
+        net[head[a]] += cap[a + 1]
+        net[head[a + 1]] -= cap[a + 1]
+    return net
+
+
+def _gusfield_pairs(flows, baseline, inst):
+    """(u, v, value) of each kept flow of ``_table_flows``, read off its
+    residual before any reduction, where every flow of a positive value runs
+    between two terminals with that value in ``baseline``."""
+    order = sorted(inst.graph.vertices)
+    pairs = []
+    for cap in flows._caps:
+        net = _net_flow(flows, cap)
+        ends = [(order[node // 2], x) for node, x in enumerate(net) if x]
+        if not ends:
+            pairs.append((None, None, 0))
+            continue
+        (u, ku), (v, kv) = ends
+        assert {u, v} <= inst.terminals and ku == -kv and baseline.get(u, v) == abs(ku)
+        pairs.append((u, v, abs(ku)))
+    assert len(pairs) == max(len(inst.terminals) - 1, 0)
+    return pairs
 
 
 def _contraction_kinds(flows, inst, cur, e):
@@ -397,19 +431,24 @@ def _flow_directions(flows, baseline, inst):
     return found
 
 
-def _sweep(inst, order, seen, *, contract=False):
+def _sweep(inst, order, seen, *, contract=False, gusfield=False):
     """Delete ``order`` through one set of kept tree flows, checking each answer
     against a fresh table_holds on the instance without the edge, and that the
-    kept flows stay flows.
+    kept flows stay flows. With ``gusfield``, the kept flows are those that
+    computed the table (``_table_flows``).
 
     With ``contract``, every edge between non-terminals is first contracted
     in a copy of the flows, checked against a fresh table_holds on the
     contracted instance, and an edge whose deletion is rejected is then
     contracted in the flows themselves, as a reduction would.
     """
-    baseline = conn_table_elements(inst)
-    flows = _TreeFlows(_split_arcs(inst), baseline)
-    seen.update(("flow", direction) for direction in _flow_directions(flows, baseline, inst))
+    if gusfield:
+        baseline, flows = _table_flows(inst)
+        pairs = _gusfield_pairs(flows, baseline, inst)
+    else:
+        baseline = conn_table_elements(inst)
+        flows, pairs = tree_flows(inst, baseline), baseline.tree()
+        seen.update(("flow", direction) for direction in _flow_directions(flows, baseline, inst))
     cur = inst
     for e in order:
         if e not in cur.graph.edges:
@@ -424,7 +463,7 @@ def _sweep(inst, order, seen, *, contract=False):
             assert trial.contract(e) == expected, (sorted(cur.graph.edges.items()), e)
             seen.update(("contract", kind, expected) for kind in kinds)
             if expected:
-                _assert_kept_flows(trial, baseline, inst, contracted)
+                _assert_kept_flows(trial, pairs, inst, contracted)
         after = cur.with_graph(cur.graph.without_edge(e))
         expected = table_holds(after, baseline)
         cycles = _units_both_ways(flows, e)
@@ -441,7 +480,7 @@ def _sweep(inst, order, seen, *, contract=False):
         elif inner:
             assert flows.contract(e)  # the reduction theorem
             cur = contracted
-        _assert_kept_flows(flows, baseline, inst, cur)
+        _assert_kept_flows(flows, pairs, inst, cur)
 
 
 def _check_against_references(inst, seen):
@@ -498,21 +537,35 @@ class TestKeptTreeFlows:
                 _sweep(inst, inst.graph.edge_ids()[::-1], seen, contract=True)
         assert seen >= self.CONTRACTION_WANTED, self.CONTRACTION_WANTED - seen
 
+    def test_sweeps_on_the_flows_of_the_table(self):
+        # Gusfield's flows run between the pairs of their own tree, which
+        # has the path-minimum property too, so they answer every deletion
+        # and contraction like fresh flows do.
+        seen = set()
+        for trial in range(60):
+            for inst in (sparse_element_instance(trial),
+                         random_element_instance(GenParams(n=9, m=16, r=2, seed=trial))):
+                _sweep(inst, inst.graph.edge_ids(), seen, contract=True, gusfield=True)
+                _sweep(inst, inst.graph.edge_ids()[::-1], seen, gusfield=True)
+        wanted = {(kind, accepted) for kind in ("plain", "parallel", "terminal") for accepted in (True, False)}
+        wanted |= {("contract", kind, True) for kind in ("move", "cross", "apart")} | {("contract", "apart", False)}
+        assert seen >= wanted, wanted - seen
+
     def test_cycle_over_xy_is_cancelled(self):
         # Terminals 0 and 1 are joined directly; non-terminals 2 and 3 hang
         # apart, joined by two parallel edges. A unit round 2 -> 3 -> 2 is a
         # circulation, so the flow keeps its value; contracting must cancel it.
         inst = instance([(0, 1), (2, 3), (2, 3)], terminals=[0, 1])
         baseline = conn_table_elements(inst)
-        flows = _TreeFlows(_split_arcs(inst), baseline)
+        flows = tree_flows(inst, baseline)
         (cap,) = flows._caps
         for arc in (flows._edge_arc[1], 2 * 3, flows._edge_arc[2] + 2, 2 * 2):
             cap[arc] -= 1
             cap[arc ^ 1] += 1
-        _assert_kept_flows(flows, baseline, inst, inst)
+        _assert_kept_flows(flows, baseline.tree(), inst, inst)
         assert _contraction_kinds(flows, inst, inst, 1) == {"cycle", "parallel"}
         assert flows.contract(1)
-        _assert_kept_flows(flows, baseline, inst, inst.with_graph(inst.graph.contracted(1)[0]))
+        _assert_kept_flows(flows, baseline.tree(), inst, inst.with_graph(inst.graph.contracted(1)[0]))
 
     def test_within_matches_reference(self):
         for trial in range(40):
@@ -556,7 +609,7 @@ class TestFlowCounts:
         from hypersplit import flow
 
         inst = instance([(0, 2), (2, 1), (0, 3), (3, 1), (2, 4)], terminals=[0, 1])
-        flows = _TreeFlows(_split_arcs(inst), conn_table_elements(inst))
+        flows = tree_flows(inst, conn_table_elements(inst))
         assert flows.holds
         max_flows.clear()
         monkeypatch.setattr(flow, "_augment", None)  # any search would raise
@@ -564,21 +617,26 @@ class TestFlowCounts:
         assert max_flows == []
 
     def test_deletion_tests_run_no_flows(self, max_flows):
-        # Only the baseline table (T-1 flows of its flow-equivalent tree), the
-        # first tree-flow build and the final fresh check run flows (T-1
+        # Only the baseline table (T-1 flows of its flow-equivalent tree, kept
+        # as the run's tree flows) and the final fresh check run flows (T-1
         # each); deletion tests reroute and contractions rewire the kept flows.
         inst = random_element_instance(GenParams(n=12, m=22, r=2, seed=32))
         t = len(inst.terminals)
         _, trace = reduce_to_stable(inst)
         contractions = sum(1 for step in trace.steps if step.action == "contracted")
         assert (t, len(trace.steps), contractions) == (5, 10, 3)
-        assert len(max_flows) == 3 * (t - 1)
+        assert len(max_flows) == 2 * (t - 1)
+
+    def test_maximal_deletions_run_one_table(self, max_flows):
+        inst = random_element_instance(GenParams(n=12, m=22, r=2, seed=32))
+        maximal_preserving_deletions(inst, inst.graph.edge_ids())
+        assert len(max_flows) == len(inst.terminals) - 1
 
     def test_contractions_run_no_flows(self, max_flows):
         from hypersplit.reduction import _reduce_to_stable
 
         inst = random_element_instance(GenParams(n=12, m=22, r=2, seed=32))
-        flows = _TreeFlows(_split_arcs(inst), conn_table_elements(inst))
+        flows = tree_flows(inst, conn_table_elements(inst))
         max_flows.clear()
         _, trace = _reduce_to_stable(inst, flows, None)
         assert any(step.action == "contracted" for step in trace.steps)

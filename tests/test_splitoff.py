@@ -427,17 +427,16 @@ class TestOneCheckerPerInstance:
         assert len(max_flows) == (n - 1) + checks * (n - 2) == (33 if certify else 25)
 
     def test_one_table_in_both_modes(self, monkeypatch):
-        from hypersplit import flow, reduction, splitoff
+        from hypersplit import flow
 
         tables = []
-        real = flow.conn_table_elements
+        real = flow._gusfield  # every table runs through it
 
-        def counted(inst):
-            tables.append(inst)
-            return real(inst)
+        def counted(network, terms, *kept):
+            tables.append(terms)
+            return real(network, terms, *kept)
 
-        for module in (flow, reduction, splitoff):
-            monkeypatch.setattr(module, "conn_table_elements", counted)
+        monkeypatch.setattr(flow, "_gusfield", counted)
         h, s = self.seeded()
         for certify in (True, False):
             tables.clear()
