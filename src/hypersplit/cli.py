@@ -4,7 +4,7 @@ Reports go to stdout, diagnostics to stderr. Exit codes are stable:
 
   0  success
   1  mismatch found by verify / oracle --check
-  2  parse or usage error
+  2  parse or usage error, an unreadable input or an unwritable output
   3  unknown vertex or invalid query endpoints
   4  internal certification failure or any other unexpected error (a bug)
   5  invalid operation while replaying a log (index reported)
@@ -13,6 +13,7 @@ Reports go to stdout, diagnostics to stderr. Exit codes are stable:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -53,11 +54,17 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_out(path: Optional[str], text: str) -> None:
-    if path is None or path == "-":
+def _write_out(path: Optional[str], text: str, dash_is_stdout: bool = True) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when ``path`` is None
+    or, with ``dash_is_stdout``, ``-``. A file that cannot be written is a
+    usage error, as an input that cannot be read is."""
+    if path is None or (dash_is_stdout and path == "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _pair_args(parser: argparse.ArgumentParser) -> None:
@@ -136,7 +143,7 @@ def cmd_reduce(args) -> int:
     inst, table = formats.load_element_instance(args.file)
     reduced, trace = reduce_to_stable(inst)
     if args.trace_out:
-        Path(args.trace_out).write_text(formats.trace_to_json(trace, table), encoding="utf-8")
+        _write_out(args.trace_out, formats.trace_to_json(trace, table), dash_is_stdout=False)
     deleted = sum(1 for s in trace.steps if s.action == "deleted")
     contracted = len(trace.steps) - deleted
     out_text = formats.write_element_json(reduced, table)
@@ -165,9 +172,7 @@ def cmd_split(args) -> int:
     if args.out:
         _write_out(args.out, formats.dump_hypergraph(h_out, table, fmt))
     if args.log_out:
-        Path(args.log_out).write_text(
-            formats.write_oplog(h, table, s, result.log), encoding="utf-8"
-        )
+        _write_out(args.log_out, formats.write_oplog(h, table, s, result.log), dash_is_stdout=False)
     merges = sum(1 for op in result.log if isinstance(op, Merge))
     trims = len(result.log) - merges
     if args.json:
@@ -242,40 +247,45 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and then shared.
+
+    Its defaults are immutable values, so one parse cannot leak into the
+    next. A fresh, unshared parser is ``build_parser.__wrapped__()``.
+    """
     parser = argparse.ArgumentParser(
         prog="hypersplit",
         description="Hypergraph connectivity, element-connectivity, and splitting-off.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, fmt: bool = True):
+    def add(name: str, help_text: str, fmt: bool = True):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
         if fmt:
             p.add_argument("--format", choices=("auto", "json", "he"), default="auto",
                            help="input format (default: by extension)")
         return p
 
-    p = add("conn", cmd_conn, "local edge-connectivity of a hypergraph")
+    p = add("conn", "local edge-connectivity of a hypergraph")
     p.add_argument("file")
     _pair_args(p)
 
-    p = add("econn", cmd_econn, "element-connectivity of a terminal graph", fmt=False)
+    p = add("econn", "element-connectivity of a terminal graph", fmt=False)
     p.add_argument("file")
     _pair_args(p)
 
-    p = add("oracle", cmd_oracle, "brute-force connectivity (small instances)")
+    p = add("oracle", "brute-force connectivity (small instances)")
     p.add_argument("file")
     _pair_args(p)
     p.add_argument("--check", action="store_true", help="compare against the flow engine")
 
-    p = add("reduce", cmd_reduce, "reduce non-terminal edges to a stable set", fmt=False)
+    p = add("reduce", "reduce non-terminal edges to a stable set", fmt=False)
     p.add_argument("file")
     p.add_argument("-o", "--out", help="write the reduced instance here (default stdout)")
     p.add_argument("--trace-out", help="write the reduction trace JSON here")
 
-    p = add("split", cmd_split, "complete splitting-off at a vertex")
+    p = add("split", "complete splitting-off at a vertex")
     p.add_argument("file")
     p.add_argument("-s", required=True, metavar="VERTEX", help="vertex to split off")
     p.add_argument("-o", "--out", help="write the resulting hypergraph here")
@@ -285,19 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-s", action="store_true", help="omit the isolated vertex from the output")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
 
-    p = add("replay", cmd_replay, "apply a recorded operation log")
+    p = add("replay", "apply a recorded operation log")
     p.add_argument("file")
     p.add_argument("--log", required=True, help="operation log JSON")
     p.add_argument("-s", metavar="VERTEX", help="must match the log header when given")
     p.add_argument("-o", "--out", help="write the replayed hypergraph here (default stdout)")
 
-    p = add("verify", cmd_verify, "compare two hypergraph files")
+    p = add("verify", "compare two hypergraph files")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--conn", action="store_true",
                    help="exit status reflects connectivity equality over common vertices")
 
-    p = add("export-dot", cmd_export_dot, "DOT rendering of the incidence graph")
+    p = add("export-dot", "DOT rendering of the incidence graph")
     p.add_argument("file")
     p.add_argument("-o", "--out", help="write the DOT file here (default stdout)")
 
@@ -305,9 +315,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line and return its exit code.
+
+    The parser is built once per process, on the first call, so a later
+    call pays only for parsing and its command. The handler ``cmd_<command>``
+    is looked up on this module at each call, so one replaced on the module
+    after the parser was built is the one that runs.
+    """
     args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except ParseError as exc:
         return _fail(str(exc), EXIT_PARSE)
     except (UnknownVertexError, NonTerminalEndpointError, InvalidQueryError,

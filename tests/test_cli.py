@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, determinism of written artifacts."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -123,6 +124,86 @@ class TestUnexpectedErrors:
         err = capsys.readouterr().err
         assert err == "error: internal error: RuntimeError: boom second line\n"
         assert "Traceback" not in err
+
+
+class TestParserBuiltOnce:
+    """``main`` builds its parser once per process and finds its handler at call time."""
+
+    def test_second_call_builds_no_parser(self, triangle, monkeypatch, capsys):
+        assert main(["conn", str(triangle), "-u", "a", "-v", "b"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["conn", str(triangle), "-u", "a", "-v", "c"]) == 0
+        assert built == []
+        assert capsys.readouterr().out == "lambda(a, b) = 2\nlambda(a, c) = 2\n"
+
+    def test_handler_patched_after_the_parser_is_built(self, triangle, monkeypatch, capsys):
+        assert main(["conn", str(triangle), "--all-pairs"]) == 0
+        monkeypatch.setattr(cli, "cmd_conn", lambda args: 7)
+        assert main(["conn", str(triangle), "--all-pairs"]) == 7
+        monkeypatch.undo()
+        assert main(["conn", str(triangle), "-u", "a", "-v", "b"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "lambda(a, b) = 2"
+
+    def test_help_and_usage_errors_match_a_fresh_parser(self, two_star, monkeypatch, capsys):
+        def run(parse, argv):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        invocations = (
+            ["-h"],
+            ["split", str(two_star)],
+            ["no-such-command", str(two_star)],
+            ["conn", str(two_star), "--format", "xml"],
+        )
+        helps = []
+        for columns in ("60", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in invocations:
+                fresh = run(cli.build_parser.__wrapped__().parse_args, argv)
+                assert run(main, argv) == fresh
+                assert run(main, argv) == fresh
+            helps.append(run(main, ["-h"]))
+        # Help is laid out for the width at the time of the call.
+        assert helps[0][0] == helps[1][0] == 0
+        description = "Hypergraph connectivity, element-connectivity, and splitting-off."
+        assert description not in helps[0][1].splitlines()
+        assert description in helps[1][1].splitlines()
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 2 with one line, like an unreadable input."""
+
+    @pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+    @pytest.mark.parametrize("site", [
+        "split -o", "split --log-out", "reduce -o", "reduce --trace-out", "replay -o", "export-dot -o",
+    ])
+    def test_exits_2(self, site, where, two_star, element_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "out" if where == "missing-dir" else tmp_path
+        command, flag = site.split()
+        if command == "replay":
+            log = tmp_path / "log.json"
+            assert main(["split", str(two_star), "-s", "s", "--log-out", str(log)]) == 0
+            capsys.readouterr()
+            argv = ["replay", str(two_star), "--log", str(log)]
+        elif command == "split":
+            argv = ["split", str(two_star), "-s", "s"]
+        else:
+            argv = [command, str(element_file if command == "reduce" else two_star)]
+        assert main([*argv, flag, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: [Errno ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
 
 class TestEconn:
@@ -367,6 +448,8 @@ class TestBenchmarkTracing:
         spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
+        # An untraced call first, so the traced one runs on an already built parser.
+        assert cli.main(["split", str(two_star), "-s", "s"]) == 0
         tracer = tracing.Tracer()
         tracer.install()
         try:
@@ -374,5 +457,7 @@ class TestBenchmarkTracing:
         finally:
             tracer.uninstall()
         assert code == 0
-        assert "splitoff.run_pipeline" in {tracer.names[span[0]] for span in tracer.spans}
+        names = {tracer.names[span[0]] for span in tracer.spans}
+        assert "splitoff.run_pipeline" in names
+        assert "cli.cmd_split" in names
         assert tracer.layer_metrics()["flow.maxflows"][0] > 0
