@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -54,16 +55,31 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_out(path: Optional[str], text: str, dash_is_stdout: bool = True) -> None:
-    """Write ``text`` to the file ``path``, or to stdout when ``path`` is None
-    or, with ``dash_is_stdout``, ``-``. A file that cannot be written is a
-    usage error, as an input that cannot be read is."""
-    if path is None or (dash_is_stdout and path == "-"):
-        sys.stdout.write(text)
-        return
+def _write_out(*outputs: tuple[str | Path | None, str]) -> None:
+    """Write each ``(path, text)`` in turn, to stdout where ``path`` is None or
+    the string ``-`` (a ``Path`` is always a file). An unwritable file is a
+    usage error, and all are opened, none truncated, before any is written,
+    so the error leaves every file as it was and removes those made here."""
+    fds, made = [], []  # the files opened, and those of them made here
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        for path in (p for p, _ in outputs if p not in (None, "-")):
+            existed = os.path.lexists(path)
+            fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+            made += [] if existed else [path]
+        for path, text in outputs:
+            if path in (None, "-"):
+                sys.stdout.write(text)
+                continue
+            with open(fds.pop(0), "w", encoding="utf-8") as f:
+                f.truncate()
+                f.write(text)
     except OSError as exc:
+        for fd in fds:
+            os.close(fd)
+        for made_path in made:
+            os.remove(made_path)
+        if path in (None, "-"):
+            raise  # stdout failing is no usage error
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
@@ -142,16 +158,12 @@ def cmd_oracle(args) -> int:
 def cmd_reduce(args) -> int:
     inst, table = formats.load_element_instance(args.file)
     reduced, trace = reduce_to_stable(inst)
-    if args.trace_out:
-        _write_out(args.trace_out, formats.trace_to_json(trace, table), dash_is_stdout=False)
-    deleted = sum(1 for s in trace.steps if s.action == "deleted")
-    contracted = len(trace.steps) - deleted
-    out_text = formats.write_element_json(reduced, table)
+    trace_out = [(Path(args.trace_out), formats.trace_to_json(trace, table))] if args.trace_out else []
+    _write_out(*trace_out, (args.out, formats.write_element_json(reduced, table)))
     if args.out:
-        _write_out(args.out, out_text)
+        deleted = sum(1 for s in trace.steps if s.action == "deleted")
+        contracted = len(trace.steps) - deleted
         print(f"reduced: {len(trace.steps)} steps ({deleted} deleted, {contracted} contracted)")
-    else:
-        sys.stdout.write(out_text)
     return EXIT_OK
 
 
@@ -169,10 +181,10 @@ def cmd_split(args) -> int:
     h_out = result.h_star
     if args.drop_s:
         h_out = Hypergraph(h_out.vertices - {s}, dict(h_out.hyperedges))
-    if args.out:
-        _write_out(args.out, formats.dump_hypergraph(h_out, table, fmt))
+    outputs = [(args.out, formats.dump_hypergraph(h_out, table, fmt))] if args.out else []
     if args.log_out:
-        _write_out(args.log_out, formats.write_oplog(h, table, s, result.log), dash_is_stdout=False)
+        outputs.append((Path(args.log_out), formats.write_oplog(h, table, s, result.log)))
+    _write_out(*outputs)
     merges = sum(1 for op in result.log if isinstance(op, Merge))
     trims = len(result.log) - merges
     if args.json:
@@ -205,27 +217,20 @@ def cmd_replay(args) -> int:
     formats.check_oplog_header(log, h, table)
     s = table.id_of(log.s_name)
     result = replay(h, s, log.ops)
-    _write_out(args.out, formats.dump_hypergraph(result, table, fmt))
+    _write_out((args.out, formats.dump_hypergraph(result, table, fmt)))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     ha, ta, _ = formats.load_hypergraph(args.file_a, args.format)
     hb, tb, _ = formats.load_hypergraph(args.file_b, args.format)
-    names_a = {ta.name_of(v) for v in ha.vertices}
-    names_b = {tb.name_of(v) for v in hb.vertices}
-    structural = False
-    if names_a == names_b:
-        # Rewrite B through A's name table so ids line up for comparison.
-        remapped = Hypergraph(
-            frozenset(ta.id_of(tb.name_of(v)) for v in hb.vertices),
-            {e: frozenset(ta.id_of(tb.name_of(v)) for v in ms) for e, ms in hb.hyperedges.items()},
-        )
-        structural = hypergraph_equal(ha, remapped)
+    # Both parsers number the vertices by their names in sorted order, so equal
+    # name sets give equal ids.
+    structural = ta.names == tb.names and hypergraph_equal(ha, hb)
     print(f"hypergraphs equal: {'yes' if structural else 'no'}")
     if not args.conn:
         return EXIT_OK if structural else EXIT_MISMATCH
-    common = sorted(names_a & names_b)
+    common = sorted(set(ta.names) & set(tb.names))
     table_a, table_b = conn_table_hyper(ha), conn_table_hyper(hb)
     ok = True
     for i, a in enumerate(common):
@@ -243,7 +248,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export_dot(args) -> int:
     h, table, _ = formats.load_hypergraph(args.file, args.format)
-    _write_out(args.out, formats.incidence_dot(h, table))
+    _write_out((args.out, formats.incidence_dot(h, table)))
     return EXIT_OK
 
 

@@ -74,12 +74,12 @@ clique gadget, trim and merge) can only lower a pair's value. If the
 checked instance matches the table on the T-1 tree pairs, each other pair
 is at least the minimum along its tree path, which is its old value, and
 at most its old value: the whole table holds. Every such check on fresh
-flows runs the tree pairs through ``_tree_flows``. On an element network
-``_checked`` reports a differing pair as an internal error; ``table_holds``
-is the same test as a bool. Gusfield's tree below has the path minimum
-too, so the flows that compute a table can be kept to check it
-(``_table_flows``). The deletion and contraction arguments below hold for
-a flow in either direction.
+flows runs the tree pairs through ``_tree_flows``. On either network
+``_checked`` returns their flows or reports a differing pair as an
+internal error; ``table_holds`` is the same test as a bool. Gusfield's
+tree below has the path minimum too, so the flows that compute a table
+can be kept to check it (``_table_flows``). The deletion and contraction
+arguments below hold for a flow in either direction.
 
 A full table also costs T-1 flows, by Gusfield's flow-equivalent tree
 ("Very simple methods for all pairs network flow analysis", 1990). Every
@@ -621,14 +621,14 @@ class _TreeFlows:
         return True
 
 
-def _checked(network: _Network, table: ConnTable, what: str) -> _TreeFlows:
-    """``_TreeFlows`` of ``table`` on an element network, under the
-    assumption of ``table_holds``; if they differ, an internal error saying
-    that ``what`` changed the table."""
-    flows = _TreeFlows(network, _tree_flows(network, table))
-    if not flows.holds:
+def _checked(network: _Network, table: ConnTable, what: str) -> list[list[int]]:
+    """``_tree_flows`` of ``table`` on an element network or Lawler's, under
+    the assumption of ``table_holds``; if they differ, an internal error
+    saying that ``what`` changed the table."""
+    states = _tree_flows(network, table)
+    if states is None:
         raise InternalInvariantError(f"{what} changed the terminal connectivity table")
-    return flows
+    return states
 
 
 def table_holds(inst: ElementConnInstance, table: ConnTable) -> bool:

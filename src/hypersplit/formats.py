@@ -13,6 +13,7 @@ item and report it as the item-by-item check always has.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import compress, repeat, starmap
 from operator import itemgetter, ne, not_
@@ -25,6 +26,7 @@ from .multigraph import ElementConnInstance, Multigraph
 from .reduction import MinorTrace
 
 VERTICES_HEADER = "#vertices:"
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # a lone surrogate has no UTF-8 form: no output could hold it
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,8 @@ class NameTable:
     def __post_init__(self):
         names = self.names
         joined = " " + " ".join(names) if all(map(str.__instancecheck__, names)) else None
-        if joined is None or joined.split() != list(names) or " #" in joined:  # empty, blank or '#' names
+        # Only a name that is empty, blank, starts with '#' or holds a surrogate fails a test here.
+        if joined is None or joined.split() != list(names) or " #" in joined or _SURROGATE.search(joined):
             for name in names:
                 _check_name(name)
         if len(set(names)) != len(names):
@@ -70,6 +73,8 @@ def _check_name(name: str) -> None:
         raise ParseError(f"vertex name {name!r} contains whitespace")
     if name.startswith("#"):  # a .he line starting with it is a comment
         raise ParseError(f"vertex name {name!r} starts with '#'")
+    if _SURROGATE.search(name):
+        raise ParseError(f"vertex name {name!r} holds a lone surrogate")
 
 
 def _as_name_list(value, what: str) -> list[str]:

@@ -14,21 +14,23 @@ log, and the split-off result is the log replayed on the input hypergraph.
 
 Vertex v of the input is node v of G0, so G0's table without s is keyed by
 vertices, and it is the one table every check compares with: G1's, the
-fresh re-check of G3 and the end-to-end check of the result, whose
-certificate it is. G1 is checked by the tree flows that both reduction
-stages then keep. The reductions only delete edges and contract edges
-between non-terminals, which never raise a pair's value, so G1 >= G2 >= G3
-pairwise, and a G3 that matches the table proves G2 too.
+fresh re-check of G3 and the end-to-end check of the result, on Lawler's
+network, whose certificate it is. All three run through ``flow._checked``.
+G1 is checked by the tree flows that both reduction stages then keep. The
+reductions only delete edges and contract edges between non-terminals,
+which never raise a pair's value, so G1 >= G2 >= G3 pairwise, and a G3
+that matches the table proves G2 too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, count
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import InternalInvariantError, ReplayError, UnknownVertexError
-from .flow import ConnTable, _checked, _hyperedge_network, _split_arcs, _tree_flows, conn_table_elements
+from .flow import ConnTable, _TreeFlows, _checked, _hyperedge_network, _split_arcs, conn_table_elements
 from .hypergraph import (
     Hypergraph,
     Incidence,
@@ -76,7 +78,6 @@ class StagePipeline:
 
     hypergraph: Hypergraph
     s: int
-    incidence: Incidence
     gadget: GadgetInstance
     table: ConnTable
     stages: tuple[Stage, ...]
@@ -114,22 +115,12 @@ def _build_gadget(h: Hypergraph, s: int, inc: Incidence) -> GadgetInstance:
     """
     g0 = inc.instance
     incident = h.incident(s)
-    base = max(g0.graph.vertices) + 1 if g0.graph.vertices else 0
-    clique = tuple(base + i for i in range(len(incident)))
-    next_eid = (max(g0.graph.edges) + 1) if g0.graph.edges else 0
-
-    edges: dict[int, tuple[int, int]] = {}
+    base = max(g0.graph.vertices) + 1
+    clique = tuple(range(base, base + len(incident)))
     gadget_of = dict(zip((inc.edge_node[e] for e in incident), clique))
-    for eid, (a, b) in g0.graph.edges.items():
-        if s in (a, b):
-            other = b if a == s else a
-            edges[eid] = (gadget_of[other], other)
-        else:
-            edges[eid] = (a, b)
-    for i in range(len(clique)):
-        for j in range(i + 1, len(clique)):
-            edges[next_eid] = (clique[i], clique[j])
-            next_eid += 1
+    # Every G0 edge runs from a vertex to a hyperedge node, so s can only be its first end.
+    edges = {eid: (gadget_of[b], b) if a == s else (a, b) for eid, (a, b) in g0.graph.edges.items()}
+    edges.update(zip(count(len(edges)), combinations(clique, 2)))  # G0's edge ids are 0..m-1
 
     vertices = (g0.graph.vertices - {s}) | frozenset(clique)
     instance = ElementConnInstance(Multigraph(vertices, edges), g0.terminals - {s})
@@ -157,7 +148,8 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
 
     # The table every stage must keep is the G0 table without s.
     table = conn_table_elements(g0).restrict(g1.terminals)
-    flows = _checked(_split_arcs(g1), table, "replacing s with the clique gadget")
+    network = _split_arcs(g1)
+    flows = _TreeFlows(network, _checked(network, table, "replacing s with the clique gadget"))
 
     g2, trace = _reduce_to_stable(g1, flows, set(gadget.clique))
     s2 = tuple(v for v in gadget.clique if v in g2.graph.vertices)
@@ -181,9 +173,8 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
     fa: dict[int, tuple[int, ...]] = {}
     f0: list[int] = []
     for node, eid in sorted(attach_nodes.items(), key=lambda kv: kv[1]):
+        # Stage 3 only deletes, so the one attachment left after stage 2 is at most one now.
         holders = [nb for nb in g3.graph.neighbors(node) if nb in s2_set]
-        if len(holders) > 1:
-            raise InternalInvariantError(f"hyperedge node {node} attached to several gadget vertices")
         if holders:  # hyperedges come in ascending id order
             fa[holders[0]] = fa.get(holders[0], ()) + (eid,)
         else:
@@ -193,7 +184,6 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
     return StagePipeline(
         hypergraph=h,
         s=s,
-        incidence=inc,
         gadget=gadget,
         table=table,
         stages=stages,
@@ -241,6 +231,5 @@ def complete_split_off(h: Hypergraph, s: int, *, certify: bool = True) -> SplitO
         raise InternalInvariantError("split vertex is not isolated in the result")
 
     # Trims and merges never raise connectivity, so the table's tree pairs decide all of it.
-    if _tree_flows(_hyperedge_network(h_star), pipeline.table) is None:
-        raise InternalInvariantError("splitting off s changed the terminal connectivity table")
+    _checked(_hyperedge_network(h_star), pipeline.table, "splitting off s")
     return SplitOffResult(h_star=h_star, log=log, certificate=pipeline.table, pipeline=pipeline)

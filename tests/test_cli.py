@@ -206,6 +206,68 @@ class TestUnwritableOutput:
         assert not (tmp_path / "missing").exists()
 
 
+class TestNoPartialOutput:
+    """A usage error about one output leaves every other output file as it was."""
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_split_log_out_unwritable(self, two_star, tmp_path, existed, capsys):
+        out, log = tmp_path / "o.he", tmp_path / "missing" / "log.json"
+        if existed:
+            out.write_bytes(b"old bytes\n")
+        assert main(["split", str(two_star), "-s", "s", "-o", str(out), "--log-out", str(log)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {log}: [Errno ")
+        assert (out.read_bytes() == b"old bytes\n") if existed else not out.exists()
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_reduce_out_unwritable(self, element_file, tmp_path, existed, capsys):
+        trace, out = tmp_path / "T", tmp_path / "missing" / "x"
+        if existed:
+            trace.write_bytes(b"old bytes\n")
+        assert main(["reduce", str(element_file), "--trace-out", str(trace), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: [Errno ")
+        assert captured.out == ""
+        assert (trace.read_bytes() == b"old bytes\n") if existed else not trace.exists()
+
+    def test_existing_outputs_are_replaced_whole(self, two_star, tmp_path, capsys):
+        out, log = tmp_path / "o.he", tmp_path / "log.json"
+        assert main(["split", str(two_star), "-s", "s", "-o", str(out), "--log-out", str(log)]) == 0
+        fresh = out.read_bytes(), log.read_bytes()
+        out.write_bytes(b"x" * 4096)
+        log.write_bytes(b"y" * 4096)
+        assert main(["split", str(two_star), "-s", "s", "-o", str(out), "--log-out", str(log)]) == 0
+        assert (out.read_bytes(), log.read_bytes()) == fresh
+
+    def test_dash_is_stdout_only_for_o(self, two_star, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["split", str(two_star), "-s", "s", "-o", "-", "--log-out", "-"]) == 0
+        assert capsys.readouterr().out.startswith("#vertices: a b s\n")
+        assert json.loads((tmp_path / "-").read_text())["s"] == "s"
+
+
+class TestLoneSurrogateName:
+    """A name with no UTF-8 form is rejected while parsing, not when it is printed."""
+
+    @pytest.mark.parametrize("text", [
+        '{"vertices": ["\\ud800", "b"], "hyperedges": [["\\ud800", "b"]]}',
+        '{"vertices": ["\\ud800", "b"], "edges": [["\\ud800", "b"]], "terminals": ["\\ud800", "b"]}',
+    ], ids=["hypergraph", "element"])
+    def test_exits_2(self, tmp_path, text, capsys):
+        path = tmp_path / "sur.json"
+        path.write_text(text)
+        command = "conn" if "hyperedges" in text else "econn"
+        assert main([command, str(path), "--all-pairs"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: vertex name '\\ud800' holds a lone surrogate\n"
+        assert captured.out == ""
+
+    def test_a_pair_written_as_two_escapes_is_one_name(self, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        path.write_text('{"vertices": ["\\ud83d\\ude00", "b"], "hyperedges": [["\\ud83d\\ude00", "b"]]}')
+        assert main(["conn", str(path), "--all-pairs"]) == 0
+        assert capsys.readouterr().out == "lambda(b, \U0001f600) = 1\n"
+
+
 class TestEconn:
     def test_pair(self, element_file, capsys):
         assert main(["econn", str(element_file), "-u", "u", "-v", "v"]) == 0
@@ -382,6 +444,26 @@ class TestReplayVerify:
         out = capsys.readouterr().out
         assert "hypergraphs equal: no" in out
         assert "2 common vertices" in out
+
+    @pytest.mark.parametrize("conn", [False, True])
+    def test_verify_matches_names_not_file_order(self, tmp_path, conn, capsys):
+        # Either file lists the names in its own order; ids follow the sorted
+        # names, so the same names are the same vertices.
+        a, b, c = tmp_path / "a.json", tmp_path / "b.he", tmp_path / "c.he"
+        a.write_text('{"vertices": ["z", "m", "a", "q"], "hyperedges": [["q", "z"], ["m", "z", "a"], ["a", "q"]]}')
+        b.write_text("#vertices: q a z m\na q\nz q\na m z\n")
+        c.write_text("#vertices: q a z n\na q\nz q\na n z\n")
+        flag = ["--conn"] if conn else []
+        assert main(["verify", str(a), str(b), *flag]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "hypergraphs equal: yes"
+        if conn:
+            assert out[1:] == ["connectivity over 4 common vertices (6 pairs): equal"]
+        assert main(["verify", str(a), str(c), *flag]) == (0 if conn else 1)
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "hypergraphs equal: no"
+        if conn:
+            assert out[-1] == "connectivity over 3 common vertices (3 pairs): equal"
 
     def test_verify_conn_reads_one_table_per_file(self, tmp_path, max_flows, capsys):
         # Ten vertices each, 45 common pairs: one flow-equivalent tree of nine

@@ -1122,3 +1122,27 @@ class TestNetworkxDifferential:
             residual = build_residual_network(net, "capacity")
             for u, v, k in res.certificate.tree():
                 assert edmonds_karp(net, u, v, residual=residual).graph["flow_value"] == k, (u, v)
+
+    @pytest.mark.slow
+    def test_split_off_of_160_vertices_at_three_hyperedges_each(self):
+        # m = 3n, s of maximum degree: the certificate's every tree pair and
+        # 100 other seeded pairs must hold on h and on h_star, against networkx.
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.flow import build_residual_network, edmonds_karp
+
+        from hypersplit import GenParams, SplitMix64, complete_split_off, random_hypergraph
+
+        h = random_hypergraph(GenParams(160, 480, 4, seed=7))
+        s = max(sorted(h.vertices), key=h.degree)
+        res = complete_split_off(h, s)
+        rest = sorted(h.vertices - {s})
+        rng = SplitMix64(7)
+        pairs = [(u, v) for u, v, _ in res.certificate.tree()]
+        pairs += [tuple(rest[i] for i in rng.sample(len(rest), 2)) for _ in range(100)]
+        assert len(pairs) == 258 and res.h_star.degree(s) == 0
+        for g in (h, res.h_star):
+            net = _lawler_network(nx, g)
+            residual = build_residual_network(net, "capacity")
+            for u, v in pairs:
+                value = edmonds_karp(net, u, v, residual=residual).graph["flow_value"]
+                assert value == res.certificate.get(u, v), (g is h, u, v)

@@ -110,14 +110,15 @@ class TestBuildGadget:
 
 class TestRunPipeline:
     def test_two_star_hand_run(self):
-        p = run_pipeline(two_star(), 2)
+        h = two_star()
+        p = run_pipeline(h, 2)
         # the clique edge cannot be deleted (it carries the only a-b route)
         assert len(p.s2) == 1
         assert p.deleted_edges == ()
         assert p.f0 == ()
         assert list(p.fa.values()) == [(0, 1)]
         g3 = p.stage("G3").instance
-        inc = p.incidence
+        inc = incidence_graph(h)
         assert g3.graph.neighbors(p.s2[0]) == {inc.edge_node[0], inc.edge_node[1]}
 
     def test_degree_zero_degenerates(self):
