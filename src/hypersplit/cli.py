@@ -57,30 +57,28 @@ def _fail(message: str, code: int) -> int:
 
 def _write_out(*outputs: tuple[str | Path | None, str]) -> None:
     """Write each ``(path, text)`` in turn, to stdout where ``path`` is None or
-    the string ``-`` (a ``Path`` is always a file). An unwritable file is a
-    usage error, and all are opened, none truncated, before any is written,
-    so the error leaves every file as it was and removes those made here."""
-    fds, made = [], []  # the files opened, and those of them made here
+    the string ``-`` (a ``Path`` is always a file). A file that cannot be
+    written is a usage error. Every file is opened, none truncated, before any
+    is written, so a file that cannot be opened leaves each existing file as
+    it was and removes those the check made."""
+    made = []  # the files the check created
     try:
         for path in (p for p, _ in outputs if p not in (None, "-")):
             existed = os.path.lexists(path)
-            fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
             made += [] if existed else [path]
-        for path, text in outputs:
-            if path in (None, "-"):
-                sys.stdout.write(text)
-                continue
-            with open(fds.pop(0), "w", encoding="utf-8") as f:
-                f.truncate()
-                f.write(text)
     except OSError as exc:
-        for fd in fds:
-            os.close(fd)
         for made_path in made:
             os.remove(made_path)
-        if path in (None, "-"):
-            raise  # stdout failing is no usage error
         raise ParseError(f"cannot write {path}: {exc}") from exc
+    for path, text in outputs:
+        if path in (None, "-"):
+            sys.stdout.write(text)
+            continue
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _pair_args(parser: argparse.ArgumentParser) -> None:

@@ -238,6 +238,16 @@ class TestNoPartialOutput:
         assert main(["split", str(two_star), "-s", "s", "-o", str(out), "--log-out", str(log)]) == 0
         assert (out.read_bytes(), log.read_bytes()) == fresh
 
+    @pytest.mark.parametrize("command", ["split", "reduce", "export-dot"])
+    def test_device_outputs(self, two_star, element_file, command, capsys):
+        argv = {
+            "split": ["split", str(two_star), "-s", "s", "-o", os.devnull, "--log-out", os.devnull],
+            "reduce": ["reduce", str(element_file), "--trace-out", os.devnull, "-o", os.devnull],
+            "export-dot": ["export-dot", str(two_star), "-o", os.devnull],
+        }[command]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
     def test_dash_is_stdout_only_for_o(self, two_star, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["split", str(two_star), "-s", "s", "-o", "-", "--log-out", "-"]) == 0
