@@ -5,6 +5,7 @@ Reports go to stdout, diagnostics to stderr. Exit codes are stable:
   0  success
   1  mismatch found by verify / oracle --check
   2  parse or usage error, an unreadable input or an unwritable output
+     (a stdout closed by its reader too)
   3  unknown vertex or invalid query endpoints
   4  internal certification failure or any other unexpected error (a bug)
   5  invalid operation while replaying a log (index reported)
@@ -13,7 +14,9 @@ Reports go to stdout, diagnostics to stderr. Exit codes are stable:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import json
 import os
 import sys
@@ -324,11 +327,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     call pays only for parsing and its command. The handler ``cmd_<command>``
     is looked up on this module at each call, so one replaced on the module
     after the parser was built is the one that runs.
+
+    The cyclic garbage collector is paused while the command runs. A
+    command's data (names, hypergraphs, networks, flows, tables) holds no
+    reference cycles, so reference counting frees it, and a collection
+    would walk live objects to free nothing. The only cycles, a few dozen
+    objects per indented text from ``json.dumps``, wait for the first
+    collection after ``main`` returns. The collector is on again then if it
+    was on when ``main`` was called.
+
+    A reader that closes stdout early makes stdout an unwritable output
+    (exit 2); what is still buffered for it is dropped.
     """
+    gc_was_on = gc.isenabled()
     args = build_parser().parse_args(argv)
     handler = globals()["cmd_" + args.command.replace("-", "_")]
+    gc.disable()
     try:
-        return handler(args)
+        code = handler(args)
+        if sys.stdout is not None:  # None in a process started without fd 1; print skips it too
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # The reader has gone. Point stdout at the null device, so that what
+        # is still buffered for it cannot fail to flush at exit.
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return _fail(f"cannot write stdout: {exc}", EXIT_PARSE)
     except ParseError as exc:
         return _fail(str(exc), EXIT_PARSE)
     except (UnknownVertexError, NonTerminalEndpointError, InvalidQueryError,
@@ -343,6 +368,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # a crash is a bug, never a "mismatch" (exit 1)
         detail = " ".join(str(exc).split())
         return _fail(f"internal error: {type(exc).__name__}: {detail}", EXIT_INTERNAL)
+    finally:
+        if gc_was_on:
+            gc.enable()
 
 
 def entry() -> None:

@@ -10,7 +10,10 @@ Hyperedge-connectivity runs on Lawler's network of the hypergraph
 ("Cutsets and partitions of hypergraphs", 1973), built straight from the
 hyperedges (``_hyperedge_network``). Each hyperedge e has an entry node and
 an exit node joined by a unit arc, and each member v has uncapacitated arcs
-v -> entry(e) and exit(e) -> v; a vertex is one node. The paper reads lambda
+v -> entry(e) and exit(e) -> v; a vertex is one node, numbered by its rank
+among the vertices. For the ids 0..n-1 of a parsed file that number is the
+id itself, so the network reads each hyperedge's member set as it is
+instead of renumbering a copy. The paper reads lambda
 as element-connectivity of the incidence instance, where every vertex is a
 terminal of capacity deg(v). That capacity never binds, as each unit into
 or out of v uses a hyperedge of its own, so vertices need no split. A
@@ -132,7 +135,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InternalInvariantError, InvalidQueryError, NonTerminalEndpointError, UnknownVertexError
 from .hypergraph import Hypergraph
@@ -146,7 +149,7 @@ class _Hyperedges(NamedTuple):
     """Lawler's network of a hypergraph with ``vertices`` vertices, by the
     neighbours ``adj`` of its nodes (see ``_hyperedge_network``)."""
 
-    adj: list[list[int]]
+    adj: list[Collection[int]]
     vertices: int
 
 
@@ -402,24 +405,36 @@ def _split_arcs(inst: ElementConnInstance) -> _Network:
 
 def _hyperedge_network(h: Hypergraph) -> _Network:
     """Lawler's network of ``h`` (see the module docstring), with its index
-    keyed by the vertices: the members map to indices in bulk, and one pass
-    over the incidences lists the hyperedges at each vertex.
+    keyed by the vertices; one pass over the incidences lists the
+    hyperedges at each vertex.
 
     The vertex with index i, in sorted order, is node i. The p-th hyperedge
     has entry node b + 2*p and exit node b + 2*p + 1, for the even b of n or
     n + 1, so ``node ^ 1`` pairs them. ``adj`` lists, at a vertex, the entry
     nodes of its hyperedges in order, and at both nodes of a hyperedge one
-    shared list of its members' indices. The arcs follow from that and the
-    flow state: a search builds none.
+    shared collection of its members' indices. The arcs follow from that
+    and the flow state: a search builds none.
+
+    When the vertices are the ints 0..n-1, as every parsed file numbers
+    them, each vertex is its own index and a hyperedge's member frozenset is
+    that collection. Any other vertex set is renumbered, and each hyperedge
+    listed through the index in its frozenset's order, so a search visits
+    the members in the same order either way.
     """
-    index = dict(zip(sorted(h.vertices), range(len(h.vertices))))
-    ends = list(map(list, map(map, repeat(index.__getitem__), h.hyperedges.values())))
-    adj: list[list[int]] = [[] for _ in range(len(index) + len(index) % 2)]
+    n = len(h.vertices)
+    ends = list(h.hyperedges.values())
+    # A float id can equal an int, but cannot number a node.
+    if h.vertices == frozenset(range(n)) and {int}.issuperset(map(type, h.vertices)):
+        index = dict(zip(range(n), range(n)))
+    else:
+        index = dict(zip(sorted(h.vertices), range(n)))
+        ends = list(map(list, map(map, repeat(index.__getitem__), ends)))
+    adj: list[Collection[int]] = [[] for _ in range(n + n % 2)]
     for members, entry in zip(ends, range(len(adj), len(adj) + 2 * len(ends), 2)):
         for i in members:
             adj[i].append(entry)
     adj += chain.from_iterable(zip(ends, ends))
-    return _Hyperedges(adj, len(index)), index, ()
+    return _Hyperedges(adj, n), index, ()
 
 
 def _check_terminal(inst: ElementConnInstance, v: int) -> None:

@@ -1,7 +1,9 @@
 """CLI behavior: subcommands, exit codes, determinism of written artifacts."""
 
 import argparse
+import gc
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 
 from hypersplit import cli
 from hypersplit.cli import main
+from hypersplit.errors import HypersplitError, ParseError, ReplayError, UnknownVertexError
 from conftest import named_hypergraphs
 
 TRIANGLE = '{"vertices": ["a", "b", "c"], "hyperedges": [["a","b"], ["b","c"], ["a","c"]]}\n'
@@ -124,6 +127,102 @@ class TestUnexpectedErrors:
         err = capsys.readouterr().err
         assert err == "error: internal error: RuntimeError: boom second line\n"
         assert "Traceback" not in err
+
+
+class TestClosedStdout:
+    """A reader that stops reading makes stdout an unwritable output: exit 2, one line.
+    A process with no stdout at all prints nothing, as before."""
+
+    @staticmethod
+    def _start(argv, stdout):
+        # Block-buffered stdout, the default for a pipe: a short output then
+        # fails only when it is flushed.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        return subprocess.Popen([sys.executable, "-m", "hypersplit.cli", *argv],
+                                stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+    def test_conn_all_pairs_into_a_closed_pipe(self, tmp_path):
+        path = tmp_path / "path.he"
+        path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(199)))
+        # 19,900 rows, far more than a pipe holds, so the writer outlives the reader.
+        proc = self._start(["conn", str(path), "--all-pairs"], subprocess.PIPE)
+        assert proc.stdout.readline() == "lambda(v0, v1) = 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+        assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    def test_short_output_into_a_pipe_closed_before_it(self, triangle):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._start(["conn", str(triangle), "-u", "a", "-v", "b"], write_end)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+        assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    def test_split_to_stdout_in_process(self, two_star, tmp_path, monkeypatch, capsys):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        log = tmp_path / "log.json"
+        assert main(["split", str(two_star), "-s", "s", "-o", "-", "--log-out", str(log)]) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    def test_no_stdout_at_all(self, triangle, monkeypatch, capsys):
+        # A process started with fd 1 closed has sys.stdout None; print skips it.
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["conn", str(triangle), "-u", "a", "-v", "b"]) == 0
+        monkeypatch.undo()
+        assert capsys.readouterr() == ("", "")
+
+
+class TestGcPaused:
+    """``main`` pauses the cyclic GC while the command runs and restores it on every way out."""
+
+    @pytest.mark.parametrize("outcome, code", [
+        (lambda: 0, 0),
+        (lambda: 1, 1),
+        (ParseError("bad input"), 2),
+        (UnknownVertexError("unknown vertex x"), 3),
+        (RuntimeError("boom"), 4),
+        (ReplayError(3, HypersplitError("no such edge")), 5),
+    ])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_after_each_exit_code(self, outcome, code, enabled, triangle, monkeypatch, capsys):
+        during = []
+
+        def handler(args):
+            during.append(gc.isenabled())
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome()
+
+        monkeypatch.setattr(cli, "cmd_conn", handler)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["conn", str(triangle), "--all-pairs"]) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert during == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_after_help(self, enabled, capsys):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 class TestParserBuiltOnce:

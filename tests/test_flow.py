@@ -605,6 +605,39 @@ class TestHyperedgeNetwork:
                 for u, v, k in conn_table_hyper(h).pairs():
                     assert k == oracle_lambda(h, u, v), (name, u, v)
 
+    def test_relabelled_ids_match_the_node_numbered_original(self):
+        # Vertices 0..n-1 are their own nodes; any other ids are renumbered.
+        # Both networks must give the same values once the ids are mapped back.
+        from hypersplit import GenParams, Hypergraph, random_hypergraph
+
+        relabels = {
+            "gaps": lambda v: 3 * v,
+            "one_negative": lambda v: v - 1,
+            "offset": lambda v: v + 1000,
+            "gaps_and_negatives": lambda v: 7 * v - 40,
+            "floats": float,
+        }
+        hypergraphs = [random_hypergraph(GenParams(n, m, r, seed=seed))
+                       for seed, (n, m, r) in enumerate([(6, 12, 3), (12, 30, 4), (25, 50, 4), (60, 120, 4)] * 3)]
+        for h in hypergraphs:
+            order = sorted(h.vertices)
+            assert order == list(range(len(order)))
+            graph, _, _ = flow._hyperedge_network(h)
+            first = len(order) + len(order) % 2
+            assert [graph.adj[node] for node in range(first, len(graph.adj), 2)] == list(h.hyperedges.values())
+            table = conn_table_hyper(h)
+            pairs = [(u, v) for u, v, _ in table.pairs()][:: max(1, len(order) // 4)]
+            for name, relabel in relabels.items():
+                back = {relabel(v): v for v in order}
+                other = Hypergraph(
+                    frozenset(back),
+                    {eid: frozenset(map(relabel, members)) for eid, members in h.hyperedges.items()},
+                )
+                mapped = {tuple(sorted((back[a], back[b]))): k for a, b, k in conn_table_hyper(other).pairs()}
+                assert mapped == dict(table.values), name
+                for u, v in pairs:
+                    assert hyperedge_connectivity(other, relabel(v), relabel(u)) == table.get(u, v), (name, u, v)
+
     def test_gusfield_flows_reach_a_minimum_cut(self, monkeypatch):
         from hypersplit import GenParams, delta, random_hypergraph
 
