@@ -9,6 +9,15 @@ Reports go to stdout, diagnostics to stderr. Exit codes are stable:
   3  unknown vertex or invalid query endpoints
   4  internal certification failure or any other unexpected error (a bug)
   5  invalid operation while replaying a log (index reported)
+
+A message that cannot be written, to a stderr that is missing, closed or
+gone, is dropped; the exit code stays the same.
+
+Importing this module loads only the standard library and ``errors``. Each
+``cmd_*`` imports the modules it runs when it is called, and looks their
+names up then, so a replaced or wrapped function is the one that runs: a
+``conn`` never loads ``reduction``, ``splitoff`` or ``oracle``, and a
+``split`` never loads ``oracle``.
 """
 
 from __future__ import annotations
@@ -21,9 +30,8 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from . import formats
 from .errors import (
     HypersplitError,
     InstanceTooLargeError,
@@ -34,16 +42,9 @@ from .errors import (
     ReplayError,
     UnknownVertexError,
 )
-from .flow import (
-    conn_table_elements,
-    conn_table_hyper,
-    element_connectivity,
-    hyperedge_connectivity,
-)
-from .hypergraph import Hypergraph, Merge, hypergraph_equal, replay
-from .oracle import oracle_element_conn, oracle_lambda
-from .reduction import reduce_to_stable
-from .splitoff import complete_split_off
+
+if TYPE_CHECKING:
+    from .formats import NameTable
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -53,8 +54,22 @@ EXIT_INTERNAL = 4
 EXIT_BAD_OP = 5
 
 
+def _to_null(stream) -> None:
+    """Point ``stream``'s file descriptor at the null device, so that what is
+    still buffered for a reader that has gone cannot fail to flush at exit."""
+    with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+        os.dup2(null.fileno(), stream.fileno())
+
+
 def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    """Report ``message`` on stderr and return ``code``; never raise. A stderr
+    that is missing, closed or gone drops the message, and the code alone
+    tells what happened."""
+    if sys.stderr is not None:  # None in a process started without fd 2
+        try:
+            print(f"error: {message}", file=sys.stderr, flush=True)
+        except (OSError, ValueError):
+            _to_null(sys.stderr)
     return code
 
 
@@ -76,7 +91,8 @@ def _write_out(*outputs: tuple[str | Path | None, str]) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from exc
     for path, text in outputs:
         if path in (None, "-"):
-            sys.stdout.write(text)
+            if sys.stdout is not None:  # None in a process started without fd 1; print skips it too
+                sys.stdout.write(text)
             continue
         try:
             Path(path).write_text(text, encoding="utf-8")
@@ -91,7 +107,7 @@ def _pair_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def _resolve_pairs(args, table: formats.NameTable, eligible: Iterable[int]) -> list[tuple[int, int]]:
+def _resolve_pairs(args, table: NameTable, eligible: Iterable[int]) -> list[tuple[int, int]]:
     if args.all_pairs:
         if args.u or args.v:
             raise ParseError("--all-pairs excludes -u/-v")
@@ -110,6 +126,8 @@ def _query_pairs(args, element: bool, value_of, flow_of=None, table_of=None) -> 
     With ``table_of``, ``--all-pairs`` reads every value from the one table
     ``table_of(graph)`` instead.
     """
+    from . import formats
+
     if element:
         graph, table = formats.load_element_instance(args.file)
         name, eligible = "kappa", graph.terminals
@@ -139,15 +157,23 @@ def _query_pairs(args, element: bool, value_of, flow_of=None, table_of=None) -> 
 
 
 def cmd_conn(args) -> int:
+    from .flow import conn_table_hyper, hyperedge_connectivity
+
     return _query_pairs(args, False, hyperedge_connectivity, table_of=conn_table_hyper)
 
 
 def cmd_econn(args) -> int:
+    from .flow import conn_table_elements, element_connectivity
+
     return _query_pairs(args, True, element_connectivity, table_of=conn_table_elements)
 
 
 def cmd_oracle(args) -> int:
     """Brute-force connectivity values; with --check also compare to the flow engine."""
+    from . import formats
+    from .flow import element_connectivity, hyperedge_connectivity
+    from .oracle import oracle_element_conn, oracle_lambda
+
     element = formats.is_element_file(args.file)
     if element:
         brute, flow = oracle_element_conn, element_connectivity
@@ -157,6 +183,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import formats
+    from .reduction import reduce_to_stable
+
     inst, table = formats.load_element_instance(args.file)
     reduced, trace = reduce_to_stable(inst)
     trace_out = [(Path(args.trace_out), formats.trace_to_json(trace, table))] if args.trace_out else []
@@ -176,6 +205,10 @@ def _s_name(args) -> Optional[str]:
 
 
 def cmd_split(args) -> int:
+    from . import formats
+    from .hypergraph import Hypergraph, Merge
+    from .splitoff import complete_split_off
+
     h, table, fmt = formats.load_hypergraph(args.file, args.format)
     s = table.id_of(_s_name(args))
     result = complete_split_off(h, s, certify=args.certify)
@@ -208,6 +241,9 @@ def cmd_split(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from . import formats
+    from .hypergraph import replay
+
     h, table, fmt = formats.load_hypergraph(args.file, args.format)
     try:
         log = formats.parse_oplog(Path(args.log).read_text(encoding="utf-8"))
@@ -223,6 +259,10 @@ def cmd_replay(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import formats
+    from .flow import conn_table_hyper
+    from .hypergraph import hypergraph_equal
+
     ha, ta, _ = formats.load_hypergraph(args.file_a, args.format)
     hb, tb, _ = formats.load_hypergraph(args.file_b, args.format)
     # Both parsers number the vertices by their names in sorted order, so equal
@@ -248,6 +288,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    from . import formats
+
     h, table, _ = formats.load_hypergraph(args.file, args.format)
     _write_out((args.out, formats.incidence_dot(h, table)))
     return EXIT_OK
@@ -349,10 +391,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.flush()
         return code
     except BrokenPipeError as exc:
-        # The reader has gone. Point stdout at the null device, so that what
-        # is still buffered for it cannot fail to flush at exit.
-        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
+        _to_null(sys.stdout)
         return _fail(f"cannot write stdout: {exc}", EXIT_PARSE)
     except ParseError as exc:
         return _fail(str(exc), EXIT_PARSE)

@@ -18,12 +18,14 @@ from dataclasses import dataclass
 from itertools import compress, repeat, starmap
 from operator import itemgetter, ne, not_
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import ParseError, UnknownVertexError
 from .hypergraph import Hypergraph, Merge, SplitOffOp, Trim
 from .multigraph import ElementConnInstance, Multigraph
-from .reduction import MinorTrace
+
+if TYPE_CHECKING:
+    from .reduction import MinorTrace
 
 VERTICES_HEADER = "#vertices:"
 _SURROGATE = re.compile(r"[\ud800-\udfff]")  # a lone surrogate has no UTF-8 form: no output could hold it

@@ -175,10 +175,56 @@ class TestClosedStdout:
         monkeypatch.undo()
         assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
-    def test_no_stdout_at_all(self, triangle, monkeypatch, capsys):
-        # A process started with fd 1 closed has sys.stdout None; print skips it.
+    @pytest.mark.parametrize("command", ["conn", "reduce"])
+    def test_no_stdout_at_all(self, command, triangle, element_file, monkeypatch, capsys):
+        # A process started with fd 1 closed has sys.stdout None; print skips
+        # it, and so does a text meant for stdout.
+        argv = (["conn", str(triangle), "-u", "a", "-v", "b"] if command == "conn"
+                else ["reduce", str(element_file)])
         monkeypatch.setattr(sys, "stdout", None)
-        assert main(["conn", str(triangle), "-u", "a", "-v", "b"]) == 0
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert capsys.readouterr() == ("", "")
+
+
+class TestUnwritableStderr:
+    """An error message that cannot be written is dropped; the exit code stays."""
+
+    def test_started_without_fd_2(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run(["/bin/sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable, "-m", "hypersplit.cli",
+                              "conn", str(tmp_path / "missing.he"), "--all-pairs"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert (run.returncode, run.stdout) == (2, "")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_stderr_and_stdout_into_one_closed_pipe(self, tmp_path, unbuffered):
+        path = tmp_path / "path.he"
+        path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(199)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "hypersplit.cli", "conn", str(path), "--all-pairs"],
+                                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
+        assert proc.stdout.readline() == "lambda(v0, v1) = 1\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+
+    def test_write_fails(self, tmp_path, monkeypatch, capsys):
+        class BadDescriptor(io.StringIO):
+            def write(self, text):
+                raise OSError(9, "Bad file descriptor")
+
+        monkeypatch.setattr(sys, "stderr", BadDescriptor())
+        assert main(["conn", str(tmp_path / "missing.he"), "--all-pairs"]) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr() == ("", "")
+
+    def test_no_stderr_at_all(self, tmp_path, monkeypatch, capsys):
+        # print(file=None) would write to stdout instead.
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(["conn", str(tmp_path / "missing.he"), "--all-pairs"]) == 2
         monkeypatch.undo()
         assert capsys.readouterr() == ("", "")
 
