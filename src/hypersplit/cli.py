@@ -245,10 +245,7 @@ def cmd_replay(args) -> int:
     from .hypergraph import replay
 
     h, table, fmt = formats.load_hypergraph(args.file, args.format)
-    try:
-        log = formats.parse_oplog(Path(args.log).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.log}: {exc}") from exc
+    log = formats.parse_oplog(formats._read_text(args.log))
     if _s_name(args) not in (None, log.s_name):
         raise ParseError(f"-s {args.s!r} disagrees with the log header ({log.s_name!r})")
     formats.check_oplog_header(log, h, table)

@@ -8,6 +8,10 @@ Parsers check in bulk and walk the items only to word the error: names,
 hyperedges and edges are tested and mapped to ids by C-level passes over
 whole lists, and only when a test fails does a loop find the first bad
 item and report it as the item-by-item check always has.
+
+Every file is read by ``_read_text`` and every JSON text decoded by
+``_decode_json``, so a file that cannot be read, is not UTF-8, or holds JSON
+nested too deep to decode is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -95,16 +99,21 @@ def _mapped(entries: list, ids: dict[str, int], kind: type) -> Optional[list]:
         return None
 
 
+def _decode_json(text: str):
+    """``json.loads``, with malformed text, or text nested too deep to decode, a ParseError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
 def parse_hypergraph_json(text: str) -> tuple[Hypergraph, NameTable]:
     """Parse ``{"vertices": [...], "hyperedges": [[...], ...]}``.
 
     Hyperedge entries are order-insensitive; repeated entries are distinct
     parallel hyperedges; a repeated name inside one entry is rejected.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    obj = _decode_json(text)
     if not isinstance(obj, dict) or "vertices" not in obj or "hyperedges" not in obj:
         raise ParseError("expected an object with 'vertices' and 'hyperedges'")
     table = NameTable.from_names(_as_name_list(obj["vertices"], "'vertices'"))
@@ -176,10 +185,7 @@ def parse_element_json(text: str) -> tuple[ElementConnInstance, NameTable]:
 
     Repeated pairs are parallel edges; self-loops are rejected.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    obj = _decode_json(text)
     if not isinstance(obj, dict) or not {"vertices", "edges", "terminals"} <= set(obj):
         raise ParseError("expected an object with 'vertices', 'edges' and 'terminals'")
     table = NameTable.from_names(_as_name_list(obj["vertices"], "'vertices'"))
@@ -257,10 +263,7 @@ def _op_id(entry: dict, key: str) -> int:
 
 
 def parse_oplog(text: str) -> OpLog:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    obj = _decode_json(text)
     if not isinstance(obj, dict) or not {"s", "hyperedges", "ops"} <= set(obj):
         raise ParseError("expected an object with 's', 'hyperedges' and 'ops'")
     if not isinstance(obj["s"], str):
@@ -347,13 +350,18 @@ def detect_format(path: Union[str, Path], override: Optional[str] = None) -> str
     return "json" if Path(path).suffix.lower() == ".json" else "he"
 
 
+def _read_text(path: Union[str, Path]) -> str:
+    """The UTF-8 text of a file; one that cannot be opened or decoded is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def load_hypergraph(path: Union[str, Path], fmt: Optional[str] = None) -> tuple[Hypergraph, NameTable, str]:
     """Read a hypergraph file; returns the graph, its names, and the format used."""
     kind = detect_format(path, fmt)
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     if kind == "json":
         h, table = parse_hypergraph_json(text)
     else:
@@ -370,11 +378,7 @@ def dump_hypergraph(h: Hypergraph, table: NameTable, fmt: str) -> str:
 
 
 def load_element_instance(path: Union[str, Path]) -> tuple[ElementConnInstance, NameTable]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_element_json(text)
+    return parse_element_json(_read_text(path))
 
 
 def is_element_file(path: Union[str, Path]) -> bool:
@@ -382,7 +386,7 @@ def is_element_file(path: Union[str, Path]) -> bool:
     if Path(path).suffix.lower() != ".json":
         return False
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+        obj = _decode_json(_read_text(path))
+    except ParseError:  # loading the file as a hypergraph reports it
         return False
     return isinstance(obj, dict) and "terminals" in obj

@@ -8,9 +8,10 @@ The pipeline walks four bipartite-instance stages:
   G2  clique edges reduced away (delete when preserving, else contract);
   G3  as many surviving gadget-incident edges deleted as preservation allows.
 
-After G3 each hyperedge of s either lost its gadget attachment or hangs off
-exactly one surviving gadget vertex. That bookkeeping is the trim/merge
-log, and the split-off result is the log replayed on the input hypergraph.
+After G3 each hyperedge of s either lost its gadget attachment, its G0 edge
+to s, or hangs off the surviving gadget vertex at that edge's end. Each is
+followed by the edge's id, so no graph is scanned to find this bookkeeping:
+it is the trim/merge log, and the result is the log replayed on the input.
 
 Vertex v of the input is node v of G0, so G0's table without s is keyed by
 vertices, and it is the one table every check compares with: G1's, the
@@ -145,6 +146,9 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
     g0 = inc.instance
     gadget = _build_gadget(h, s, inc)
     g1 = gadget.instance
+    # (hyperedge, id of its G0 edge to s), which the gadget keeps as its attachment
+    to_s = {b: eid for eid, (a, b) in g0.graph.edges.items() if a == s}
+    attached = [(e, to_s[inc.edge_node[e]]) for e, _ in gadget.attachments]
 
     # The table every stage must keep is the G0 table without s.
     table = conn_table_elements(g0).restrict(g1.terminals)
@@ -154,31 +158,25 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
     g2, trace = _reduce_to_stable(g1, flows, set(gadget.clique))
     s2 = tuple(v for v in gadget.clique if v in g2.graph.vertices)
 
-    # Every hyperedge node keeps exactly one gadget attachment through stage 2:
-    # clique reductions never touch the attachment edges themselves.
-    attach_nodes = {inc.edge_node[e]: e for e, _ in gadget.attachments}
-    s2_set = frozenset(s2)
-    for node in attach_nodes:
-        if sum(1 for nb in g2.graph.neighbors(node) if nb in s2_set) != 1:
+    # Stage 2 reduces clique edges only: each attachment stays, its gadget end
+    # moved to the vertex it was contracted into. They are stage 3's candidates.
+    for e, eid in attached:
+        if eid not in g2.graph.edges:
             raise InternalInvariantError(
-                f"hyperedge node {node} is not attached to exactly one surviving gadget vertex"
+                f"hyperedge node {inc.edge_node[e]} is not attached to exactly one surviving gadget vertex"
             )
-
-    candidates = [e for e, (a, b) in g2.graph.edges.items() if a in s2_set or b in s2_set]
-    g3, deleted = _maximal_preserving_deletions(g2, candidates, flows)
+    g3, deleted = _maximal_preserving_deletions(g2, [eid for _, eid in attached], flows)
     del flows  # its T-1 capacity lists go before a re-check builds its own
     if certify and (trace.steps or deleted):
         _checked(_split_arcs(g3), table, "reducing the clique gadget")
 
+    gone = frozenset(deleted)
+    f0 = tuple(e for e, eid in attached if eid in gone)
     fa: dict[int, tuple[int, ...]] = {}
-    f0: list[int] = []
-    for node, eid in sorted(attach_nodes.items(), key=lambda kv: kv[1]):
-        # Stage 3 only deletes, so the one attachment left after stage 2 is at most one now.
-        holders = [nb for nb in g3.graph.neighbors(node) if nb in s2_set]
-        if holders:  # hyperedges come in ascending id order
-            fa[holders[0]] = fa.get(holders[0], ()) + (eid,)
-        else:
-            f0.append(eid)
+    for e, eid in attached:  # ascending hyperedge ids
+        if eid not in gone:  # held by its larger end: clique ids exceed every G0 node
+            holder = g2.graph.edges[eid][1]
+            fa[holder] = fa.get(holder, ()) + (e,)
 
     stages = (Stage("G0", g0), Stage("G1", g1), Stage("G2", g2), Stage("G3", g3))
     return StagePipeline(
@@ -189,7 +187,7 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
         stages=stages,
         s2=s2,
         fa=fa,
-        f0=tuple(f0),
+        f0=f0,
         deleted_edges=deleted,
     )
 

@@ -423,6 +423,56 @@ class TestLoneSurrogateName:
         assert capsys.readouterr().out == "lambda(b, \U0001f600) = 1\n"
 
 
+class TestUnreadableInput:
+    """Every command that reads a file exits 2 on one line, with no traceback,
+    for a file that is not UTF-8 or JSON nested too deep to decode."""
+
+    READERS = {
+        "conn": ["conn", "{bad}", "--all-pairs"],
+        "econn": ["econn", "{bad}", "--all-pairs"],
+        "oracle": ["oracle", "{bad}", "--all-pairs"],
+        "reduce": ["reduce", "{bad}"],
+        "split": ["split", "{bad}", "-s", "a"],
+        "verify": ["verify", "{good}", "{bad}"],
+        "export-dot": ["export-dot", "{bad}"],
+        "replay --log": ["replay", "{good}", "--log", "{bad}"],
+    }
+
+    @staticmethod
+    def run(argv, bad, good, capsys):
+        args = [a.format(bad=bad, good=good) for a in argv]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        return captured.err
+
+    @pytest.mark.parametrize("suffix", [".he", ".json"])
+    @pytest.mark.parametrize("command", READERS)
+    def test_non_utf8(self, command, suffix, two_star, tmp_path, capsys):
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_bytes(b"a b\xff\n")
+        err = self.run(self.READERS[command], bad, two_star, capsys)
+        assert err == f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 3: invalid start byte\n"
+
+    @pytest.mark.parametrize("command", READERS)
+    def test_deep_json(self, command, two_star, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200000 + "\n")
+        err = self.run(self.READERS[command], bad, two_star, capsys)
+        assert err.startswith("error: invalid JSON: ")
+
+    @pytest.mark.parametrize("content", [b"a b\xff\n", b"[" * 200000], ids=["non-utf8", "deep"])
+    def test_through_the_entry_point(self, content, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-m", "hypersplit.cli", "conn", str(bad), "--all-pairs"],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 2 and run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: ")
+
+
 class TestEconn:
     def test_pair(self, element_file, capsys):
         assert main(["econn", str(element_file), "-u", "u", "-v", "v"]) == 0

@@ -18,6 +18,7 @@ from hypersplit.formats import (
     check_oplog_header,
     detect_format,
     incidence_dot,
+    is_element_file,
     parse_element_json,
     parse_hypergraph_json,
     parse_hypergraph_text,
@@ -327,6 +328,22 @@ class TestDispatch:
         assert detect_format("x.json", "he") == "he"
         with pytest.raises(ParseError):
             detect_format("x.json", "xml")
+
+
+class TestUnreadableText:
+    """JSON nested too deep to decode is a ParseError, and a file holding it,
+    or one that is not UTF-8, is no element file."""
+
+    @pytest.mark.parametrize("parse", [parse_hypergraph_json, parse_element_json, parse_oplog])
+    def test_deep_json(self, parse):
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            parse("[" * 200000)
+
+    @pytest.mark.parametrize("content", [b"a b\xff\n", b"[" * 200000], ids=["non-utf8", "deep"])
+    def test_no_element_file(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert is_element_file(path) is False
 
 
 class TestParseDumpProperty:

@@ -462,6 +462,25 @@ class TestOneCheckerPerInstance:
         with pytest.raises(InternalInvariantError, match="reducing the clique gadget"):
             complete_split_off(two_star(), 2, certify=True)
 
+    def test_stage_two_losing_an_attachment_is_caught(self, monkeypatch):
+        # Stage 2 reduces clique edges only; a G2 without one attachment edge
+        # must stop the pipeline before stage 3 or the bookkeeping reads it.
+        from hypersplit import InternalInvariantError, Multigraph, splitoff
+
+        real = splitoff._reduce_to_stable
+
+        def lossy(inst, flows, within):
+            out, trace = real(inst, flows, within)
+            edges = dict(out.graph.edges)
+            del edges[min(e for e, (_, b) in edges.items() if b in within)]
+            return out.with_graph(Multigraph(out.graph.vertices, edges)), trace
+
+        monkeypatch.setattr(splitoff, "_reduce_to_stable", lossy)
+        h, s = self.seeded()
+        for certify in (True, False):
+            with pytest.raises(InternalInvariantError, match="not attached to exactly one surviving gadget vertex"):
+                complete_split_off(h, s, certify=certify)
+
     def test_end_to_end_check_catches_a_wrong_result(self, monkeypatch):
         # Trimming every hyperedge at s replays and isolates s, but on the two
         # star it cuts a from b: lambda(a, b) drops from 1 to 0 in h_star.
