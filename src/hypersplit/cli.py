@@ -26,7 +26,6 @@ import argparse
 import contextlib
 import functools
 import gc
-import json
 import os
 import sys
 from pathlib import Path
@@ -149,7 +148,7 @@ def _query_pairs(args, element: bool, value_of, flow_of=None, table_of=None) -> 
             print(f"mismatch: flow {name}({a}, {b}) != oracle {value}", file=sys.stderr)
     if args.json:
         payload = {"pairs": [{"u": a, "v": b, "value": k} for a, b, k in rows]}
-        print(json.dumps(payload, indent=2))
+        print(formats._json_text(payload), end="")
     else:
         for a, b, k in rows:
             print(f"{name}({a}, {b}) = {k}")
@@ -230,7 +229,7 @@ def cmd_split(args) -> int:
             "pairs_checked": len(result.certificate),
             "certificate": "pass",
         }
-        print(json.dumps(payload, indent=2))
+        print(formats._json_text(payload), end="")
     else:
         print(f"split vertex: {args.s}")
         print(f"hyperedges: {h.num_edges} -> {result.h_star.num_edges}")
@@ -370,10 +369,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     The cyclic garbage collector is paused while the command runs. A
     command's data (names, hypergraphs, networks, flows, tables) holds no
     reference cycles, so reference counting frees it, and a collection
-    would walk live objects to free nothing. The only cycles, a few dozen
-    objects per indented text from ``json.dumps``, wait for the first
-    collection after ``main`` returns. The collector is on again then if it
-    was on when ``main`` was called.
+    would walk live objects to free nothing. The collector is on again
+    when ``main`` returns if it was on when ``main`` was called.
 
     A reader that closes stdout early makes stdout an unwritable output
     (exit 2); what is still buffered for it is dropped.

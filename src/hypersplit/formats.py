@@ -11,7 +11,7 @@ item and report it as the item-by-item check always has.
 
 Every file is read by ``_read_text`` and every JSON text decoded by
 ``_decode_json``, so a file that cannot be read, is not UTF-8, or holds JSON
-nested too deep to decode is a ``ParseError``.
+nested too deep to decode is a ``ParseError``; every JSON text is written by ``_json_text``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ if TYPE_CHECKING:
     from .reduction import MinorTrace
 
 VERTICES_HEADER = "#vertices:"
+_escape = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses for every string
 _SURROGATE = re.compile(r"[\ud800-\udfff]")  # a lone surrogate has no UTF-8 form: no output could hold it
 
 
@@ -64,9 +65,11 @@ class NameTable:
 
     def name_of(self, vid: int) -> str:
         try:
-            return self.names[vid]
+            if vid >= 0:  # a negative index would name a vertex from the end
+                return self.names[vid]
         except IndexError:
-            raise UnknownVertexError(f"unknown vertex id {vid}") from None
+            pass
+        raise UnknownVertexError(f"unknown vertex id {vid}")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -97,6 +100,29 @@ def _mapped(entries: list, ids: dict[str, int], kind: type) -> Optional[list]:
         return list(map(kind, map(map, repeat(ids.__getitem__), entries)))
     except (KeyError, TypeError):  # an unknown name, or a member that is no name
         return None
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2) + "\\n"`` for objects with string keys. With an
+    indent, ``json.dumps`` runs its pure-Python encoder; this joins each container
+    once and escapes strings with the C escaper ``json.dumps`` uses."""
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, newline: str) -> str:
+    if type(obj) is str:
+        return _escape(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [_escape(key) + ": " + _json_value(value, inner) for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
+    if isinstance(obj, (list, tuple)):
+        names = all(map(str.__instancecheck__, obj))  # a list of names needs no call per item
+        items = map(_escape, obj) if names else [_json_value(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
+    return json.dumps(obj)  # any other value as json.dumps writes it, or a TypeError
 
 
 def _decode_json(text: str):
@@ -163,7 +189,7 @@ def parse_hypergraph_text(text: str) -> tuple[Hypergraph, NameTable]:
 
 
 def _sorted_names(vertices: Iterable[int], table: NameTable) -> list[str]:
-    return sorted(table.name_of(v) for v in vertices)
+    return sorted(map(table.name_of, vertices))
 
 
 def write_hypergraph_json(h: Hypergraph, table: NameTable) -> str:
@@ -171,7 +197,7 @@ def write_hypergraph_json(h: Hypergraph, table: NameTable) -> str:
         "vertices": _sorted_names(h.vertices, table),
         "hyperedges": [_sorted_names(h.hyperedges[e], table) for e in h.edge_ids()],
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return _json_text(obj)
 
 
 def write_hypergraph_text(h: Hypergraph, table: NameTable) -> str:
@@ -221,7 +247,7 @@ def write_element_json(inst: ElementConnInstance, table: NameTable) -> str:
         ],
         "terminals": _sorted_names(inst.terminals, table),
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return _json_text(obj)
 
 
 def write_oplog(h: Hypergraph, table: NameTable, s: int, ops: Sequence[SplitOffOp]) -> str:
@@ -243,7 +269,7 @@ def write_oplog(h: Hypergraph, table: NameTable, s: int, ops: Sequence[SplitOffO
         "hyperedges": [_sorted_names(h.hyperedges[e], table) for e in h.edge_ids()],
         "ops": entries,
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return _json_text(obj)
 
 
 @dataclass(frozen=True)
@@ -321,21 +347,15 @@ def incidence_dot(h: Hypergraph, table: NameTable) -> str:
 
 
 def trace_to_json(trace: MinorTrace, table: NameTable) -> str:
+    name_of = table.name_of
     steps = []
     for step in trace.steps:
-        entry = {
-            "edge": _sorted_names(step.edge, table),
-            "edge_id": step.edge_id,
-            "action": step.action,
-        }
+        entry = {"edge": sorted(map(name_of, step.edge)), "edge_id": step.edge_id, "action": step.action}
         if step.merged_into is not None:
-            entry["merged_into"] = table.name_of(step.merged_into)
+            entry["merged_into"] = name_of(step.merged_into)
         steps.append(entry)
-    vertex_map = {}
-    for v, originals in trace.vertex_map.items():
-        vertex_map[table.name_of(v)] = _sorted_names(originals, table)
-    obj = {"steps": steps, "vertex_map": dict(sorted(vertex_map.items()))}
-    return json.dumps(obj, indent=2) + "\n"
+    vertex_map = {name_of(v): sorted(map(name_of, originals)) for v, originals in trace.vertex_map.items()}
+    return _json_text({"steps": steps, "vertex_map": dict(sorted(vertex_map.items()))})
 
 
 HYPERGRAPH_FORMATS = ("json", "he")

@@ -66,8 +66,10 @@ class TestConn:
 
     def test_single_pair_json(self, triangle, capsys):
         assert main(["conn", str(triangle), "-u", "a", "-v", "b", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        payload = json.loads(out)
         assert payload == {"pairs": [{"u": "a", "v": "b", "value": 2}]}
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_unknown_vertex_exits_3(self, triangle, capsys):
         assert main(["conn", str(triangle), "-u", "a", "-v", "zz"]) == 3
@@ -548,7 +550,9 @@ class TestSplit:
 
     def test_json_summary(self, two_star, capsys):
         assert main(["split", str(two_star), "-s", "s", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
         assert payload["certificate"] == "pass"
         assert payload["pairs_checked"] == 1
         assert payload["operations"] == {"merge": 1, "trim": 1}

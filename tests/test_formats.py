@@ -15,6 +15,7 @@ from hypersplit import (
 )
 from hypersplit.formats import (
     NameTable,
+    _json_text,
     check_oplog_header,
     detect_format,
     incidence_dot,
@@ -30,8 +31,9 @@ from hypersplit.formats import (
     write_oplog,
 )
 from hypersplit.reduction import reduce_to_stable
+from hypersplit.splitoff import complete_split_off
 
-from conftest import named_hypergraphs
+from conftest import corpus_hypergraph, named_hypergraphs, sparse_element_instance
 
 TRIANGLE_JSON = '{"vertices": ["a", "b", "c"], "hyperedges": [["a","b"], ["b","c"], ["a","c"]]}'
 
@@ -46,6 +48,12 @@ class TestNameTable:
     def test_unknown_name(self):
         with pytest.raises(UnknownVertexError):
             NameTable.from_names(["a"]).id_of("zz")
+
+    @pytest.mark.parametrize("vid", [-1, -3, 3])
+    def test_unknown_id(self, vid):
+        with pytest.raises(UnknownVertexError) as info:
+            NameTable.from_names(["a", "b", "c"]).name_of(vid)
+        assert str(info.value) == f"unknown vertex id {vid}"
 
     @pytest.mark.parametrize("bad", ["", "has space", "tab\there", "#hash"])
     def test_bad_names_rejected(self, bad):
@@ -318,6 +326,45 @@ class TestTraceJson:
         assert payload["steps"][0]["action"] == "contracted"
         assert payload["steps"][0]["edge"] == ["p", "q"]
         assert sorted(payload["vertex_map"]["p"]) == ["p", "q"]
+
+
+class TestJsonText:
+    """Every JSON text is written in ``json.dumps``' ``indent=2`` layout,
+    ASCII escapes and a final newline included."""
+
+    def test_equals_json_dumps(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        text = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001d11e", ""]))
+        scalars = st.one_of(text, st.integers(), st.booleans(), st.none())
+        values = st.recursive(
+            scalars, lambda inner: st.one_of(st.lists(inner), st.dictionaries(text, inner)), max_leaves=30)
+
+        @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(values)
+        def check(obj):
+            assert _json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+        check()
+
+    @pytest.mark.parametrize("obj", [[], {}, [[], {}, ""], ["ab", ["cd"]], ["ab", 1, None, True], {"k": ["ab", {}]}])
+    def test_empty_and_mixed_containers(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_public_writers_reencode_to_themselves(self, trial):
+        h = corpus_hypergraph(trial)
+        inst = sparse_element_instance(trial)  # rich in reduction steps
+        n = max(len(h.vertices), len(inst.graph.vertices))
+        table = NameTable(tuple(f'v{i:02d}"\\\u00e9\u2603' for i in range(n)))  # sorted as ids
+        s = trial % len(h.vertices)
+        reduced, trace = reduce_to_stable(inst)
+        texts = [write_hypergraph_json(h, table), write_element_json(inst, table),
+                 write_element_json(reduced, table), trace_to_json(trace, table),
+                 write_oplog(h, table, s, complete_split_off(h, s).log)]
+        for text in texts:
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestDispatch:
