@@ -27,6 +27,7 @@ import contextlib
 import functools
 import gc
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -75,15 +76,20 @@ def _fail(message: str, code: int) -> int:
 def _write_out(*outputs: tuple[str | Path | None, str]) -> None:
     """Write each ``(path, text)`` in turn, to stdout where ``path`` is None or
     the string ``-`` (a ``Path`` is always a file). A file that cannot be
-    written is a usage error. Every file is opened, none truncated, before any
-    is written, so a file that cannot be opened leaves each existing file as
-    it was and removes those the check made."""
+    written, or a regular file that two outputs name, is a usage error. Every
+    file is opened, none truncated, before any is written, so such an error
+    leaves each existing file as it was and removes those the check made."""
     made = []  # the files the check created
+    named = {}  # (device, inode) of each file opened -> the path that named it
     try:
         for path in (p for p, _ in outputs if p not in (None, "-")):
             existed = os.path.lexists(path)
             os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
             made += [] if existed else [path]
+            st = os.stat(path)
+            if stat.S_ISREG(st.st_mode) and (st.st_dev, st.st_ino) in named:
+                raise OSError(f"another output writes the same file ({named[st.st_dev, st.st_ino]})")
+            named[st.st_dev, st.st_ino] = path
     except OSError as exc:
         for made_path in made:
             os.remove(made_path)
@@ -189,7 +195,7 @@ def cmd_reduce(args) -> int:
     reduced, trace = reduce_to_stable(inst)
     trace_out = [(Path(args.trace_out), formats.trace_to_json(trace, table))] if args.trace_out else []
     _write_out(*trace_out, (args.out, formats.write_element_json(reduced, table)))
-    if args.out:
+    if args.out not in (None, "-"):
         deleted = sum(1 for s in trace.steps if s.action == "deleted")
         contracted = len(trace.steps) - deleted
         print(f"reduced: {len(trace.steps)} steps ({deleted} deleted, {contracted} contracted)")
@@ -210,7 +216,7 @@ def cmd_split(args) -> int:
 
     h, table, fmt = formats.load_hypergraph(args.file, args.format)
     s = table.id_of(_s_name(args))
-    result = complete_split_off(h, s, certify=args.certify)
+    result = complete_split_off(h, s)
     h_out = result.h_star
     if args.drop_s:
         h_out = Hypergraph(h_out.vertices - {s}, dict(h_out.hyperedges))
@@ -335,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="write the resulting hypergraph here")
     p.add_argument("--log-out", help="write the operation log JSON here")
     p.add_argument("--certify", action=argparse.BooleanOptionalAction, default=True,
-                   help="re-check the gadget's reductions with fresh flows (default on)")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--drop-s", action="store_true", help="omit the isolated vertex from the output")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
 

@@ -20,9 +20,8 @@ exactly when the pair keeps its value (the argument is in ``flow``). An
 accepted deletion keeps the rerouted flows; a rejected one leaves them as
 they were, and the contraction that follows is made inside them: at most
 one search per pair whose flow ran through both ends, and no fresh flows.
-So ``reduce_to_stable`` ends with one fresh check of its result, and the
-split-off, under ``certify``, re-checks the result of both its stages the
-same way.
+So ``reduce_to_stable`` ends with one fresh check of its result; the
+split-off's end-to-end check of its result covers both of its stages.
 
 The run itself works on a private mutable copy of the edges, with the
 candidates in a heap keyed by (min endpoint, max endpoint, id). A

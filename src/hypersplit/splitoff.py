@@ -14,13 +14,11 @@ followed by the edge's id, so no graph is scanned to find this bookkeeping:
 it is the trim/merge log, and the result is the log replayed on the input.
 
 Vertex v of the input is node v of G0, so G0's table without s is keyed by
-vertices, and it is the one table every check compares with: G1's, the
-fresh re-check of G3 and the end-to-end check of the result, on Lawler's
-network, whose certificate it is. All three run through ``flow._checked``.
-G1 is checked by the tree flows that both reduction stages then keep. The
-reductions only delete edges and contract edges between non-terminals,
-which never raise a pair's value, so G1 >= G2 >= G3 pairwise, and a G3
-that matches the table proves G2 too.
+vertices, and it is the one table both checks compare with, through
+``flow._checked``: G1's, by the tree flows that both reduction stages then
+keep, and the end-to-end check of the result, on Lawler's network, whose
+certificate it is. The reductions, trims and merges never raise a pair's
+value, so a G2 or G3 below the table makes the end-to-end check fail too.
 """
 
 from __future__ import annotations
@@ -129,15 +127,14 @@ def _build_gadget(h: Hypergraph, s: int, inc: Incidence) -> GadgetInstance:
     return GadgetInstance(instance=instance, clique=clique, attachments=attachments)
 
 
-def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipeline:
+def run_pipeline(h: Hypergraph, s: int) -> StagePipeline:
     """Run the construction G0..G3 at s and collect all bookkeeping.
 
     The terminal table of G0 costs T-1 flows (``conn_table_elements``). G1
-    is always checked against it, by the tree flows that stage 2's
-    reductions and stage 3's deletions keep and update in place. With
-    ``certify`` on, G3 is re-checked by T-1 fresh flows whenever either
-    stage changed anything, which proves G2 as well. Any drift is reported
-    as an internal error.
+    is checked against it, by the tree flows that stage 2's reductions and
+    stage 3's deletions keep and update in place. A G1 that drifts is
+    reported as an internal error; G2 and G3 are proved by the end-to-end
+    check of ``complete_split_off``.
     """
     if s not in h.vertices:
         raise UnknownVertexError(f"unknown vertex {s}")
@@ -155,7 +152,7 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
     network = _split_arcs(g1)
     flows = _TreeFlows(network, _checked(network, table, "replacing s with the clique gadget"))
 
-    g2, trace = _reduce_to_stable(g1, flows, set(gadget.clique))
+    g2, _ = _reduce_to_stable(g1, flows, set(gadget.clique))
     s2 = tuple(v for v in gadget.clique if v in g2.graph.vertices)
 
     # Stage 2 reduces clique edges only: each attachment stays, its gadget end
@@ -166,9 +163,6 @@ def run_pipeline(h: Hypergraph, s: int, *, certify: bool = True) -> StagePipelin
                 f"hyperedge node {inc.edge_node[e]} is not attached to exactly one surviving gadget vertex"
             )
     g3, deleted = _maximal_preserving_deletions(g2, [eid for _, eid in attached], flows)
-    del flows  # its T-1 capacity lists go before a re-check builds its own
-    if certify and (trace.steps or deleted):
-        _checked(_split_arcs(g3), table, "reducing the clique gadget")
 
     gone = frozenset(deleted)
     f0 = tuple(e for e, eid in attached if eid in gone)
@@ -209,17 +203,16 @@ def extract_op_log(p: StagePipeline) -> tuple[SplitOffOp, ...]:
     return tuple(ops)
 
 
-def complete_split_off(h: Hypergraph, s: int, *, certify: bool = True) -> SplitOffResult:
+def complete_split_off(h: Hypergraph, s: int) -> SplitOffResult:
     """Split off every hyperedge at s while preserving all other connectivities.
 
-    Runs the pipeline (``certify`` gates its fresh re-check of the gadget's
-    reductions), replays the pipeline's trim/merge log on the input to get
-    the result, and certifies, in both modes, that s ends isolated and that
-    the pipeline's table over the remaining vertices is unchanged. Any
-    failure of those checks is an internal error: the theorems say they
-    cannot fail.
+    Runs the pipeline, replays its trim/merge log on the input to get the
+    result, and certifies that s ends isolated and that the pipeline's
+    table over the remaining vertices is unchanged. That end-to-end check
+    also proves the stages after G1. Any failure of those checks is an
+    internal error: the theorems say they cannot fail.
     """
-    pipeline = run_pipeline(h, s, certify=certify)
+    pipeline = run_pipeline(h, s)
     log = extract_op_log(pipeline)
     try:
         h_star = replay(h, s, log)

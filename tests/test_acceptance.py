@@ -66,12 +66,12 @@ def split_vertex_for(trial, h):
 
 @pytest.fixture(scope="module")
 def split_corpus():
-    """(trial, H, s, certified result) for the split-off criteria."""
+    """(trial, H, s, result) for the split-off criteria."""
     out = []
     for trial in range(SPLIT_TRIALS):
         h = corpus_hypergraph(trial)
         s = split_vertex_for(trial, h)
-        out.append((trial, h, s, complete_split_off(h, s, certify=True)))
+        out.append((trial, h, s, complete_split_off(h, s)))
     return out
 
 
@@ -191,7 +191,7 @@ def test_criterion_6_stage_invariants(split_corpus):
 @criterion(7, "identical seeds reproduce byte-identical logs and outputs")
 def test_criterion_7_determinism(split_corpus):
     for trial, h, s, res in split_corpus[::13]:
-        again = complete_split_off(h, s, certify=True)
+        again = complete_split_off(h, s)
         table = names_for(len(h.vertices))
         assert write_oplog(h, table, s, again.log) == write_oplog(h, table, s, res.log)
         assert write_hypergraph_json(again.h_star, table) == write_hypergraph_json(
@@ -228,7 +228,7 @@ DEGENERATE_CASES = [
 @criterion(8, "degenerate shapes pass the main-theorem and stage-invariant checks")
 def test_criterion_8_degenerate_suite():
     for name, h in DEGENERATE_CASES:
-        res = complete_split_off(h, 9, certify=True)
+        res = complete_split_off(h, 9)
         assert res.h_star.degree(9) == 0, name
         assert hypergraph_equal(replay(h, 9, res.log), res.h_star), name
         cur = h

@@ -15,7 +15,7 @@ import pytest
 from hypersplit import cli
 from hypersplit.cli import main
 from hypersplit.errors import HypersplitError, ParseError, ReplayError, UnknownVertexError
-from conftest import named_hypergraphs
+from conftest import named_hypergraphs, names_for
 
 TRIANGLE = '{"vertices": ["a", "b", "c"], "hyperedges": [["a","b"], ["b","c"], ["a","c"]]}\n'
 TWO_STAR = "s a\ns b\n"
@@ -385,6 +385,27 @@ class TestNoPartialOutput:
         assert main(["split", str(two_star), "-s", "s", "-o", str(out), "--log-out", str(log)]) == 0
         assert (out.read_bytes(), log.read_bytes()) == fresh
 
+    @pytest.mark.parametrize("second", ["same-name", "same-name-existing", "hard-link"])
+    @pytest.mark.parametrize("command", ["split", "reduce"])
+    def test_two_outputs_naming_one_file(self, command, second, two_star, element_file, tmp_path, capsys):
+        # Each write would replace the other's text, so the run stops before either.
+        target = other = tmp_path / "F"
+        if second != "same-name":
+            target.write_bytes(b"old bytes\n")
+        if second == "hard-link":
+            other = tmp_path / "G"
+            os.link(target, other)
+        argv = {
+            "split": ["split", str(two_star), "-s", "s", "-o", str(target), "--log-out", str(other)],
+            "reduce": ["reduce", str(element_file), "--trace-out", str(target), "-o", str(other)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {other}: ")
+        assert captured.err.count("\n") == 1
+        assert (target.read_bytes() == b"old bytes\n") if second != "same-name" else not target.exists()
+
     @pytest.mark.parametrize("command", ["split", "reduce", "export-dot"])
     def test_device_outputs(self, two_star, element_file, command, capsys):
         argv = {
@@ -525,6 +546,15 @@ class TestReduceCmd:
         assert main(["reduce", str(element_file)]) == 0
         assert json.loads(capsys.readouterr().out)["terminals"] == ["u", "v"]
 
+    def test_dash_out_is_one_json_document(self, element_file, capsys):
+        # The step summary goes with a file only, as it would break the document.
+        assert main(["reduce", str(element_file)]) == 0
+        default = capsys.readouterr().out
+        assert main(["reduce", str(element_file), "-o", "-"]) == 0
+        out = capsys.readouterr().out
+        assert out == default
+        assert json.loads(out)["terminals"] == ["u", "v"]
+
 
 class TestSplit:
     def test_split_writes_everything(self, two_star, tmp_path, capsys):
@@ -574,6 +604,27 @@ class TestSplit:
         captured = capsys.readouterr()
         assert captured.err == "error: -s needs a vertex name, and '--' cannot be one\n"
         assert captured.out == ""
+
+    def test_certify_flag_changes_no_output_byte(self, tmp_path, capsys):
+        # --certify and --no-certify are accepted and do nothing: the end-to-end
+        # check runs either way, and so do the same flows.
+        from hypersplit import GenParams, random_hypergraph
+        from hypersplit.formats import write_hypergraph_text
+
+        src, out, log = tmp_path / "in.he", tmp_path / "out.he", tmp_path / "log.json"
+        for n in range(6, 13):
+            h = random_hypergraph(GenParams(n, 2 * n + n % 3, 4, seed=n))
+            table = names_for(n)
+            src.write_text(write_hypergraph_text(h, table), encoding="utf-8")
+            for s in (max(sorted(h.vertices), key=h.degree), min(h.vertices)):
+                runs = []
+                for flag in ([], ["--certify"], ["--no-certify"]):
+                    argv = ["split", str(src), "-s", table.name_of(s), *flag]
+                    assert main([*argv, "-o", str(out), "--log-out", str(log)]) == 0
+                    text = capsys.readouterr().out
+                    assert main([*argv, "--json"]) == 0
+                    runs.append((out.read_bytes(), log.read_bytes(), text, capsys.readouterr().out))
+                assert runs[0] == runs[1] == runs[2], (n, s)
 
     def test_deterministic_outputs(self, two_star, tmp_path, capsys):
         files = []

@@ -352,13 +352,12 @@ class TestNoIntermediateGraph:
         for seed in range(5):
             h = random_hypergraph(GenParams(12, 30, 4, seed=seed))
             s = max(sorted(h.vertices), key=h.degree)
-            for certify in (True, False):
-                multigraphs.clear()
-                run_pipeline(h, s, certify=certify)
-                pipeline = len(multigraphs)
-                multigraphs.clear()
-                complete_split_off(h, s, certify=certify)
-                assert len(multigraphs) <= pipeline
+            multigraphs.clear()
+            run_pipeline(h, s)
+            pipeline = len(multigraphs)
+            multigraphs.clear()
+            complete_split_off(h, s)
+            assert len(multigraphs) <= pipeline
 
 
 class TestElementConnectivity:
@@ -998,7 +997,7 @@ class TestSplitOffCheckProperty:
             h, s = drawn
             rest = h.vertices - {s}
             before = conn_table_hyper(h).restrict(rest)
-            h_star = complete_split_off(h, s, certify=False).h_star
+            h_star = complete_split_off(h, s).h_star
             edges = h_star.hyperedges
             weakened = [
                 Hypergraph(h_star.vertices, {e: m for e, m in edges.items() if e != drop})
@@ -1114,8 +1113,8 @@ class TestNetworkxDifferential:
     def test_split_off_on_adversarial_stars(self):
         # deg(s) far above the other degrees: a ring star (s joined to 50
         # leaves by 2-hyperedges, the leaves in a ring) and a star of 60
-        # hyperedges at s, mostly parallel copies. Certified or not, h_star
-        # must keep every tree pair of the certificate, against networkx.
+        # hyperedges at s, mostly parallel copies. h_star must keep every
+        # tree pair of the certificate, against networkx.
         nx = pytest.importorskip("networkx")
         from networkx.algorithms.flow import build_residual_network, edmonds_karp
 
@@ -1129,8 +1128,6 @@ class TestNetworkxDifferential:
             h = hypergraph(edge_list)
             s = max(h.vertices)
             res = complete_split_off(h, s)
-            loose = complete_split_off(h, s, certify=False)
-            assert (loose.h_star, loose.log, loose.certificate) == (res.h_star, res.log, res.certificate)
             assert h.degree(s) in (50, 60) and res.h_star.degree(s) == 0
             net = _lawler_network(nx, res.h_star)
             residual = build_residual_network(net, "capacity")
@@ -1148,7 +1145,7 @@ class TestNetworkxDifferential:
         from hypersplit import complete_split_off
 
         h = hypergraph([{100, i} for i in range(100)] + [{i, (i + 1) % 100} for i in range(100)])
-        res = complete_split_off(h, 100, certify=False)
+        res = complete_split_off(h, 100)
         assert h.degree(100) == 100 and res.h_star.degree(100) == 0
         for g in (h, res.h_star):
             net = _lawler_network(nx, g)

@@ -140,28 +140,26 @@ class TestRunPipeline:
         for trial in range(25):
             h = corpus_hypergraph(trial, max_n=6, max_m=8)
             s = sorted(h.vertices)[trial % len(h.vertices)]
-            p = run_pipeline(h, s, certify=True)
+            p = run_pipeline(h, s)
             g0 = p.stage("G0").instance
             assert p.table == conn_table_elements(g0).restrict(g0.terminals - {s})
             assert [st.name for st in p.stages] == ["G0", "G1", "G2", "G3"]
             for stage in p.stages[1:]:
                 assert conn_table_elements(stage.instance) == p.table
 
-    def test_certify_gates_only_the_recheck(self, stage_checks):
-        # certify=False skips only the fresh re-check of G3; the G0 table and
-        # the G1 check, whose flows both stages' reductions keep, still run.
-        h = hypergraph(FIG_SHAPE_EDGES)
-        for certify in (True, False):
-            stage_checks.clear()
-            p = run_pipeline(h, FIG_SHAPE_S, certify=certify)
-            assert p.deleted_edges
-            assert stage_checks == ["replacing s with the clique gadget", "reducing the clique gadget"][: 1 + certify]
+    def test_pipeline_checks_only_g1(self, stage_checks):
+        # Both reduction stages keep the G1 check's flows, and the end-to-end
+        # check of complete_split_off proves G2 and G3, so the pipeline makes
+        # one stage check even when both stages changed the instance.
+        p = run_pipeline(hypergraph(FIG_SHAPE_EDGES), FIG_SHAPE_S)
+        assert p.deleted_edges
+        assert stage_checks == ["replacing s with the clique gadget"]
 
     def test_stage_tables_match_hypergraph_tables(self):
         for trial in range(20):
             h = corpus_hypergraph(trial, max_n=6, max_m=8)
             s = sorted(h.vertices)[trial % len(h.vertices)]
-            res = complete_split_off(h, s, certify=True)
+            res = complete_split_off(h, s)
             p = res.pipeline
             rest = h.vertices - {s}
             assert conn_table_elements(p.stage("G0").instance) == conn_table_hyper(h)
@@ -254,7 +252,7 @@ class TestCompleteSplitOff:
         for trial in range(60):
             h = corpus_hypergraph(trial, max_n=6, max_m=8)
             s = sorted(h.vertices)[trial % len(h.vertices)]
-            res = complete_split_off(h, s, certify=False)
+            res = complete_split_off(h, s)
             cur = h
             for op in res.log:
                 if isinstance(op, Merge):
@@ -266,7 +264,7 @@ class TestCompleteSplitOff:
         for trial in range(40):
             h = corpus_hypergraph(trial, max_n=6, max_m=8)
             s = sorted(h.vertices)[trial % len(h.vertices)]
-            res = complete_split_off(h, s, certify=False)
+            res = complete_split_off(h, s)
             for eid in h.edge_ids():
                 if s not in h.hyperedges[eid]:
                     assert res.h_star.hyperedges[eid] == h.hyperedges[eid]
@@ -307,7 +305,7 @@ class TestDegenerateShapes:
 
     @pytest.mark.parametrize("h", CASES, ids=range(len(CASES)))
     def test_certified_splitoff(self, h):
-        res = complete_split_off(h, 9, certify=True)
+        res = complete_split_off(h, 9)
         assert res.h_star.degree(9) == 0
         assert hypergraph_equal(replay(h, 9, res.log), res.h_star)
         for stage in res.pipeline.stages[1:]:
@@ -362,11 +360,10 @@ class TestAdversarialShapes:
         "parallel_star": (hypergraph(_star(10, 3, 2) + [{0, i, i % 10 + 1} for i in range(1, 11)]), 0),
     }
 
-    @pytest.mark.parametrize("certify", (True, False))
     @pytest.mark.parametrize("name", STARS)
-    def test_star_split_off(self, name, certify):
+    def test_star_split_off(self, name):
         h, s = self.STARS[name]
-        res = complete_split_off(h, s, certify=certify)
+        res = complete_split_off(h, s)
         assert len(res.pipeline.s2) < len(res.pipeline.gadget.clique) // 2
         assert res.h_star.degree(s) == 0
         assert hypergraph_equal(replay(h, s, res.log), res.h_star)
@@ -382,14 +379,14 @@ class TestAdversarialShapes:
 
 class TestOneCheckerPerInstance:
     """Both reduction stages continue G1's tree flows, and G0's table is the
-    only full table, whether or not the re-check runs."""
+    only full table."""
 
     @staticmethod
     def seeded():
         h = random_hypergraph(GenParams(10, 25, 4, seed=3))
         return h, max(sorted(h.vertices), key=h.degree)
 
-    def test_certified_builds_no_checker_twice(self, monkeypatch):
+    def test_one_checker_per_split(self, monkeypatch):
         from hypersplit import flow
 
         built = []
@@ -406,28 +403,19 @@ class TestOneCheckerPerInstance:
         cases += [TestAdversarialShapes.CASES[name] for name in ("deg_s_far_above_n", "all_parallel")]
         for h, s in cases:
             built.clear()
-            complete_split_off(h, s, certify=True)
-            # G1's check, and the re-check of G3 when the reductions changed anything.
-            assert len(built) in (1, 2) and len(built) == len(set(built))
+            complete_split_off(h, s)
+            # G1's check only: both reduction stages continue its flows.
+            assert len(built) == 1
 
-    def test_default_rechecks_at_any_size(self, stage_checks):
-        # Every check costs T-1 flows, so no instance size turns the re-check off.
-        h = hypergraph(FIG_SHAPE_EDGES + [{v, v + 1} for v in range(3, 70)])
-        assert len(h.vertices) - 1 > 64
-        res = complete_split_off(h, FIG_SHAPE_S)
-        assert res.pipeline.deleted_edges
-        assert "reducing the clique gadget" in stage_checks
-
-    @pytest.mark.parametrize("certify, checks", ((True, 3), (False, 2)))
-    def test_check_plan(self, max_flows, certify, checks):
-        # The G0 table costs n-1 flows; the G1 check, the end-to-end check and,
-        # under certify, the re-check of G3 cost n-2 each. Reductions run none.
+    def test_check_plan(self, max_flows):
+        # The G0 table costs n-1 flows; the G1 check and the end-to-end check
+        # cost n-2 each. Reductions run none.
         h, s = self.seeded()
         n = len(h.vertices)
-        complete_split_off(h, s, certify=certify)
-        assert len(max_flows) == (n - 1) + checks * (n - 2) == (33 if certify else 25)
+        complete_split_off(h, s)
+        assert len(max_flows) == (n - 1) + 2 * (n - 2) == 25
 
-    def test_one_table_in_both_modes(self, monkeypatch):
+    def test_one_table_per_split(self, monkeypatch):
         from hypersplit import flow
 
         tables = []
@@ -439,14 +427,12 @@ class TestOneCheckerPerInstance:
 
         monkeypatch.setattr(flow, "_gusfield", counted)
         h, s = self.seeded()
-        for certify in (True, False):
-            tables.clear()
-            complete_split_off(h, s, certify=certify)
-            assert len(tables) == 1
+        complete_split_off(h, s)
+        assert len(tables) == 1
 
-    def test_stage_two_rechecked_after_a_final_contraction(self, monkeypatch):
+    def test_stage_two_caught_after_a_final_contraction(self, monkeypatch):
         # Stage 3 trusts the flows stage 2 kept, so a wrong G2 that keeps every
-        # attachment edge must be caught by the re-check of G3.
+        # attachment edge must be caught by the end-to-end check of h_star.
         from hypersplit import InternalInvariantError, Multigraph, splitoff
 
         real = splitoff._reduce_to_stable
@@ -459,8 +445,8 @@ class TestOneCheckerPerInstance:
             return inst.with_graph(Multigraph(inst.graph.vertices, edges)), trace
 
         monkeypatch.setattr(splitoff, "_reduce_to_stable", lossy)
-        with pytest.raises(InternalInvariantError, match="reducing the clique gadget"):
-            complete_split_off(two_star(), 2, certify=True)
+        with pytest.raises(InternalInvariantError, match="splitting off s"):
+            complete_split_off(two_star(), 2)
 
     def test_stage_two_losing_an_attachment_is_caught(self, monkeypatch):
         # Stage 2 reduces clique edges only; a G2 without one attachment edge
@@ -477,9 +463,8 @@ class TestOneCheckerPerInstance:
 
         monkeypatch.setattr(splitoff, "_reduce_to_stable", lossy)
         h, s = self.seeded()
-        for certify in (True, False):
-            with pytest.raises(InternalInvariantError, match="not attached to exactly one surviving gadget vertex"):
-                complete_split_off(h, s, certify=certify)
+        with pytest.raises(InternalInvariantError, match="not attached to exactly one surviving gadget vertex"):
+            complete_split_off(h, s)
 
     def test_end_to_end_check_catches_a_wrong_result(self, monkeypatch):
         # Trimming every hyperedge at s replays and isolates s, but on the two
@@ -492,13 +477,12 @@ class TestOneCheckerPerInstance:
         monkeypatch.setattr(splitoff, "extract_op_log", trim_all)
         h = two_star()
         assert replay(h, 2, trim_all(run_pipeline(h, 2))).degree(2) == 0
-        for certify in (True, False):
-            with pytest.raises(InternalInvariantError, match="splitting off s"):
-                complete_split_off(h, 2, certify=certify)
+        with pytest.raises(InternalInvariantError, match="splitting off s"):
+            complete_split_off(h, 2)
 
     def test_stage_checks_catch_faults(self, monkeypatch):
         # Stage 3 trusting its kept flows, or a broken gadget, must not slip
-        # through: G3 is re-checked by a fresh build, and G1 in both modes.
+        # through: a wrong G3 fails the end-to-end check, a wrong G1 its own.
         from hypersplit import InternalInvariantError, Multigraph, splitoff
 
         def delete_all(inst, candidates, flows):
@@ -509,8 +493,8 @@ class TestOneCheckerPerInstance:
         h, s = self.seeded()
         with monkeypatch.context() as m:
             m.setattr(splitoff, "_maximal_preserving_deletions", delete_all)
-            with pytest.raises(InternalInvariantError, match="reducing the clique gadget"):
-                complete_split_off(h, s, certify=True)
+            with pytest.raises(InternalInvariantError, match="splitting off s"):
+                complete_split_off(h, s)
 
         real_gadget = splitoff._build_gadget
 
@@ -522,9 +506,8 @@ class TestOneCheckerPerInstance:
             return splitoff.GadgetInstance(inst, g.clique, g.attachments)
 
         monkeypatch.setattr(splitoff, "_build_gadget", no_clique)
-        for certify in (True, False):
-            with pytest.raises(InternalInvariantError, match="replacing s with the clique gadget"):
-                complete_split_off(h, s, certify=certify)
+        with pytest.raises(InternalInvariantError, match="replacing s with the clique gadget"):
+            complete_split_off(h, s)
 
 
 class TestVertexLayout:
