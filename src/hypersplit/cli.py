@@ -18,6 +18,9 @@ Importing this module loads only the standard library and ``errors``. Each
 names up then, so a replaced or wrapped function is the one that runs: a
 ``conn`` never loads ``reduction``, ``splitoff`` or ``oracle``, and a
 ``split`` never loads ``oracle``.
+
+An output file is opened once, rewritten in place and cut to length: ext4
+(``auto_da_alloc``) starts writeback on closing a file opened with ``O_TRUNC``.
 """
 
 from __future__ import annotations
@@ -77,32 +80,47 @@ def _write_out(*outputs: tuple[str | Path | None, str]) -> None:
     """Write each ``(path, text)`` in turn, to stdout where ``path`` is None or
     the string ``-`` (a ``Path`` is always a file). A file that cannot be
     written, or a regular file that two outputs name, is a usage error. Every
-    file is opened, none truncated, before any is written, so such an error
-    leaves each existing file as it was and removes those the check made."""
+    file is opened once, none truncated, before any is written, so such an error
+    leaves each existing file as it was and removes those the check made. A
+    regular file is then cut where the bytes written end, even after a failed write."""
     made = []  # the files the check created
     named = {}  # (device, inode) of each file opened -> the path that named it
+    files = []  # [descriptor, is regular] of each output file not yet closed
     try:
         for path in (p for p, _ in outputs if p not in (None, "-")):
             existed = os.path.lexists(path)
-            os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+            files.append([os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), False])
             made += [] if existed else [path]
-            st = os.stat(path)
-            if stat.S_ISREG(st.st_mode) and (st.st_dev, st.st_ino) in named:
+            st = os.fstat(files[-1][0])
+            files[-1][1] = stat.S_ISREG(st.st_mode)
+            if files[-1][1] and (st.st_dev, st.st_ino) in named:
                 raise OSError(f"another output writes the same file ({named[st.st_dev, st.st_ino]})")
             named[st.st_dev, st.st_ino] = path
     except OSError as exc:
         for made_path in made:
             os.remove(made_path)
         raise ParseError(f"cannot write {path}: {exc}") from exc
-    for path, text in outputs:
-        if path in (None, "-"):
-            if sys.stdout is not None:  # None in a process started without fd 1; print skips it too
-                sys.stdout.write(text)
-            continue
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot write {path}: {exc}") from exc
+    else:
+        for path, text in outputs:
+            if path in (None, "-"):
+                if sys.stdout is not None:  # None in a process started without fd 1; print skips it too
+                    sys.stdout.write(text)
+                continue
+            (fd, regular), data, done = files[0], text.encode("utf-8"), 0
+            try:
+                try:
+                    while done < len(data):
+                        done += os.write(fd, data[done:])
+                finally:
+                    if regular:
+                        os.ftruncate(fd, done)
+                os.close(files.pop(0)[0])
+            except OSError as exc:
+                raise ParseError(f"cannot write {path}: {exc}") from exc
+    finally:
+        for fd, _ in files:  # left open by an error
+            with contextlib.suppress(OSError):
+                os.close(fd)
 
 
 def _pair_args(parser: argparse.ArgumentParser) -> None:

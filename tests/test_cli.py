@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, determinism of written artifacts."""
 
 import argparse
+import errno
 import gc
 import importlib.util
 import io
@@ -8,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -353,6 +355,11 @@ class TestUnwritableOutput:
         assert not (tmp_path / "missing").exists()
 
 
+def open_fds() -> int:
+    """How many descriptors this process has open."""
+    return len(os.listdir("/proc/self/fd"))
+
+
 class TestNoPartialOutput:
     """A usage error about one output leaves every other output file as it was."""
 
@@ -361,7 +368,9 @@ class TestNoPartialOutput:
         out, log = tmp_path / "o.he", tmp_path / "missing" / "log.json"
         if existed:
             out.write_bytes(b"old bytes\n")
+        fds = open_fds()
         assert main(["split", str(two_star), "-s", "s", "-o", str(out), "--log-out", str(log)]) == 2
+        assert open_fds() == fds
         assert capsys.readouterr().err.startswith(f"error: cannot write {log}: [Errno ")
         assert (out.read_bytes() == b"old bytes\n") if existed else not out.exists()
 
@@ -376,14 +385,103 @@ class TestNoPartialOutput:
         assert captured.out == ""
         assert (trace.read_bytes() == b"old bytes\n") if existed else not trace.exists()
 
-    def test_existing_outputs_are_replaced_whole(self, two_star, tmp_path, capsys):
-        out, log = tmp_path / "o.he", tmp_path / "log.json"
-        assert main(["split", str(two_star), "-s", "s", "-o", str(out), "--log-out", str(log)]) == 0
-        fresh = out.read_bytes(), log.read_bytes()
+    @pytest.mark.parametrize("command", ["split", "reduce", "replay", "export-dot"])
+    def test_existing_outputs_are_replaced_whole(self, command, two_star, element_file, tmp_path, capsys):
+        # A file is rewritten in place, so what the old one held past the new
+        # end must be cut off: each output reads as if written to a fresh file.
+        log = tmp_path / "log.json"
+        assert main(["split", str(two_star), "-s", "s", "--log-out", str(log)]) == 0
+        argv = {
+            "split": ["split", str(two_star), "-s", "s"],
+            "reduce": ["reduce", str(element_file)],
+            "replay": ["replay", str(two_star), "--log", str(log)],
+            "export-dot": ["export-dot", str(two_star)],
+        }[command]
+        flags = {"split": ["-o", "--log-out"], "reduce": ["-o", "--trace-out"]}.get(command, ["-o"])
+
+        def run(folder, old):
+            folder.mkdir()
+            outs = [folder / flag.lstrip("-") for flag in flags]
+            if old:
+                for out in outs:
+                    out.write_bytes(old)
+            fds = open_fds()
+            assert main([*argv, *(arg for flag, out in zip(flags, outs) for arg in (flag, str(out)))]) == 0
+            assert open_fds() == fds
+            return [out.read_bytes() for out in outs]
+
+        fresh = run(tmp_path / "fresh", None)
+        assert run(tmp_path / "old", b"x" * 4096) == fresh
+        assert capsys.readouterr().err == ""
+        assert all(0 < len(text) < 4096 for text in fresh)
+
+    def test_hard_link_keeps_its_inode_and_mode(self, two_star, tmp_path, capsys):
+        fresh = tmp_path / "fresh.he"
+        assert main(["split", str(two_star), "-s", "s", "-o", str(fresh)]) == 0
+        out, link = tmp_path / "o.he", tmp_path / "link.he"
         out.write_bytes(b"x" * 4096)
-        log.write_bytes(b"y" * 4096)
-        assert main(["split", str(two_star), "-s", "s", "-o", str(out), "--log-out", str(log)]) == 0
-        assert (out.read_bytes(), log.read_bytes()) == fresh
+        out.chmod(0o640)
+        os.link(out, link)
+        before = out.stat()
+        assert main(["split", str(two_star), "-s", "s", "-o", str(out)]) == 0
+        after = out.stat()
+        assert out.read_bytes() == link.read_bytes() == fresh.read_bytes()
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+
+    def test_fifo_is_written_not_cut(self, two_star, tmp_path, capsys):
+        # A FIFO has no length to cut: the reader gets the text through the one
+        # open the command makes, and the command exits 0.
+        fresh = tmp_path / "fresh.dot"
+        assert main(["export-dot", str(two_star), "-o", str(fresh)]) == 0
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        # Should the command open the FIFO again after its reader has gone, a
+        # reader opened later lets that open return instead of hanging the test.
+        rescue = threading.Timer(10, lambda: os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        reader.start()
+        rescue.start()
+        try:
+            assert main(["export-dot", str(two_star), "-o", str(fifo)]) == 0
+        finally:
+            rescue.cancel()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [fresh.read_bytes()]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_write_failing_part_way(self, failing, two_star, tmp_path, monkeypatch, capsys):
+        # The failing write puts 5 bytes down before the disk fills: the file is
+        # cut after them, and no byte of the old file follows.
+        names = [tmp_path / "o.he", tmp_path / "log.json"]
+        argv = ["split", str(two_star), "-s", "s", "-o", str(names[0]), "--log-out", str(names[1])]
+        assert main(argv) == 0
+        fresh = [name.read_bytes() for name in names]
+        for name in names:
+            name.write_bytes(b"x" * 4096)
+        real_write, calls = os.write, []
+
+        def write(fd, data):
+            calls.append(fd)
+            if len(calls) == failing + 1:
+                return real_write(fd, data[:5])
+            if len(calls) == failing + 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data)
+
+        capsys.readouterr()
+        fds = open_fds()
+        monkeypatch.setattr(os, "write", write)
+        assert main(argv) == 2
+        monkeypatch.undo()
+        assert open_fds() == fds
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {names[failing]}: [Errno 28] No space left on device\n"
+        assert names[failing].read_bytes() == fresh[failing][:5]
+        assert [name.read_bytes() for name in names[:failing]] == fresh[:failing]
+        assert [name.read_bytes() for name in names[failing + 1:]] == [b"x" * 4096] * (1 - failing)
 
     @pytest.mark.parametrize("second", ["same-name", "same-name-existing", "hard-link"])
     @pytest.mark.parametrize("command", ["split", "reduce"])
@@ -399,7 +497,9 @@ class TestNoPartialOutput:
             "split": ["split", str(two_star), "-s", "s", "-o", str(target), "--log-out", str(other)],
             "reduce": ["reduce", str(element_file), "--trace-out", str(target), "-o", str(other)],
         }[command]
+        fds = open_fds()
         assert main(argv) == 2
+        assert open_fds() == fds
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {other}: ")
