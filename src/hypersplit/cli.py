@@ -11,16 +11,14 @@ Reports go to stdout, diagnostics to stderr. Exit codes are stable:
   5  invalid operation while replaying a log (index reported)
 
 A message that cannot be written, to a stderr that is missing, closed or
-gone, is dropped; the exit code stays the same.
+gone, is dropped; the exit code stays the same. Output files are rewritten in
+place: with ``O_TRUNC``, ext4 (``auto_da_alloc``) starts writeback on close.
 
 Importing this module loads only the standard library and ``errors``. Each
 ``cmd_*`` imports the modules it runs when it is called, and looks their
 names up then, so a replaced or wrapped function is the one that runs: a
 ``conn`` never loads ``reduction``, ``splitoff`` or ``oracle``, and a
 ``split`` never loads ``oracle``.
-
-An output file is opened once, rewritten in place and cut to length: ext4
-(``auto_da_alloc``) starts writeback on closing a file opened with ``O_TRUNC``.
 """
 
 from __future__ import annotations
@@ -80,20 +78,19 @@ def _write_out(*outputs: tuple[str | Path | None, str]) -> None:
     """Write each ``(path, text)`` in turn, to stdout where ``path`` is None or
     the string ``-`` (a ``Path`` is always a file). A file that cannot be
     written, or a regular file that two outputs name, is a usage error. Every
-    file is opened once, none truncated, before any is written, so such an error
-    leaves each existing file as it was and removes those the check made. A
-    regular file is then cut where the bytes written end, even after a failed write."""
+    file is opened once before any is written, so such an error leaves each
+    existing file as it was (the check's new files are removed). Then each file
+    is rewritten in place, a regular one cut at the end of the bytes written."""
     made = []  # the files the check created
     named = {}  # (device, inode) of each file opened -> the path that named it
-    files = []  # [descriptor, is regular] of each output file not yet closed
+    files, stats = {}, {}  # index in outputs -> descriptor (until closed), os.fstat of its file
     try:
-        for path in (p for p, _ in outputs if p not in (None, "-")):
+        for i, path in [(i, p) for i, (p, _) in enumerate(outputs) if p not in (None, "-")]:
             existed = os.path.lexists(path)
-            files.append([os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), False])
+            files[i] = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
             made += [] if existed else [path]
-            st = os.fstat(files[-1][0])
-            files[-1][1] = stat.S_ISREG(st.st_mode)
-            if files[-1][1] and (st.st_dev, st.st_ino) in named:
+            st = stats[i] = os.fstat(files[i])
+            if stat.S_ISREG(st.st_mode) and (st.st_dev, st.st_ino) in named:
                 raise OSError(f"another output writes the same file ({named[st.st_dev, st.st_ino]})")
             named[st.st_dev, st.st_ino] = path
     except OSError as exc:
@@ -101,24 +98,24 @@ def _write_out(*outputs: tuple[str | Path | None, str]) -> None:
             os.remove(made_path)
         raise ParseError(f"cannot write {path}: {exc}") from exc
     else:
-        for path, text in outputs:
-            if path in (None, "-"):
+        for i, (path, text) in enumerate(outputs):
+            if i not in files:
                 if sys.stdout is not None:  # None in a process started without fd 1; print skips it too
                     sys.stdout.write(text)
                 continue
-            (fd, regular), data, done = files[0], text.encode("utf-8"), 0
+            data, done = text.encode("utf-8"), 0
             try:
                 try:
                     while done < len(data):
-                        done += os.write(fd, data[done:])
-                finally:
-                    if regular:
-                        os.ftruncate(fd, done)
-                os.close(files.pop(0)[0])
+                        done += os.write(files[i], data[done:])
+                finally:  # also after a failed write
+                    if stat.S_ISREG(stats[i].st_mode):
+                        os.ftruncate(files[i], done)
+                os.close(files.pop(i))
             except OSError as exc:
                 raise ParseError(f"cannot write {path}: {exc}") from exc
     finally:
-        for fd, _ in files:  # left open by an error
+        for fd in files.values():  # left open by an error
             with contextlib.suppress(OSError):
                 os.close(fd)
 

@@ -103,25 +103,25 @@ def reduce_edge(
         if w in inst.terminals:
             raise TerminalEndpointError(f"endpoint {w} of edge {edge_id} is a terminal")
     network = _split_arcs(inst)
-    step = ReductionStep(*_reduce(_TreeFlows(network, _tree_flows(network, baseline)), edge_id, edge))
+    step = _reduce(_TreeFlows(network, _tree_flows(network, baseline)), edge_id, edge)
     if step.action == "deleted":
         return inst.with_graph(inst.graph.without_edge(edge_id)), step
     return inst.with_graph(inst.graph.contracted(edge_id)[0]), step
 
 
-def _reduce(flows: _TreeFlows, edge_id: int, edge: tuple[int, int]) -> tuple:
+def _reduce(flows: _TreeFlows, edge_id: int, edge: tuple[int, int]) -> ReductionStep:
     """Delete or else contract the edge, with ends ``edge``, inside ``flows``.
 
-    Returns the fields of the ``ReductionStep``. The contraction keeps the
-    smaller end; if it does not keep the table either, that is an internal error.
+    The contraction keeps the smaller end; if it does not keep the table
+    either, that is an internal error.
     """
     if flows.delete(edge_id):
-        return edge, edge_id, "deleted"
+        return ReductionStep(edge=edge, edge_id=edge_id, action="deleted")
     if not flows.contract(edge_id):
         raise InternalInvariantError(
             f"neither deleting nor contracting edge {edge_id} preserved the table"
         )
-    return edge, edge_id, "contracted", edge[0]
+    return ReductionStep(edge=edge, edge_id=edge_id, action="contracted", merged_into=edge[0])
 
 
 def reduce_to_stable(
@@ -136,21 +136,17 @@ def reduce_to_stable(
     re-checked by fresh flows.
     """
     baseline, flows = _table_flows(inst)
-    out, log = _reduce_to_stable(inst, flows, within)
-    if log:
+    out, trace = _reduce_to_stable(inst, flows, within)
+    if trace.steps:
         _checked(_split_arcs(out), baseline, "reducing non-terminal edges")
-    vertex_map = {v: {v} for v in inst.graph.vertices}
-    for (x, y), _, action, *_ in log:
-        if action == "contracted":
-            vertex_map[x] |= vertex_map.pop(y)
-    return out, MinorTrace(steps=tuple(ReductionStep(*fields) for fields in log), vertex_map=vertex_map)
+    return out, trace
 
 
 def _reduce_to_stable(
     inst: ElementConnInstance, flows: _TreeFlows, within: Optional[Iterable[int]]
-) -> tuple[ElementConnInstance, list[tuple]]:
+) -> tuple[ElementConnInstance, MinorTrace]:
     """``reduce_to_stable`` from the tree flows of ``inst``, without its final
-    check or its trace: it logs each step as ``_reduce``'s fields, and applies it to ``flows``."""
+    check; every step is applied to ``flows`` too."""
     pool = set(inst.nonterminals if within is None else inst.nonterminals & set(within))
     edges = dict(inst.graph.edges)  # id -> (min, max) ends, updated in place
     incident: dict[int, set[int]] = {v: set() for v in pool}
@@ -162,16 +158,18 @@ def _reduce_to_stable(
         if a in pool and b in pool:
             heap.append((a, b, e))
     heapq.heapify(heap)
-    log = []
+    vertex_map = {v: frozenset({v}) for v in inst.graph.vertices}
+    steps: list[ReductionStep] = []
     while heap:
         x, y, edge_id = heapq.heappop(heap)
         if edges.get(edge_id) != (x, y):
             continue  # gone, or already re-keyed to a smaller key
-        log.append(_reduce(flows, edge_id, (x, y)))
+        step = _reduce(flows, edge_id, (x, y))
+        steps.append(step)
         del edges[edge_id]
         incident[x].discard(edge_id)
         incident[y].discard(edge_id)
-        if log[-1][2] == "deleted":
+        if step.action == "deleted":
             continue
         # y merges into x: its edges to x become self-loops and go, the rest move to x.
         for e in incident.pop(y):
@@ -186,8 +184,9 @@ def _reduce_to_stable(
             if w in pool:
                 heapq.heappush(heap, (*key, e))
         pool.discard(y)
-    merged = {fields[0][1] for fields in log if fields[2] == "contracted"}
-    return inst.with_graph(Multigraph(inst.graph.vertices - merged, edges)), log
+        vertex_map[x] = vertex_map[x] | vertex_map.pop(y)
+    out = inst.with_graph(Multigraph(frozenset(vertex_map), edges))
+    return out, MinorTrace(steps=tuple(steps), vertex_map=vertex_map)
 
 
 def maximal_preserving_deletions(

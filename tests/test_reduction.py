@@ -638,8 +638,8 @@ class TestFlowCounts:
         inst = random_element_instance(GenParams(n=12, m=22, r=2, seed=32))
         flows = tree_flows(inst, conn_table_elements(inst))
         max_flows.clear()
-        _, log = _reduce_to_stable(inst, flows, None)
-        assert any(action == "contracted" for _, _, action, *_ in log)
+        _, trace = _reduce_to_stable(inst, flows, None)
+        assert any(step.action == "contracted" for step in trace.steps)
         assert max_flows == []
 
     def test_split_off_runs_fewer_flows(self, max_flows):

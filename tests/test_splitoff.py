@@ -438,11 +438,11 @@ class TestOneCheckerPerInstance:
         real = splitoff._reduce_to_stable
 
         def lossy(inst, flows, within):
-            _, log = real(inst, flows, within)
-            assert log[-1][2] == "contracted"
+            _, trace = real(inst, flows, within)
+            assert trace.steps[-1].action == "contracted"
             # G1 without its clique edges: the a-b route through the gadget is gone.
             edges = {e: uv for e, uv in inst.graph.edges.items() if not set(uv) <= within}
-            return inst.with_graph(Multigraph(inst.graph.vertices, edges)), log
+            return inst.with_graph(Multigraph(inst.graph.vertices, edges)), trace
 
         monkeypatch.setattr(splitoff, "_reduce_to_stable", lossy)
         with pytest.raises(InternalInvariantError, match="splitting off s"):
@@ -456,10 +456,10 @@ class TestOneCheckerPerInstance:
         real = splitoff._reduce_to_stable
 
         def lossy(inst, flows, within):
-            out, log = real(inst, flows, within)
+            out, trace = real(inst, flows, within)
             edges = dict(out.graph.edges)
             del edges[min(e for e, (_, b) in edges.items() if b in within)]
-            return out.with_graph(Multigraph(out.graph.vertices, edges)), log
+            return out.with_graph(Multigraph(out.graph.vertices, edges)), trace
 
         monkeypatch.setattr(splitoff, "_reduce_to_stable", lossy)
         h, s = self.seeded()
