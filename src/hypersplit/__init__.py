@@ -20,7 +20,6 @@ _HOMES = {
         "NonTerminalEndpointError",
         "ParseError",
         "ReplayError",
-        "TerminalEndpointError",
         "TrimMissingVertexError",
         "UnknownVertexError",
     ),
@@ -30,7 +29,6 @@ _HOMES = {
         "conn_table_hyper",
         "element_connectivity",
         "hyperedge_connectivity",
-        "table_holds",
     ),
     "hypergraph": (
         "Hypergraph",
@@ -56,15 +54,12 @@ _HOMES = {
     "reduction": (
         "MinorTrace",
         "ReductionStep",
-        "is_deletion_preserving",
         "maximal_preserving_deletions",
-        "reduce_edge",
         "reduce_to_stable",
     ),
     "splitoff": (
         "GadgetInstance",
         "SplitOffResult",
-        "Stage",
         "StagePipeline",
         "complete_split_off",
         "extract_op_log",

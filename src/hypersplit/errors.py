@@ -29,10 +29,6 @@ class NonTerminalEndpointError(HypersplitError):
     """An element-connectivity query endpoint is not a terminal."""
 
 
-class TerminalEndpointError(HypersplitError):
-    """A reduction was requested on an edge with a terminal endpoint."""
-
-
 class MissingEdgeError(HypersplitError):
     """An edge or hyperedge id does not exist in the instance."""
 

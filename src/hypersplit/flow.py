@@ -79,10 +79,11 @@ is at least the minimum along its tree path, which is its old value, and
 at most its old value: the whole table holds. Every such check on fresh
 flows runs the tree pairs through ``_tree_flows``. On either network
 ``_checked`` returns their flows or reports a differing pair as an
-internal error; ``table_holds`` is the same test as a bool. Gusfield's
-tree below has the path minimum too, so the flows that compute a table
-can be kept to check it (``_table_flows``). The deletion and contraction
-arguments below hold for a flow in either direction.
+internal error, and every kept flow (``_TreeFlows``) starts from flows
+that had the table's values. Gusfield's tree below has the path minimum
+too, so the flows that compute a table can be kept to check it
+(``_table_flows``). The deletion and contraction arguments below hold
+for a flow in either direction.
 
 A full table also costs T-1 flows, by Gusfield's flow-equivalent tree
 ("Very simple methods for all pairs network flow analysis", 1990). Every
@@ -527,9 +528,8 @@ class _TreeFlows:
 
     It keeps the states ``caps`` that the T-1 flows of a table's tree left
     on an element network (``_split_arcs``): those of ``table.tree()``'s
-    pairs (``_tree_flows``), or Gusfield's (``_table_flows``). ``holds`` says
-    whether all of them had the table's values, which a ``caps`` of None
-    denies. A flow may run from either end of its pair.
+    pairs that ``_checked`` found to have the table's values, or Gusfield's
+    (``_table_flows``). A flow may run from either end of its pair.
     ``delete`` then tests and applies edge deletions one at a time, each at
     the cost of at most one augmenting search per tree pair whose flow uses
     the edge, and ``contract`` contracts edges between non-terminals at the
@@ -540,23 +540,19 @@ class _TreeFlows:
     deletion, which still bounds every flow.
     """
 
-    def __init__(self, network: _Network, caps: list[list[int]] | None):
+    def __init__(self, network: _Network, caps: list[list[int]]):
         residual, _, edge_ids = network
         self._head, _, self._out = residual
         first = len(self._out)  # edge arcs follow the vertex arcs, numbered like nodes
         self._edge_arc = dict(zip(edge_ids, range(first, first + 4 * len(edge_ids), 4)))
-        self.holds = caps is not None
-        self._caps = caps or []  # residual capacities left by each pair's flow
+        self._caps = caps  # residual capacities left by each pair's flow
 
     def delete(self, edge_id: int) -> bool:
         """Delete the edge if every tree pair keeps its value; True iff it did.
 
-        A rejected deletion, and any deletion once ``holds`` is False,
-        changes nothing: the capacities each test touched are restored from
-        an undo log.
+        A rejected deletion changes nothing: the capacities each test
+        touched are restored from an undo log.
         """
-        if not self.holds:
-            return False
         head, out = self._head, self._out
         first = self._edge_arc[edge_id]
         arcs = (first, first + 2)
@@ -599,12 +595,9 @@ class _TreeFlows:
     def contract(self, edge_id: int) -> bool:
         """Contract the edge, between two non-terminals, into its smaller end x.
 
-        True iff every tree pair keeps its value. Otherwise, or if ``holds``
-        already was False, ``holds`` is False and the flows are of no
-        further use.
+        True iff every tree pair keeps its value. Otherwise the flows are
+        of no further use.
         """
-        if not self.holds:
-            return False
         head, out = self._head, self._out
         first = self._edge_arc[edge_id]
         x, y = sorted((head[first], head[first + 2]))  # in-nodes, numbered like vertex arcs
@@ -631,31 +624,18 @@ class _TreeFlows:
             elif not _augment(head, cap, out, x, x + 1)[0]:
                 # x and y carried different units: x's in-node now has one unit
                 # too many, and only a path to its out-node keeps the value.
-                self.holds = False
                 return False
         return True
 
 
 def _checked(network: _Network, table: ConnTable, what: str) -> list[list[int]]:
-    """``_tree_flows`` of ``table`` on an element network or Lawler's, under
-    the assumption of ``table_holds``; if they differ, an internal error
-    saying that ``what`` changed the table."""
+    """``_tree_flows`` of ``table`` on an element network or Lawler's, whose
+    pairs cannot exceed their values in ``table`` (see the module docstring);
+    if they differ, an internal error saying that ``what`` changed the table."""
     states = _tree_flows(network, table)
     if states is None:
         raise InternalInvariantError(f"{what} changed the terminal connectivity table")
     return states
-
-
-def table_holds(inst: ElementConnInstance, table: ConnTable) -> bool:
-    """True iff every pair of ``table`` has that element-connectivity in ``inst``.
-
-    Only the T-1 pairs of ``table.tree()`` are computed, each from its end
-    of smaller degree, stopping at the first that differs. That suffices
-    when no pair of ``inst`` can exceed its value in ``table``: ``inst`` came
-    from the instance of ``table`` by operations that never raise
-    connectivity (see the module docstring).
-    """
-    return _tree_flows(_split_arcs(inst), table) is not None
 
 
 def hyperedge_connectivity(h: Hypergraph, u: int, v: int) -> int:

@@ -45,6 +45,9 @@ class Multigraph:
         except KeyError:
             raise MissingEdgeError(f"no edge with id {eid}") from None
 
+    # degree, neighbors, incident, without_edge, without_vertices and contracted
+    # have no caller in this package. They stay because benchmark/tracing.py
+    # looks each one up by name; they go together with that lookup (ROADMAP item 1).
     def degree(self, v: int) -> int:
         return sum(1 for u, w in self.edges.values() if v == u or v == w)
 

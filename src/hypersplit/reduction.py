@@ -27,8 +27,11 @@ The run itself works on a private mutable copy of the edges, with the
 candidates in a heap keyed by (min endpoint, max endpoint, id). A
 contraction keeps the smaller endpoint, so every key it changes gets
 smaller: pushing the new key and skipping stale entries keeps the order
-of always taking the smallest candidate. One immutable instance is built
-at the end.
+of always taking the smallest candidate. The two runs,
+``reduce_to_stable`` and ``maximal_preserving_deletions``, are the only
+entry points: a single step exists only inside a run's kept flows. Each
+builds one immutable instance from its private edges at the end; the
+split-off pipeline reads the edges and the kept flows and builds none.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping, Optional
 
-from .errors import InternalInvariantError, TerminalEndpointError
-from .flow import ConnTable, _TreeFlows, _checked, _split_arcs, _table_flows, _tree_flows
+from .errors import InternalInvariantError
+from .flow import _TreeFlows, _checked, _split_arcs, _table_flows
 from .multigraph import ElementConnInstance, Multigraph
 
 Action = Literal["deleted", "contracted"]
@@ -74,56 +77,6 @@ class MinorTrace:
         )
 
 
-def is_deletion_preserving(inst: ElementConnInstance, edge_id: int, baseline: ConnTable) -> bool:
-    """True iff deleting the edge leaves the whole terminal pair table intact.
-
-    ``baseline`` must be the table of ``inst``, or of an instance that
-    ``inst`` was reduced from: only its tree pairs are computed,
-    on ``inst``, and then rerouted around the edge. If ``inst`` does not
-    have that table, the answer is False.
-    """
-    inst.graph.endpoints(edge_id)  # raises MissingEdgeError on unknown ids
-    network = _split_arcs(inst)
-    return _TreeFlows(network, _tree_flows(network, baseline)).delete(edge_id)
-
-
-def reduce_edge(
-    inst: ElementConnInstance, edge_id: int, baseline: ConnTable
-) -> tuple[ElementConnInstance, ReductionStep]:
-    """Delete the edge if that preserves ``baseline``; otherwise contract it.
-
-    Both endpoints must be non-terminals. When deletion does not preserve,
-    contraction must (that is the reduction theorem); a contracted table that
-    differs from the baseline is reported as an internal error because it can
-    only mean a bug on our side. ``baseline`` must be the table of ``inst``,
-    or of an instance that ``inst`` was reduced from.
-    """
-    edge = inst.graph.endpoints(edge_id)
-    for w in edge:
-        if w in inst.terminals:
-            raise TerminalEndpointError(f"endpoint {w} of edge {edge_id} is a terminal")
-    network = _split_arcs(inst)
-    step = _reduce(_TreeFlows(network, _tree_flows(network, baseline)), edge_id, edge)
-    if step.action == "deleted":
-        return inst.with_graph(inst.graph.without_edge(edge_id)), step
-    return inst.with_graph(inst.graph.contracted(edge_id)[0]), step
-
-
-def _reduce(flows: _TreeFlows, edge_id: int, edge: tuple[int, int]) -> ReductionStep:
-    """Delete or else contract the edge, with ends ``edge``, inside ``flows``.
-
-    The contraction keeps the smaller end; if it does not keep the table
-    either, that is an internal error.
-    """
-    if flows.delete(edge_id):
-        return ReductionStep(edge=edge, edge_id=edge_id, action="deleted")
-    if not flows.contract(edge_id):
-        raise InternalInvariantError(
-            f"neither deleting nor contracting edge {edge_id} preserved the table"
-        )
-    return ReductionStep(edge=edge, edge_id=edge_id, action="contracted", merged_into=edge[0])
-
-
 def reduce_to_stable(
     inst: ElementConnInstance, *, within: Optional[Iterable[int]] = None
 ) -> tuple[ElementConnInstance, MinorTrace]:
@@ -136,17 +89,20 @@ def reduce_to_stable(
     re-checked by fresh flows.
     """
     baseline, flows = _table_flows(inst)
-    out, trace = _reduce_to_stable(inst, flows, within)
-    if trace.steps:
+    edges, vertex_map, steps = _reduce_to_stable(inst, flows, within)
+    out = inst.with_graph(Multigraph(frozenset(vertex_map), edges))
+    if steps:
         _checked(_split_arcs(out), baseline, "reducing non-terminal edges")
-    return out, trace
+    return out, MinorTrace(steps=tuple(steps), vertex_map=vertex_map)
 
 
 def _reduce_to_stable(
     inst: ElementConnInstance, flows: _TreeFlows, within: Optional[Iterable[int]]
-) -> tuple[ElementConnInstance, MinorTrace]:
+) -> tuple[dict[int, tuple[int, int]], dict[int, frozenset[int]], list[ReductionStep]]:
     """``reduce_to_stable`` from the tree flows of ``inst``, without its final
-    check; every step is applied to ``flows`` too."""
+    check, applying every step to ``flows`` too: the edges left (id -> (min,
+    max) ends), the vertex map and the steps. A contraction keeps the smaller
+    end; if it does not keep the table either, that is an internal error."""
     pool = set(inst.nonterminals if within is None else inst.nonterminals & set(within))
     edges = dict(inst.graph.edges)  # id -> (min, max) ends, updated in place
     incident: dict[int, set[int]] = {v: set() for v in pool}
@@ -164,13 +120,17 @@ def _reduce_to_stable(
         x, y, edge_id = heapq.heappop(heap)
         if edges.get(edge_id) != (x, y):
             continue  # gone, or already re-keyed to a smaller key
-        step = _reduce(flows, edge_id, (x, y))
-        steps.append(step)
         del edges[edge_id]
         incident[x].discard(edge_id)
         incident[y].discard(edge_id)
-        if step.action == "deleted":
+        if flows.delete(edge_id):
+            steps.append(ReductionStep(edge=(x, y), edge_id=edge_id, action="deleted"))
             continue
+        if not flows.contract(edge_id):
+            raise InternalInvariantError(
+                f"neither deleting nor contracting edge {edge_id} preserved the table"
+            )
+        steps.append(ReductionStep(edge=(x, y), edge_id=edge_id, action="contracted", merged_into=x))
         # y merges into x: its edges to x become self-loops and go, the rest move to x.
         for e in incident.pop(y):
             a, b = edges[e]
@@ -185,8 +145,7 @@ def _reduce_to_stable(
                 heapq.heappush(heap, (*key, e))
         pool.discard(y)
         vertex_map[x] = vertex_map[x] | vertex_map.pop(y)
-    out = inst.with_graph(Multigraph(frozenset(vertex_map), edges))
-    return out, MinorTrace(steps=tuple(steps), vertex_map=vertex_map)
+    return edges, vertex_map, steps
 
 
 def maximal_preserving_deletions(
@@ -202,16 +161,17 @@ def maximal_preserving_deletions(
     ids = list(candidates)
     for e in ids:
         inst.graph.endpoints(e)  # raises MissingEdgeError on unknown ids
-    return _maximal_preserving_deletions(inst, ids, _table_flows(inst)[1])
-
-
-def _maximal_preserving_deletions(
-    inst: ElementConnInstance, candidates: Iterable[int], flows: _TreeFlows
-) -> tuple[ElementConnInstance, tuple[int, ...]]:
-    """``maximal_preserving_deletions`` from the tree flows of ``inst``."""
-    # (min endpoint, max endpoint, id among parallels): the order reduce_to_stable uses.
-    order = sorted(set(candidates), key=lambda e: (*inst.graph.endpoints(e), e))
-    deleted = tuple(e for e in order if flows.delete(e))
+    deleted = _maximal_preserving_deletions(inst.graph.edges, ids, _table_flows(inst)[1])
     gone = frozenset(deleted)
     edges = {e: uv for e, uv in inst.graph.edges.items() if e not in gone}
     return inst.with_graph(Multigraph(inst.graph.vertices, edges)), deleted
+
+
+def _maximal_preserving_deletions(
+    edges: Mapping[int, tuple[int, int]], candidates: Iterable[int], flows: _TreeFlows
+) -> tuple[int, ...]:
+    """The ids ``maximal_preserving_deletions`` deletes from the edges
+    ``edges`` (id -> (min, max) ends), applied to their tree flows ``flows``."""
+    # (min endpoint, max endpoint, id among parallels): the order reduce_to_stable uses.
+    order = sorted(set(candidates), key=lambda e: (*edges[e], e))
+    return tuple(e for e in order if flows.delete(e))

