@@ -50,17 +50,21 @@ through that node is a shortest one. Before a level is grown, the nodes
 within df arcs of the source and those within db arcs of the sink are all
 labelled, and the two sets are disjoint, so every path has at least
 df+db+1 arcs; a meeting in the new level closes a path of at most df+1+db.
-A failing search must still label exactly the nodes the source reaches,
-which Gusfield's method below needs. If the source side runs out first, it
-has labelled them all. If the sink side runs out first, no node the source
-side labelled can reach the sink, and the source side goes on alone until
-it runs out. A flow between two terminals (``_pair_flow``: a single-pair
-query, or a tree pair of a check) starts at its end of smaller degree:
-connectivity is symmetric, and once the flow saturates that end the last
-search ends at once. Gusfield's flows below keep their direction, because
-their re-parenting reads the source side. A network is built once for
-all the flows of a table or a check: each flow on an element network copies
-only the capacities, and a hypergraph's starts from an empty state.
+A failing search of a max-flow must still label exactly the nodes the
+source reaches, which Gusfield's method below needs. If the source side
+runs out first, it has labelled them all. If the sink side runs out first,
+it has labelled every node that reaches the sink but not the source, where
+the sides would have met: no path exists, and the source side goes on alone
+until it runs out. Searches of kept flows (``_TreeFlows``) only ask whether
+a path exists, and stop there (``_augment`` without ``reach``); one that
+finds a path finds the same one, as no meeting can follow. A flow between
+two terminals (``_pair_flow``: a single-pair query, or a tree pair of a
+check) starts at its end of smaller degree: connectivity is symmetric, and
+once the flow saturates that end the last search ends at once. Gusfield's
+flows below keep their direction, because their re-parenting reads the
+source side. A network is built once for all the flows of a table or a
+check: each flow on an element network copies only the capacities, and a
+hypergraph's starts from an empty state.
 
 Checking that an instance still has a known table costs T-1 flows, not
 T(T-1)/2. ``ConnTable.tree`` hangs each vertex after the first, in key
@@ -179,18 +183,19 @@ def _max_flow(
         total += push
 
 
-def _two_ended(grow, network: tuple, size: int, source: int, sink: int) -> tuple[int, list[int], list[int]]:
+def _two_ended(grow, network: tuple, size: int, source: int, sink: int,
+               reach: bool = True) -> tuple[int, list[int], list[int]]:
     """The one search rule: labels over ``size`` nodes grown a level at a
     time by ``grow(network, level, labels, other, flip)`` from the source
-    (``flip`` 0) or the sink (``flip`` 1), on the side with the smaller
-    frontier, until the sides meet or the source side runs out. Returns the
-    meeting node, -1 if none, and both sides' labels, -2 at their own end."""
+    (``flip`` 0) or the sink (``flip`` 1), on the side with the smaller frontier,
+    until the sides meet or the source side (without ``reach``, either side) runs
+    out. Returns the meeting node, -1 if none, and both sides' labels, -2 at their own end."""
     via = [-1] * size
     back = [-1] * size  # sink side: how each node leads toward the sink
     via[source] = back[sink] = -2
     front, rear = [source], [sink]
     meet = -1
-    while front and meet == -1:
+    while front and meet == -1 and (rear or reach):
         if rear and len(rear) < len(front):
             rear, meet = grow(network, rear, back, via, 1)
         else:
@@ -199,7 +204,7 @@ def _two_ended(grow, network: tuple, size: int, source: int, sink: int) -> tuple
 
 
 def _augment(
-    head: list[int], cap: list[int], out: list[list[int]], source: int, sink: int
+    head: list[int], cap: list[int], out: list[list[int]], source: int, sink: int, reach: bool = True
 ) -> tuple[int, list[int]]:
     """Push the bottleneck of one shortest source->sink residual path.
 
@@ -207,9 +212,9 @@ def _augment(
     the residual arc that labelled each node, -2 at the source and -1 where
     the search did not reach. After a push the labels trace the path back
     from the sink. A search that finds no path labels every node reachable
-    from the source.
+    from the source; without ``reach``, only some of them.
     """
-    meet, via, back = _two_ended(_grow, (head, cap, out), len(out), source, sink)
+    meet, via, back = _two_ended(_grow, (head, cap, out), len(out), source, sink, reach)
     if meet == -1:
         return 0, via
     node = meet
@@ -534,8 +539,9 @@ class _TreeFlows:
     the cost of at most one augmenting search per tree pair whose flow uses
     the edge, and ``contract`` contracts edges between non-terminals at the
     cost of at most one search per pair whose flow ran through both ends on
-    different paths (see the module docstring). All pairs share one
-    residual graph, which a contraction rewires, and keep their own
+    different paths (see the module docstring); each search only decides if
+    a path exists, so it stops when either side runs out. All pairs share
+    one residual graph, which a contraction rewires, and keep their own
     capacities. Terminal capacities stay at their degrees before any
     deletion, which still bounds every flow.
     """
@@ -576,7 +582,7 @@ class _TreeFlows:
                 # deficit at y; an x->y path restores the value, and none exists
                 # exactly when the value drops.
                 x, y = head[used[0] ^ 1], head[used[0]]
-                push, via = _augment(head, cap, out, x, y)
+                push, via = _augment(head, cap, out, x, y, False)
                 if not push:
                     for touched, a, value in reversed(undo):
                         touched[a] = value
@@ -621,7 +627,7 @@ class _TreeFlows:
             elif cap[x]:  # x was free: y's unit moves to x's vertex arc
                 cap[x] -= 1
                 cap[x + 1] += 1
-            elif not _augment(head, cap, out, x, x + 1)[0]:
+            elif not _augment(head, cap, out, x, x + 1, False)[0]:
                 # x and y carried different units: x's in-node now has one unit
                 # too many, and only a path to its out-node keeps the value.
                 return False

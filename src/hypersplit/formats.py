@@ -11,7 +11,7 @@ item and report it as the item-by-item check always has.
 
 Every file is read by ``_read_text`` and every JSON text decoded by
 ``_decode_json``, so a file that cannot be read, is not UTF-8, or holds JSON
-nested too deep to decode is a ``ParseError``; every JSON text is written by ``_json_text``.
+nested too deep to decode is a ``ParseError``; every JSON text has the layout of ``_json_text``.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import compress, repeat, starmap
+from itertools import compress, count, repeat, starmap
 from operator import itemgetter, ne, not_
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Collection, Iterable, Optional, Sequence, Union
 
 from .errors import ParseError, UnknownVertexError
 from .hypergraph import Hypergraph, Merge, SplitOffOp, Trim
@@ -116,13 +116,28 @@ def _json_value(obj, newline: str) -> str:
         return int.__repr__(obj)
     inner = newline + "  "
     if isinstance(obj, dict):
-        items = [_escape(key) + ": " + _json_value(value, inner) for key, value in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
+        return _joined([_escape(key) + ": " + _json_value(value, inner) for key, value in obj.items()],
+                       newline, "{}")
     if isinstance(obj, (list, tuple)):
         names = all(map(str.__instancecheck__, obj))  # a list of names needs no call per item
-        items = map(_escape, obj) if names else [_json_value(item, inner) for item in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
+        return _joined(list(map(_escape, obj)) if names else [_json_value(item, inner) for item in obj], newline)
     return json.dumps(obj)  # any other value as json.dumps writes it, or a TypeError
+
+
+def _joined(items: list[str], newline: str, brackets: str = "[]") -> str:
+    """Encoded items as a JSON array (``brackets`` "{}": object) laid out as by ``_json_text``."""
+    if not items:
+        return brackets
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _ranked(table: NameTable, ids: Collection[int]):
+    """Each id's rank in name order, the escaped names by rank, and a function listing some
+    ids' escaped names in name order. Names come from ``name_of``: an id the table lacks raises."""
+    named = sorted(zip(map(table.name_of, ids), ids))
+    rank, rows = dict(zip(map(itemgetter(1), named), count())), [_escape(name) for name, _ in named]
+    return rank, rows, lambda some: [rows[i] for i in sorted(map(rank.__getitem__, some))]
 
 
 def _decode_json(text: str):
@@ -240,14 +255,11 @@ def parse_element_json(text: str) -> tuple[ElementConnInstance, NameTable]:
 
 
 def write_element_json(inst: ElementConnInstance, table: NameTable) -> str:
-    obj = {
-        "vertices": _sorted_names(inst.graph.vertices, table),
-        "edges": [
-            _sorted_names(inst.graph.endpoints(e), table) for e in inst.graph.edge_ids()
-        ],
-        "terminals": _sorted_names(inst.terminals, table),
-    }
-    return _json_text(obj)
+    """``_json_text`` of the vertices, each edge's ends (edges in id order) and the terminals, names sorted."""
+    _, rows, named = _ranked(table, inst.graph.vertices)
+    edges = [_joined(named(inst.graph.edges[e]), "\n    ") for e in inst.graph.edge_ids()]
+    fields = zip(('"vertices": ', '"edges": ', '"terminals": '), (rows, edges, named(inst.terminals)))
+    return _joined([key + _joined(items, "\n  ") for key, items in fields], "\n", "{}") + "\n"
 
 
 def write_oplog(h: Hypergraph, table: NameTable, s: int, ops: Sequence[SplitOffOp]) -> str:
@@ -347,15 +359,23 @@ def incidence_dot(h: Hypergraph, table: NameTable) -> str:
 
 
 def trace_to_json(trace: MinorTrace, table: NameTable) -> str:
-    name_of = table.name_of
-    steps = []
-    for step in trace.steps:
-        entry = {"edge": sorted(map(name_of, step.edge)), "edge_id": step.edge_id, "action": step.action}
-        if step.merged_into is not None:
-            entry["merged_into"] = name_of(step.merged_into)
-        steps.append(entry)
-    vertex_map = {name_of(v): sorted(map(name_of, originals)) for v, originals in trace.vertex_map.items()}
-    return _json_text({"steps": steps, "vertex_map": dict(sorted(vertex_map.items()))})
+    """``_json_text`` of the steps and the vertex map, the map and every list of names in name order."""
+    steps, vertex_map = trace.steps, trace.vertex_map
+    ids = set(vertex_map).union(*vertex_map.values(), *map(itemgetter(0), steps), map(itemgetter(3), steps))
+    rank, rows, named = _ranked(table, ids - {None})
+    fields = ['"edge": ' + _joined(["%s", "%s"], "\n      "), '"edge_id": %d', '"action": %s']
+    entry, merging = (_joined(fields + more, "\n    ", "{}") for more in ([], ['"merged_into": %s']))
+    entries = []
+    for (x, y), edge_id, action, into in steps:
+        i, j = rank[x], rank[y]
+        if i > j:
+            i, j = j, i
+        row = (rows[i], rows[j], edge_id, _escape(action))
+        entries.append(entry % row if into is None else merging % (*row, rows[rank[into]]))
+    lists = [rows[rank[v]] + ": " + _joined(named(vertex_map[v]), "\n    ")
+             for v in sorted(vertex_map, key=rank.__getitem__)]
+    fields = ['"steps": ' + _joined(entries, "\n  "), '"vertex_map": ' + _joined(lists, "\n  ", "{}")]
+    return _joined(fields, "\n", "{}") + "\n"
 
 
 HYPERGRAPH_FORMATS = ("json", "he")

@@ -16,7 +16,8 @@ flows of its G1 check instead, which both of its reduction stages continue.
 A run keeps one max flow per tree pair (``flow._TreeFlows``). A deletion
 test touches only the pairs whose flow crosses the edge: each drops its
 unit there and looks for one augmenting path around the edge, which exists
-exactly when the pair keeps its value (the argument is in ``flow``). An
+exactly when the pair keeps its value (the argument is in ``flow``); the
+search stops as soon as either of its sides runs out. An
 accepted deletion keeps the rerouted flows; a rejected one leaves them as
 they were, and the contraction that follows is made inside them: at most
 one search per pair whose flow ran through both ends, and no fresh flows.
@@ -39,7 +40,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Literal, Mapping, Optional
+from typing import Iterable, Literal, Mapping, NamedTuple, Optional
 
 from .errors import InternalInvariantError
 from .flow import _TreeFlows, _checked, _split_arcs, _table_flows
@@ -48,9 +49,8 @@ from .multigraph import ElementConnInstance, Multigraph
 Action = Literal["deleted", "contracted"]
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    """One applied reduction: which edge, what happened, who absorbed whom."""
+class ReductionStep(NamedTuple):
+    """One applied reduction: which edge, what happened, who absorbed whom; a tuple, cheap to build."""
 
     edge: tuple[int, int]
     edge_id: int
@@ -124,13 +124,13 @@ def _reduce_to_stable(
         incident[x].discard(edge_id)
         incident[y].discard(edge_id)
         if flows.delete(edge_id):
-            steps.append(ReductionStep(edge=(x, y), edge_id=edge_id, action="deleted"))
+            steps.append(ReductionStep((x, y), edge_id, "deleted"))
             continue
         if not flows.contract(edge_id):
             raise InternalInvariantError(
                 f"neither deleting nor contracting edge {edge_id} preserved the table"
             )
-        steps.append(ReductionStep(edge=(x, y), edge_id=edge_id, action="contracted", merged_into=x))
+        steps.append(ReductionStep((x, y), edge_id, "contracted", x))
         # y merges into x: its edges to x become self-loops and go, the rest move to x.
         for e in incident.pop(y):
             a, b = edges[e]

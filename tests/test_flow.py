@@ -184,37 +184,65 @@ class TestAugment:
         check()
 
     def test_split_residuals_mid_flow(self):
-        from hypersplit import GenParams, incidence_graph, random_element_instance
-
-        instances = [random_element_instance(GenParams(n=12, m=30, r=2, seed=s)) for s in range(40)]
-        instances += [
-            incidence_graph(corpus_hypergraph(trial, max_n=10, max_m=20, salt=0xA06)).instance
-            for trial in range(40)
-        ]
         seen = dict.fromkeys(("saturated_source", "sink_side_closed", "success"), 0)
-        for inst in instances:
-            (head, initial, out), index, _ = flow._split_arcs(inst)
-            terms = sorted(inst.terminals)
-            for u, v in zip(terms, terms[1:] + terms[:1]):
-                if u == v:
+        for head, initial, out, source, sink in _residual_corpus():
+            cap, reference = initial.copy(), initial.copy()
+            while True:
+                ahead = _reachable(head, cap, out, source)
+                behind = _reachable(head, cap, out, sink, backward=True)
+                push = _checked_augment(head, cap, out, source, sink)
+                assert push == _reference_augment(head, reference, out, source, sink)
+                if push:
+                    seen["success"] += 1
                     continue
-                source, sink = 2 * index[u] + 1, 2 * index[v]
-                cap, reference = initial.copy(), initial.copy()
-                while True:
-                    ahead = _reachable(head, cap, out, source)
-                    behind = _reachable(head, cap, out, sink, backward=True)
-                    push = _checked_augment(head, cap, out, source, sink)
-                    assert push == _reference_augment(head, reference, out, source, sink)
-                    if push:
-                        seen["success"] += 1
-                        continue
-                    seen["saturated_source"] += len(ahead) == 1
-                    # Only the sink reaches the sink and the source's first level is
-                    # wider, so the sink side ran out first.
-                    seen["sink_side_closed"] += len(behind) == 1 and sum(
-                        d == 1 for d in ahead.values()) >= 2
-                    break
+                seen["saturated_source"] += len(ahead) == 1
+                # Only the sink reaches the sink and the source's first level is
+                # wider, so the sink side ran out first.
+                seen["sink_side_closed"] += len(behind) == 1 and sum(
+                    d == 1 for d in ahead.values()) >= 2
+                break
         assert min(seen.values()) >= 10, seen
+
+    def test_stopping_at_a_dead_end(self):
+        """Without ``reach`` a search also stops when the sink side runs out:
+        it pushes exactly what the full search pushes, and when it finds no
+        path it labels only nodes the source reaches."""
+        seen = dict.fromkeys(("same_labels", "fewer_labels", "success"), 0)
+        for head, initial, out, source, sink in _residual_corpus():
+            cap = initial.copy()
+            while True:
+                early = cap.copy()
+                ahead = set(_reachable(head, cap, out, source))
+                push, via = flow._augment(head, early, out, source, sink, False)
+                assert push == _checked_augment(head, cap, out, source, sink)
+                assert early == cap
+                if push:
+                    seen["success"] += 1
+                    continue
+                labelled = {node for node, label in enumerate(via) if label != -1}
+                assert labelled <= ahead and via[source] == -2
+                seen["same_labels" if labelled == ahead else "fewer_labels"] += 1
+                break
+        assert min(seen.values()) >= 10, seen
+
+
+def _residual_corpus():
+    """(head, capacities, out, source, sink) of a flow between neighbouring
+    terminals of 80 split networks: 40 random element instances and 40
+    incidence instances of hypergraphs."""
+    from hypersplit import GenParams, incidence_graph, random_element_instance
+
+    instances = [random_element_instance(GenParams(n=12, m=30, r=2, seed=s)) for s in range(40)]
+    instances += [
+        incidence_graph(corpus_hypergraph(trial, max_n=10, max_m=20, salt=0xA06)).instance
+        for trial in range(40)
+    ]
+    for inst in instances:
+        (head, initial, out), index, _ = flow._split_arcs(inst)
+        terms = sorted(inst.terminals)
+        for u, v in zip(terms, terms[1:] + terms[:1]):
+            if u != v:
+                yield head, initial, out, 2 * index[u] + 1, 2 * index[v]
 
 
 def _described_arcs(inst):

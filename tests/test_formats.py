@@ -30,7 +30,7 @@ from hypersplit.formats import (
     write_hypergraph_text,
     write_oplog,
 )
-from hypersplit.reduction import reduce_to_stable
+from hypersplit.reduction import MinorTrace, ReductionStep, reduce_to_stable
 from hypersplit.splitoff import complete_split_off
 
 from conftest import corpus_hypergraph, named_hypergraphs, sparse_element_instance
@@ -326,6 +326,99 @@ class TestTraceJson:
         assert payload["steps"][0]["action"] == "contracted"
         assert payload["steps"][0]["edge"] == ["p", "q"]
         assert sorted(payload["vertex_map"]["p"]) == ["p", "q"]
+
+
+def _element_obj(inst, table):
+    """The dict ``write_element_json`` wrote through ``json.dumps(indent=2)``
+    before it wrote its text from ids."""
+    def names(vertices):
+        return sorted(map(table.name_of, vertices))
+
+    return {"vertices": names(inst.graph.vertices),
+            "edges": [names(inst.graph.endpoints(e)) for e in inst.graph.edge_ids()],
+            "terminals": names(inst.terminals)}
+
+
+def _trace_obj(trace, table):
+    """The dict ``trace_to_json`` wrote through ``json.dumps(indent=2)``
+    before it wrote its text from ids."""
+    name_of = table.name_of
+    steps = []
+    for step in trace.steps:
+        entry = {"edge": sorted(map(name_of, step.edge)), "edge_id": step.edge_id, "action": step.action}
+        if step.merged_into is not None:
+            entry["merged_into"] = name_of(step.merged_into)
+        steps.append(entry)
+    vertex_map = {name_of(v): sorted(map(name_of, originals)) for v, originals in trace.vertex_map.items()}
+    return {"steps": steps, "vertex_map": dict(sorted(vertex_map.items()))}
+
+
+def _dumped(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+_MARKS = ('"', "\\", "\u00e9", "\U0001d11e", "\x00")  # U+2028 splits a name: no table holds it
+
+
+def _tables(n):
+    """Names in id order, in reverse id order, and needing escapes in an order
+    of their own."""
+    plain = tuple(f"v{i:02d}" for i in range(n))
+    return [NameTable(plain), NameTable(plain[::-1]),
+            NameTable(tuple(f"{_MARKS[i % 5]}{i:02d}{_MARKS[i * 3 % 5]}" for i in range(n)))]
+
+
+class TestWritersFromIds:
+    """The element and trace writers build their text from ids, not from dicts;
+    it must be the bytes ``json.dumps`` gave for the dicts they built before."""
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_seeded_corpus(self, trial):
+        inst = sparse_element_instance(trial)
+        reduced, trace = reduce_to_stable(inst)
+        for table in _tables(len(inst.graph.vertices)):
+            for graph in (inst, reduced):
+                assert write_element_json(graph, table) == _dumped(_element_obj(graph, table))
+            assert trace_to_json(trace, table) == _dumped(_trace_obj(trace, table))
+
+    def test_contractions_merge_several_names(self):
+        traces = [reduce_to_stable(sparse_element_instance(trial))[1] for trial in range(40)]
+        assert any(len(originals) > 2 for trace in traces for originals in trace.vertex_map.values())
+        assert any(step.merged_into is not None for trace in traces for step in trace.steps)
+
+    def test_no_name_holds_a_line_separator(self):
+        with pytest.raises(ParseError, match="whitespace"):
+            NameTable(("a", "b\u2028c"))
+
+    @pytest.mark.parametrize("vertex_map", [{}, {0: {0}, 2: {2, 1}}])
+    def test_trace_without_steps(self, vertex_map):
+        trace = MinorTrace(steps=(), vertex_map=vertex_map)
+        for table in _tables(3):
+            assert trace_to_json(trace, table) == _dumped(_trace_obj(trace, table))
+
+    @pytest.mark.parametrize("vertices, terminals", [((), ()), ((0, 1, 2), (0, 2)), ((1,), ())])
+    def test_instance_without_edges(self, vertices, terminals):
+        inst = ElementConnInstance(Multigraph(frozenset(vertices), {}), frozenset(terminals))
+        for table in _tables(3):
+            assert write_element_json(inst, table) == _dumped(_element_obj(inst, table))
+
+    @pytest.mark.parametrize("vid", [-1, 3])
+    def test_unnamed_id_raises(self, vid):
+        """An id the table does not name is an error, never a name read from
+        the end of the table or past it."""
+        table = NameTable(("a", "b", "c"))
+        instances = [ElementConnInstance(Multigraph(frozenset({0, vid}), {}), frozenset()),
+                     ElementConnInstance(Multigraph(frozenset({0, 1, vid}), {0: (1, vid)}), frozenset({0}))]
+        traces = [MinorTrace(steps=(), vertex_map={vid: {vid}}),
+                  MinorTrace(steps=(), vertex_map={0: {0, vid}}),
+                  MinorTrace(steps=(ReductionStep((1, vid), 0, "deleted"),), vertex_map={0: {0}}),
+                  MinorTrace(steps=(ReductionStep((0, 1), 0, "contracted", vid),), vertex_map={0: {0, 1}})]
+        for inst in instances:
+            with pytest.raises(UnknownVertexError, match=f"unknown vertex id {vid}$"):
+                write_element_json(inst, table)
+        for trace in traces:
+            with pytest.raises(UnknownVertexError, match=f"unknown vertex id {vid}$"):
+                trace_to_json(trace, table)
 
 
 class TestJsonText:
