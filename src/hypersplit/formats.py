@@ -11,7 +11,9 @@ item and report it as the item-by-item check always has.
 
 Every file is read by ``_read_text`` and every JSON text decoded by
 ``_decode_json``, so a file that cannot be read, is not UTF-8, or holds JSON
-nested too deep to decode is a ``ParseError``; every JSON text has the layout of ``_json_text``.
+nested too deep to decode is a ``ParseError``. Files are laid out by ``_joined``
+from the rows of one ``_ranked`` call per output, JSON in ``json.dumps``' ``indent=2``
+layout; ``_json_text`` writes the ``--json`` reports and the op-log's op entries.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from itertools import compress, count, repeat, starmap
 from operator import itemgetter, ne, not_
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional, Sequence, Union
 
 from .errors import ParseError, UnknownVertexError
 from .hypergraph import Hypergraph, Merge, SplitOffOp, Trim
@@ -119,8 +121,7 @@ def _json_value(obj, newline: str) -> str:
         return _joined([_escape(key) + ": " + _json_value(value, inner) for key, value in obj.items()],
                        newline, "{}")
     if isinstance(obj, (list, tuple)):
-        names = all(map(str.__instancecheck__, obj))  # a list of names needs no call per item
-        return _joined(list(map(_escape, obj)) if names else [_json_value(item, inner) for item in obj], newline)
+        return _joined([_json_value(item, inner) for item in obj], newline)
     return json.dumps(obj)  # any other value as json.dumps writes it, or a TypeError
 
 
@@ -132,12 +133,18 @@ def _joined(items: list[str], newline: str, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
-def _ranked(table: NameTable, ids: Collection[int]):
-    """Each id's rank in name order, the escaped names by rank, and a function listing some
-    ids' escaped names in name order. Names come from ``name_of``: an id the table lacks raises."""
+def _ranked(table: NameTable, ids: Collection[int], encode: Callable[[str], str] = _escape):
+    """Each id's rank in name order, the names by rank as ``encode`` writes them (JSON strings,
+    ``str`` for bare names, ``_dot_quote`` for DOT ids), and a function listing some ids' encoded
+    names in name order. Names come from ``name_of``: an id the table lacks raises."""
     named = sorted(zip(map(table.name_of, ids), ids))
-    rank, rows = dict(zip(map(itemgetter(1), named), count())), [_escape(name) for name, _ in named]
+    rank, rows = dict(zip(map(itemgetter(1), named), count())), list(map(encode, map(itemgetter(0), named)))
     return rank, rows, lambda some: [rows[i] for i in sorted(map(rank.__getitem__, some))]
+
+
+def _hyperedge_array(h: Hypergraph, named) -> str:
+    """The "hyperedges" array of hypergraph JSON and of an op-log header, names by ``named``."""
+    return _joined([_joined(named(h.hyperedges[e]), "\n    ") for e in h.edge_ids()], "\n  ")
 
 
 def _decode_json(text: str):
@@ -203,21 +210,16 @@ def parse_hypergraph_text(text: str) -> tuple[Hypergraph, NameTable]:
     return Hypergraph(frozenset(range(len(table))), dict(enumerate(edges))), table
 
 
-def _sorted_names(vertices: Iterable[int], table: NameTable) -> list[str]:
-    return sorted(map(table.name_of, vertices))
-
-
 def write_hypergraph_json(h: Hypergraph, table: NameTable) -> str:
-    obj = {
-        "vertices": _sorted_names(h.vertices, table),
-        "hyperedges": [_sorted_names(h.hyperedges[e], table) for e in h.edge_ids()],
-    }
-    return _json_text(obj)
+    _, rows, named = _ranked(table, h.vertices)
+    fields = ['"vertices": ' + _joined(rows, "\n  "), '"hyperedges": ' + _hyperedge_array(h, named)]
+    return _joined(fields, "\n", "{}") + "\n"
 
 
 def write_hypergraph_text(h: Hypergraph, table: NameTable) -> str:
-    lines = [f"{VERTICES_HEADER} " + " ".join(_sorted_names(h.vertices, table))]
-    lines += [" ".join(_sorted_names(h.hyperedges[e], table)) for e in h.edge_ids()]
+    _, rows, named = _ranked(table, h.vertices, str)
+    lines = [f"{VERTICES_HEADER} " + " ".join(rows)]
+    lines += [" ".join(named(h.hyperedges[e])) for e in h.edge_ids()]
     return "\n".join(lines) + "\n"
 
 
@@ -276,12 +278,10 @@ def write_oplog(h: Hypergraph, table: NameTable, s: int, ops: Sequence[SplitOffO
             entries.append({"op": "merge", "keep": op.keep, "absorb": op.absorb})
         else:
             raise TypeError(f"not a split-off operation: {op!r}")
-    obj = {
-        "s": table.name_of(s),
-        "hyperedges": [_sorted_names(h.hyperedges[e], table) for e in h.edge_ids()],
-        "ops": entries,
-    }
-    return _json_text(obj)
+    _, _, named = _ranked(table, h.vertices)
+    fields = ['"s": ' + _escape(table.name_of(s)), '"hyperedges": ' + _hyperedge_array(h, named),
+              '"ops": ' + _json_value(entries, "\n  ")]
+    return _joined(fields, "\n", "{}") + "\n"
 
 
 @dataclass(frozen=True)
@@ -335,9 +335,9 @@ def check_oplog_header(log: OpLog, h: Hypergraph, table: NameTable) -> None:
         raise ParseError(
             f"log header lists {len(log.hyperedges)} hyperedges, file has {len(ids)}"
         )
+    _, _, named = _ranked(table, h.vertices, str)
     for eid, header_members in zip(ids, log.hyperedges):
-        actual = tuple(_sorted_names(h.hyperedges[eid], table))
-        if actual != tuple(sorted(header_members)):
+        if named(h.hyperedges[eid]) != sorted(header_members):
             raise ParseError(f"log header disagrees with hyperedge {eid} of the input")
 
 
@@ -346,14 +346,13 @@ def _dot_quote(name: str) -> str:
 
 
 def incidence_dot(h: Hypergraph, table: NameTable) -> str:
-    """DOT rendering of the incidence graph: terminals boxes, hyperedges circles."""
-    lines = ["graph incidence {", "  node [shape=box];"]
-    lines += [f"  {_dot_quote(name)};" for name in _sorted_names(h.vertices, table)]
+    """DOT rendering of the incidence graph: vertices boxes, hyperedges circles.
+    Hyperedge k's node id is ``#ek``, which no vertex name can be; its label is ``ek``."""
+    _, rows, named = _ranked(table, h.vertices, _dot_quote)
+    lines = ["graph incidence {", "  node [shape=box];", *(f"  {row};" for row in rows)]
     lines.append("  node [shape=circle];")
-    lines += [f"  {_dot_quote(f'e{e}')};" for e in h.edge_ids()]
-    for e in h.edge_ids():
-        for name in _sorted_names(h.hyperedges[e], table):
-            lines.append(f"  {_dot_quote(name)} -- {_dot_quote(f'e{e}')};")
+    lines += [f'  "#e{e}" [label="e{e}"];' for e in h.edge_ids()]
+    lines += [f'  {row} -- "#e{e}";' for e in h.edge_ids() for row in named(h.hyperedges[e])]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

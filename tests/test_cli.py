@@ -875,7 +875,7 @@ class TestExportDot:
         assert main(["export-dot", str(triangle), "-o", str(out)]) == 0
         text = out.read_text()
         assert text.startswith("graph incidence {")
-        assert '"a" -- "e0";' in text
+        assert '"a" -- "#e0";' in text
 
     def test_stdout(self, triangle, capsys):
         assert main(["export-dot", str(triangle)]) == 0

@@ -1203,3 +1203,68 @@ class TestNetworkxDifferential:
             for u, v in pairs:
                 value = edmonds_karp(net, u, v, residual=residual).graph["flow_value"]
                 assert value == res.certificate.get(u, v), (g is h, u, v)
+
+
+def _pairs_hold(nx, g, table, pairs):
+    """Every pair's value in ``table`` is its lambda in ``g``, by networkx."""
+    from networkx.algorithms.flow import build_residual_network, edmonds_karp
+
+    net = _lawler_network(nx, g)
+    residual = build_residual_network(net, "capacity")
+    for u, v in pairs:
+        assert edmonds_karp(net, u, v, residual=residual).graph["flow_value"] == table.get(u, v), (u, v)
+
+
+class TestMetamorphicAt640:
+    """Checks above the brute-force bound that need no oracle, at n = 640 and
+    m = 1,920 with s of maximum degree: a second split-off keeps the first
+    one's values, and renaming the vertices renames the certificate. Each
+    result's tree pairs and 100 seeded pairs hold against networkx."""
+
+    @pytest.fixture(scope="class")
+    def first(self):
+        from hypersplit import GenParams, complete_split_off, random_hypergraph
+
+        h = random_hypergraph(GenParams(640, 1920, 4, seed=7))
+        s = max(sorted(h.vertices), key=h.degree)
+        return h, s, complete_split_off(h, s)
+
+    @staticmethod
+    def _pairs(table, rest, seed):
+        """The tree pairs of ``table`` over ``rest``, then 100 seeded pairs of ``rest``."""
+        from hypersplit import SplitMix64
+
+        rest, rng = sorted(rest), SplitMix64(seed)
+        pairs = [(u, v) for u, v, _ in table.restrict(rest).tree()]
+        return pairs + [tuple(rest[i] for i in rng.sample(len(rest), 2)) for _ in range(100)]
+
+    @pytest.mark.slow
+    def test_split_off_s_then_t(self, first):
+        nx = pytest.importorskip("networkx")
+        from hypersplit import complete_split_off
+
+        h, s, res = first
+        t = max(sorted(h.vertices - {s}), key=res.h_star.degree)
+        second = complete_split_off(res.h_star, t)
+        rest = h.vertices - {s, t}
+        assert res.h_star.degree(t) > 0 and second.h_star.degree(s) == second.h_star.degree(t) == 0
+        assert second.certificate.restrict(rest) == res.certificate.restrict(rest)
+        pairs = self._pairs(second.certificate, rest, 7)
+        assert len(pairs) == 737
+        for g in (h, second.h_star):
+            _pairs_hold(nx, g, res.certificate, pairs)
+
+    @pytest.mark.slow
+    def test_renamed_vertices(self, first):
+        nx = pytest.importorskip("networkx")
+        from hypersplit import Hypergraph, SplitMix64, complete_split_off
+
+        h, s, res = first
+        rename = SplitMix64(11).sample(len(h.vertices), len(h.vertices))
+        renamed = Hypergraph(frozenset(rename), {e: frozenset(map(rename.__getitem__, members))
+                                                 for e, members in h.hyperedges.items()})
+        again = complete_split_off(renamed, rename[s])
+        values = res.certificate.values.items()
+        assert again.certificate == ConnTable({(rename[u], rename[v]): k for (u, v), k in values})
+        pairs = self._pairs(again.certificate, renamed.vertices - {rename[s]}, 11)
+        _pairs_hold(nx, again.h_star, again.certificate, pairs)

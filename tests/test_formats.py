@@ -6,6 +6,7 @@ import pytest
 
 from hypersplit import (
     ElementConnInstance,
+    Hypergraph,
     Merge,
     Multigraph,
     ParseError,
@@ -15,6 +16,7 @@ from hypersplit import (
 )
 from hypersplit.formats import (
     NameTable,
+    OpLog,
     _json_text,
     check_oplog_header,
     detect_format,
@@ -305,12 +307,21 @@ class TestDot:
         assert dot.startswith("graph incidence {")
         assert dot.index("shape=box") < dot.index("shape=circle")
         assert dot.count(" -- ") == 6
-        assert '"a" -- "e0";' in dot
+        assert '"a" -- "#e0";' in dot
+        assert '"#e0" [label="e0"];' in dot
 
     def test_quoting(self):
         h, table = parse_hypergraph_json('{"vertices": ["x\\"y", "b"], "hyperedges": [["x\\"y","b"]]}')
         dot = incidence_dot(h, table)
         assert '"x\\"y"' in dot
+
+    def test_vertex_named_like_a_hyperedge_node(self):
+        """A vertex named ``e0`` is its own node, not hyperedge 0's."""
+        h, table = parse_hypergraph_text("e0 e1\ne1 x\n")
+        assert incidence_dot(h, table).splitlines() == [
+            "graph incidence {", "  node [shape=box];", '  "e0";', '  "e1";', '  "x";',
+            "  node [shape=circle];", '  "#e0" [label="e0"];', '  "#e1" [label="e1"];',
+            '  "e0" -- "#e0";', '  "e1" -- "#e0";', '  "e1" -- "#e1";', '  "x" -- "#e1";', "}"]
 
 
 class TestTraceJson:
@@ -328,15 +339,58 @@ class TestTraceJson:
         assert sorted(payload["vertex_map"]["p"]) == ["p", "q"]
 
 
+def _names(table, vertices):
+    return sorted(map(table.name_of, vertices))
+
+
 def _element_obj(inst, table):
     """The dict ``write_element_json`` wrote through ``json.dumps(indent=2)``
     before it wrote its text from ids."""
-    def names(vertices):
-        return sorted(map(table.name_of, vertices))
+    return {"vertices": _names(table, inst.graph.vertices),
+            "edges": [_names(table, inst.graph.endpoints(e)) for e in inst.graph.edge_ids()],
+            "terminals": _names(table, inst.terminals)}
 
-    return {"vertices": names(inst.graph.vertices),
-            "edges": [names(inst.graph.endpoints(e)) for e in inst.graph.edge_ids()],
-            "terminals": names(inst.terminals)}
+
+def _hypergraph_obj(h, table):
+    """The dict ``write_hypergraph_json`` wrote through ``json.dumps(indent=2)``
+    before it wrote its text from ids."""
+    return {"vertices": _names(table, h.vertices),
+            "hyperedges": [_names(table, h.hyperedges[e]) for e in h.edge_ids()]}
+
+
+def _oplog_obj(h, table, s, ops):
+    """The dict ``write_oplog`` wrote through ``json.dumps(indent=2)``."""
+    entries = [{"op": "trim", "edge": op.edge} if isinstance(op, Trim)
+               else {"op": "merge", "keep": op.keep, "absorb": op.absorb} for op in ops]
+    return {"s": table.name_of(s), "hyperedges": _hypergraph_obj(h, table)["hyperedges"], "ops": entries}
+
+
+def _hypergraph_text(h, table):
+    """``write_hypergraph_text`` as written name by name."""
+    lines = ["#vertices: " + " ".join(_names(table, h.vertices))]
+    lines += [" ".join(_names(table, h.hyperedges[e])) for e in h.edge_ids()]
+    return "\n".join(lines) + "\n"
+
+
+def _dot(h, table):
+    """``incidence_dot`` as written name by name."""
+    def quote(name):
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["graph incidence {", "  node [shape=box];"]
+    lines += [f"  {quote(name)};" for name in _names(table, h.vertices)]
+    lines.append("  node [shape=circle];")
+    lines += [f'  "#e{e}" [label="e{e}"];' for e in h.edge_ids()]
+    lines += [f'  {quote(name)} -- "#e{e}";' for e in h.edge_ids() for name in _names(table, h.hyperedges[e])]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _header_mismatch(log, h, table):
+    """The first hyperedge whose header entry disagrees with ``h``, as checked name by name."""
+    for eid, members in zip(h.edge_ids(), log.hyperedges):
+        if _names(table, h.hyperedges[eid]) != sorted(members):
+            return eid
+    return None
 
 
 def _trace_obj(trace, table):
@@ -369,8 +423,9 @@ def _tables(n):
 
 
 class TestWritersFromIds:
-    """The element and trace writers build their text from ids, not from dicts;
-    it must be the bytes ``json.dumps`` gave for the dicts they built before."""
+    """Every writer builds its text from ids, not from dicts or per-name calls;
+    it must be the bytes ``json.dumps`` gave for the dicts they built before,
+    or the text the name-by-name writers gave."""
 
     @pytest.mark.parametrize("trial", range(40))
     def test_seeded_corpus(self, trial):
@@ -396,6 +451,44 @@ class TestWritersFromIds:
         for table in _tables(3):
             assert trace_to_json(trace, table) == _dumped(_trace_obj(trace, table))
 
+    @staticmethod
+    def _check_hypergraph(h, table):
+        assert write_hypergraph_json(h, table) == _dumped(_hypergraph_obj(h, table))
+        assert write_hypergraph_text(h, table) == _hypergraph_text(h, table)
+        assert incidence_dot(h, table) == _dot(h, table)
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_hypergraph_writers_on_a_seeded_corpus(self, trial):
+        h = corpus_hypergraph(trial, max_n=12, max_m=16)
+        s = max(sorted(h.vertices), key=h.degree)
+        result = complete_split_off(h, s)
+        for table in _tables(len(h.vertices)):
+            for graph in (h, result.h_star):
+                self._check_hypergraph(graph, table)
+            text = write_oplog(h, table, s, result.log)
+            assert text == _dumped(_oplog_obj(h, table, s, result.log))
+            log = parse_oplog(text)
+            check_oplog_header(log, h, table)
+            header = log.hyperedges
+            check_oplog_header(OpLog(log.s_name, tuple(entry[::-1] for entry in header), log.ops), h, table)
+            for k in range(len(header) - 1):  # each entry swapped with the next: the first to differ is named
+                swapped = OpLog(log.s_name, header[:k] + (header[k + 1], header[k]) + header[k + 2:], log.ops)
+                eid = _header_mismatch(swapped, h, table)
+                if eid is None:
+                    check_oplog_header(swapped, h, table)
+                else:
+                    with pytest.raises(ParseError, match=f"disagrees with hyperedge {eid} of"):
+                        check_oplog_header(swapped, h, table)
+
+    @pytest.mark.parametrize("vertices", [(), (0, 1, 2)])
+    def test_hypergraph_without_hyperedges(self, vertices):
+        h = Hypergraph(frozenset(vertices), {})
+        for table in _tables(3):
+            self._check_hypergraph(h, table)
+            if vertices:
+                assert write_oplog(h, table, 1, ()) == _dumped(_oplog_obj(h, table, 1, ()))
+                check_oplog_header(OpLog(table.name_of(1), (), ()), h, table)
+
     @pytest.mark.parametrize("vertices, terminals", [((), ()), ((0, 1, 2), (0, 2)), ((1,), ())])
     def test_instance_without_edges(self, vertices, terminals):
         inst = ElementConnInstance(Multigraph(frozenset(vertices), {}), frozenset(terminals))
@@ -419,6 +512,17 @@ class TestWritersFromIds:
         for trace in traces:
             with pytest.raises(UnknownVertexError, match=f"unknown vertex id {vid}$"):
                 trace_to_json(trace, table)
+        writers = (write_hypergraph_json, write_hypergraph_text, incidence_dot,
+                   lambda h, table: write_oplog(h, table, 0, ()))
+        hypergraphs = [Hypergraph(frozenset({0, vid}), {}),
+                       Hypergraph(frozenset({0, 1, vid}), {0: frozenset({1, vid})})]
+        for h in hypergraphs:
+            for write in writers:
+                with pytest.raises(UnknownVertexError, match=f"unknown vertex id {vid}$"):
+                    write(h, table)
+            if h.hyperedges:
+                with pytest.raises(UnknownVertexError, match=f"unknown vertex id {vid}$"):
+                    check_oplog_header(OpLog("a", (("b", "c"),), ()), h, table)
 
 
 class TestJsonText:
