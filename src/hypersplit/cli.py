@@ -12,7 +12,8 @@ Reports go to stdout, diagnostics to stderr. Exit codes are stable:
 
 A message that cannot be written, to a stderr that is missing, closed or
 gone, is dropped; the exit code stays the same. Output files are rewritten in
-place: with ``O_TRUNC``, ext4 (``auto_da_alloc``) starts writeback on close.
+place, never truncated to zero first, so ext4's early writeback on close is
+given up.
 
 Importing this module loads only the standard library and ``errors``. Each
 ``cmd_*`` imports the modules it runs when it is called, and looks their
@@ -31,7 +32,7 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Optional, Sequence
 
 from .errors import (
     HypersplitError,
@@ -127,7 +128,8 @@ def _pair_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def _resolve_pairs(args, table: NameTable, eligible: Iterable[int]) -> list[tuple[int, int]]:
+def _resolve_pairs(args, table: NameTable, eligible: Collection[int]) -> list[tuple[int, int]]:
+    """The pairs asked for; a ``-u`` or ``-v`` outside ``eligible`` is an error naming it."""
     if args.all_pairs:
         if args.u or args.v:
             raise ParseError("--all-pairs excludes -u/-v")
@@ -135,7 +137,12 @@ def _resolve_pairs(args, table: NameTable, eligible: Iterable[int]) -> list[tupl
         return [(u, v) for i, u in enumerate(ordered) for v in ordered[i + 1 :]]
     if not args.u or not args.v:
         raise ParseError("need -u and -v, or --all-pairs")
-    return [(table.id_of(args.u), table.id_of(args.v))]
+    u, v = table.id_of(args.u), table.id_of(args.v)
+    if u != v:  # the query reports endpoints that coincide
+        for name, w in ((args.u, u), (args.v, v)):
+            if w not in eligible:
+                raise NonTerminalEndpointError(f"vertex {name!r} is not a terminal")
+    return [(u, v)]
 
 
 def _query_pairs(args, element: bool, value_of, flow_of=None, table_of=None) -> int:
@@ -168,8 +175,9 @@ def _query_pairs(args, element: bool, value_of, flow_of=None, table_of=None) -> 
             mismatches += 1
             print(f"mismatch: flow {name}({a}, {b}) != oracle {value}", file=sys.stderr)
     if args.json:
-        payload = {"pairs": [{"u": a, "v": b, "value": k} for a, b, k in rows]}
-        print(formats._json_text(payload), end="")
+        entry = formats._joined(['"u": %s', '"v": %s', '"value": %d'], "\n    ", "{}")
+        entries = [entry % (formats._escape(a), formats._escape(b), k) for a, b, k in rows]
+        print(formats._joined(['"pairs": ' + formats._joined(entries, "\n  ")], "\n", "{}"))
     else:
         for a, b, k in rows:
             print(f"{name}({a}, {b}) = {k}")
@@ -242,15 +250,11 @@ def cmd_split(args) -> int:
     merges = sum(1 for op in result.log if isinstance(op, Merge))
     trims = len(result.log) - merges
     if args.json:
-        payload = {
-            "s": args.s,
-            "hyperedges_before": h.num_edges,
-            "hyperedges_after": result.h_star.num_edges,
-            "operations": {"merge": merges, "trim": trims},
-            "pairs_checked": len(result.certificate),
-            "certificate": "pass",
-        }
-        print(formats._json_text(payload), end="")
+        operations = formats._joined(['"merge": %d' % merges, '"trim": %d' % trims], "\n  ", "{}")
+        fields = ['"s": ' + formats._escape(args.s), '"hyperedges_before": %d' % h.num_edges,
+                  '"hyperedges_after": %d' % result.h_star.num_edges, '"operations": ' + operations,
+                  '"pairs_checked": %d' % len(result.certificate), '"certificate": "pass"']
+        print(formats._joined(fields, "\n", "{}"))
     else:
         print(f"split vertex: {args.s}")
         print(f"hyperedges: {h.num_edges} -> {result.h_star.num_edges}")

@@ -81,8 +81,8 @@ clique gadget, trim and merge) can only lower a pair's value. If the
 checked instance matches the table on the T-1 tree pairs, each other pair
 is at least the minimum along its tree path, which is its old value, and
 at most its old value: the whole table holds. Every such check on fresh
-flows runs the tree pairs through ``_tree_flows``. On either network
-``_checked`` returns their flows or reports a differing pair as an
+flows runs the tree pairs through ``_checked``. On either network it
+returns their flows or reports the first differing pair as an
 internal error, and every kept flow (``_TreeFlows``) starts from flows
 that had the table's values. Gusfield's tree below has the path minimum
 too, so the flows that compute a table can be kept to check it
@@ -509,19 +509,6 @@ def _gusfield(network: _Network, terms: list[int], kept: list[list[int]] | None 
     )
 
 
-def _tree_flows(network: _Network, table: ConnTable) -> list[list[int]] | None:
-    """The state the flow of each pair of ``table.tree()`` leaves on
-    ``network``, each run by ``_pair_flow``; None at the first pair whose
-    value differs from the table."""
-    states = []
-    for u, v, k in table.tree():
-        value, state, _ = _pair_flow(network, u, v)
-        if value != k:
-            return None
-        states.append(state)
-    return states
-
-
 def _table_flows(inst: ElementConnInstance) -> tuple[ConnTable, "_TreeFlows"]:
     """``conn_table_elements(inst)``, with its Gusfield flows kept as a ``_TreeFlows`` of it."""
     network, kept = _split_arcs(inst), []
@@ -635,12 +622,16 @@ class _TreeFlows:
 
 
 def _checked(network: _Network, table: ConnTable, what: str) -> list[list[int]]:
-    """``_tree_flows`` of ``table`` on an element network or Lawler's, whose
-    pairs cannot exceed their values in ``table`` (see the module docstring);
-    if they differ, an internal error saying that ``what`` changed the table."""
-    states = _tree_flows(network, table)
-    if states is None:
-        raise InternalInvariantError(f"{what} changed the terminal connectivity table")
+    """The state the flow of each pair of ``table.tree()`` leaves on an element
+    network or Lawler's, each run by ``_pair_flow``. No pair can exceed its value
+    in ``table`` (see the module docstring); at the first pair whose value
+    differs, an internal error saying that ``what`` changed the table."""
+    states = []
+    for u, v, k in table.tree():
+        value, state, _ = _pair_flow(network, u, v)
+        if value != k:
+            raise InternalInvariantError(f"{what} changed the terminal connectivity table")
+        states.append(state)
     return states
 
 

@@ -11,9 +11,9 @@ item and report it as the item-by-item check always has.
 
 Every file is read by ``_read_text`` and every JSON text decoded by
 ``_decode_json``, so a file that cannot be read, is not UTF-8, or holds JSON
-nested too deep to decode is a ``ParseError``. Files are laid out by ``_joined``
-from the rows of one ``_ranked`` call per output, JSON in ``json.dumps``' ``indent=2``
-layout; ``_json_text`` writes the ``--json`` reports and the op-log's op entries.
+nested too deep to decode is a ``ParseError``. Every JSON text, the files and
+the ``--json`` reports, is laid out by ``_joined`` in ``json.dumps``' ``indent=2``
+layout, and every file's names come from one ``_ranked`` call per output.
 """
 
 from __future__ import annotations
@@ -104,29 +104,9 @@ def _mapped(entries: list, ids: dict[str, int], kind: type) -> Optional[list]:
         return None
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"`` for objects with string keys. With an
-    indent, ``json.dumps`` runs its pure-Python encoder; this joins each container
-    once and escapes strings with the C escaper ``json.dumps`` uses."""
-    return _json_value(obj, "\n") + "\n"
-
-
-def _json_value(obj, newline: str) -> str:
-    if type(obj) is str:
-        return _escape(obj)
-    if type(obj) is int:
-        return int.__repr__(obj)
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        return _joined([_escape(key) + ": " + _json_value(value, inner) for key, value in obj.items()],
-                       newline, "{}")
-    if isinstance(obj, (list, tuple)):
-        return _joined([_json_value(item, inner) for item in obj], newline)
-    return json.dumps(obj)  # any other value as json.dumps writes it, or a TypeError
-
-
 def _joined(items: list[str], newline: str, brackets: str = "[]") -> str:
-    """Encoded items as a JSON array (``brackets`` "{}": object) laid out as by ``_json_text``."""
+    """Encoded items as a JSON array (``brackets`` "{}": object, of ``"key": value`` items)
+    in ``json.dumps``' ``indent=2`` layout, at the depth whose line break is ``newline``."""
     if not items:
         return brackets
     inner = newline + "  "
@@ -257,7 +237,7 @@ def parse_element_json(text: str) -> tuple[ElementConnInstance, NameTable]:
 
 
 def write_element_json(inst: ElementConnInstance, table: NameTable) -> str:
-    """``_json_text`` of the vertices, each edge's ends (edges in id order) and the terminals, names sorted."""
+    """The vertices, each edge's ends (edges in id order) and the terminals, names sorted."""
     _, rows, named = _ranked(table, inst.graph.vertices)
     edges = [_joined(named(inst.graph.edges[e]), "\n    ") for e in inst.graph.edge_ids()]
     fields = zip(('"vertices": ', '"edges": ', '"terminals": '), (rows, edges, named(inst.terminals)))
@@ -270,17 +250,19 @@ def write_oplog(h: Hypergraph, table: NameTable, s: int, ops: Sequence[SplitOffO
     The header repeats the hyperedges in id order, binding every id used by
     the operations to the input file's hyperedge order.
     """
+    trim = _joined(['"op": "trim"', '"edge": %d'], "\n    ", "{}")
+    merge = _joined(['"op": "merge"', '"keep": %d', '"absorb": %d'], "\n    ", "{}")
     entries = []
     for op in ops:
         if isinstance(op, Trim):
-            entries.append({"op": "trim", "edge": op.edge})
+            entries.append(trim % op.edge)
         elif isinstance(op, Merge):
-            entries.append({"op": "merge", "keep": op.keep, "absorb": op.absorb})
+            entries.append(merge % (op.keep, op.absorb))
         else:
             raise TypeError(f"not a split-off operation: {op!r}")
     _, _, named = _ranked(table, h.vertices)
     fields = ['"s": ' + _escape(table.name_of(s)), '"hyperedges": ' + _hyperedge_array(h, named),
-              '"ops": ' + _json_value(entries, "\n  ")]
+              '"ops": ' + _joined(entries, "\n  ")]
     return _joined(fields, "\n", "{}") + "\n"
 
 
@@ -358,7 +340,7 @@ def incidence_dot(h: Hypergraph, table: NameTable) -> str:
 
 
 def trace_to_json(trace: MinorTrace, table: NameTable) -> str:
-    """``_json_text`` of the steps and the vertex map, the map and every list of names in name order."""
+    """The steps and the vertex map, the map and every list of names in name order."""
     steps, vertex_map = trace.steps, trace.vertex_map
     ids = set(vertex_map).union(*vertex_map.values(), *map(itemgetter(0), steps), map(itemgetter(3), steps))
     rank, rows, named = _ranked(table, ids - {None})

@@ -12,9 +12,9 @@ Only G0 and G1 are built as instances, and only G1 is kept, as the
 gadget. G2 and G3 live in the reductions' private edges and in G1's kept
 tree flows. After G3 each hyperedge of s either lost its gadget attachment, its
 G0 edge to s, or hangs off the surviving gadget vertex at that edge's end.
-Each is followed by the edge's id, so no graph is scanned to find this
-bookkeeping: it is the trim/merge log, and the result is the log replayed
-on the input.
+Each is followed by the edge's id, which the gadget records as it rewires
+s's edges, so no graph is scanned to find this bookkeeping: it is the
+trim/merge log, and the result is the log replayed on the input.
 
 Vertex v of the input is node v of G0, so G0's table without s is keyed by
 vertices, and it is the one table both checks compare with, through
@@ -51,7 +51,9 @@ class GadgetInstance:
     """Stage-1 instance: the clique gadget replacing s, plus its wiring.
 
     ``attachments`` pairs each hyperedge incident to s (ascending id) with
-    the clique vertex that took over its slot on s.
+    the id of its G0 edge to s, which joins its hyperedge node to the clique
+    vertex that took over its slot on s: the edge's larger end, as clique ids
+    exceed every G0 node.
     """
 
     instance: ElementConnInstance
@@ -94,25 +96,29 @@ class SplitOffResult:
     pipeline: StagePipeline
 
 
-def _build_gadget(h: Hypergraph, s: int, inc: Incidence) -> GadgetInstance:
+def _build_gadget(s: int, inc: Incidence) -> GadgetInstance:
     """Replace s by a clique of non-terminals, one per hyperedge incident to s.
 
     Each hyperedge node that was adjacent to s gets exactly one clique
     vertex instead, so the gadget simulates a vertex capacity of deg(s).
     """
     g0 = inc.instance
-    incident = h.incident(s)
+    hyperedge_of = dict(zip(inc.edge_node.values(), inc.edge_node))
     base = max(g0.graph.vertices) + 1
-    clique = tuple(range(base, base + len(incident)))
-    gadget_of = dict(zip((inc.edge_node[e] for e in incident), clique))
-    # Every G0 edge runs from a vertex to a hyperedge node, so s can only be its first end.
-    edges = {eid: (gadget_of[b], b) if a == s else (a, b) for eid, (a, b) in g0.graph.edges.items()}
+    edges, attachments = {}, []
+    # G0's edges run from a vertex to a hyperedge node, in hyperedge id order,
+    # so s can only be an edge's first end, and its hyperedges come in id order.
+    for eid, (a, b) in g0.graph.edges.items():
+        if a == s:
+            a = base + len(attachments)  # the hyperedge's own clique vertex
+            attachments.append((hyperedge_of[b], eid))
+        edges[eid] = (a, b)
+    clique = tuple(range(base, base + len(attachments)))
     edges.update(zip(count(len(edges)), combinations(clique, 2)))  # G0's edge ids are 0..m-1
 
     vertices = (g0.graph.vertices - {s}) | frozenset(clique)
     instance = ElementConnInstance(Multigraph(vertices, edges), g0.terminals - {s})
-    attachments = tuple((e, gadget_of[inc.edge_node[e]]) for e in incident)
-    return GadgetInstance(instance=instance, clique=clique, attachments=attachments)
+    return GadgetInstance(instance=instance, clique=clique, attachments=tuple(attachments))
 
 
 def run_pipeline(h: Hypergraph, s: int) -> StagePipeline:
@@ -130,11 +136,8 @@ def run_pipeline(h: Hypergraph, s: int) -> StagePipeline:
 
     inc = incidence_graph(h)
     g0 = inc.instance
-    gadget = _build_gadget(h, s, inc)
+    gadget = _build_gadget(s, inc)
     g1 = gadget.instance
-    # (hyperedge, id of its G0 edge to s), which the gadget keeps as its attachment
-    to_s = {b: eid for eid, (a, b) in g0.graph.edges.items() if a == s}
-    attached = [(e, to_s[inc.edge_node[e]]) for e, _ in gadget.attachments]
 
     # The table every stage must keep is the G0 table without s.
     table = conn_table_elements(g0).restrict(g1.terminals)
@@ -146,30 +149,23 @@ def run_pipeline(h: Hypergraph, s: int) -> StagePipeline:
 
     # Stage 2 reduces clique edges only: each attachment stays, its gadget end
     # moved to the vertex it was contracted into. They are stage 3's candidates.
-    for e, eid in attached:
+    for e, eid in gadget.attachments:
         if eid not in edges:
             raise InternalInvariantError(
                 f"hyperedge node {inc.edge_node[e]} is not attached to exactly one surviving gadget vertex"
             )
-    deleted = _maximal_preserving_deletions(edges, [eid for _, eid in attached], flows)
+    deleted = _maximal_preserving_deletions(edges, [eid for _, eid in gadget.attachments], flows)
 
     gone = frozenset(deleted)
-    f0 = tuple(e for e, eid in attached if eid in gone)
-    fa: dict[int, tuple[int, ...]] = {}
-    for e, eid in attached:  # ascending hyperedge ids
-        if eid not in gone:  # held by its larger end: clique ids exceed every G0 node
+    f0, fa = [], {}
+    for e, eid in gadget.attachments:  # ascending hyperedge ids
+        if eid in gone:
+            f0.append(e)
+        else:  # held by its larger end: clique ids exceed every G0 node
             holder = edges[eid][1]
             fa[holder] = fa.get(holder, ()) + (e,)
-    return StagePipeline(
-        hypergraph=h,
-        s=s,
-        gadget=gadget,
-        table=table,
-        s2=s2,
-        fa=fa,
-        f0=f0,
-        deleted_edges=deleted,
-    )
+    return StagePipeline(hypergraph=h, s=s, gadget=gadget, table=table, s2=s2, fa=fa, f0=tuple(f0),
+                         deleted_edges=deleted)
 
 
 def extract_op_log(p: StagePipeline) -> tuple[SplitOffOp, ...]:

@@ -14,7 +14,8 @@ from hypersplit import (
     random_element_instance,
     random_hypergraph,
 )
-from hypersplit.flow import _split_arcs, _tree_flows
+from hypersplit.errors import InternalInvariantError
+from hypersplit.flow import _checked, _split_arcs
 from hypersplit.formats import NameTable
 
 
@@ -105,7 +106,11 @@ def hypergraph(edge_list, extra_vertices=()) -> Hypergraph:
 def tree_pairs_hold(inst, table) -> bool:
     """True iff ``inst`` has ``table``'s values on the pairs of ``table.tree()``,
     which decide the whole table when no pair of ``inst`` can exceed its value."""
-    return _tree_flows(_split_arcs(inst), table) is not None
+    try:
+        _checked(_split_arcs(inst), table, "the test")
+    except InternalInvariantError:
+        return False
+    return True
 
 
 def reference_reduce(inst, e, table):

@@ -621,6 +621,18 @@ class TestEconn:
     def test_non_terminal_endpoint_exits_3(self, element_file):
         assert main(["econn", str(element_file), "-u", "u", "-v", "p"]) == 3
 
+    @pytest.mark.parametrize("command", ["econn", "oracle"])
+    @pytest.mark.parametrize("u, v, message", [
+        ("u", "p", "vertex 'p' is not a terminal"),
+        ("q", "v", "vertex 'q' is not a terminal"),
+        ("p", "q", "vertex 'p' is not a terminal"),
+        ("p", "p", "endpoints coincide"),
+        ("p", "zz", "unknown vertex 'zz'"),
+    ], ids=["v", "u", "both", "same", "unknown"])
+    def test_non_terminal_endpoint_is_named(self, element_file, capsys, command, u, v, message):
+        assert main([command, str(element_file), "-u", u, "-v", v]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestOracleCmd:
     def test_check_agrees(self, triangle, capsys):

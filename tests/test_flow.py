@@ -871,7 +871,7 @@ class TestTableTree:
         for inst in instances:
             table = conn_table_elements(inst)
             max_flows.clear()
-            flow._tree_flows(flow._split_arcs(inst), table)
+            flow._checked(flow._split_arcs(inst), table, "the test")
             order = sorted(inst.graph.vertices)
             assert len(max_flows) == len(table.tree())
             for (parent, child, _), (source, sink) in zip(table.tree(), max_flows):

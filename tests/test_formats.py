@@ -14,10 +14,10 @@ from hypersplit import (
     UnknownVertexError,
     hypergraph_equal,
 )
+from hypersplit.cli import main
 from hypersplit.formats import (
     NameTable,
     OpLog,
-    _json_text,
     check_oplog_header,
     detect_format,
     incidence_dot,
@@ -527,27 +527,84 @@ class TestWritersFromIds:
 
 class TestJsonText:
     """Every JSON text is written in ``json.dumps``' ``indent=2`` layout,
-    ASCII escapes and a final newline included."""
+    ASCII escapes and a final newline included: the ``--json`` reports and
+    the op-log's op entries, laid out by ``_joined``, must be the bytes
+    ``json.dumps`` gives for the objects they stand for."""
 
-    def test_equals_json_dumps(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        from hypothesis import strategies as st
+    @staticmethod
+    def _files(tmp_path, trial):
+        """A hypergraph file and an element file of the seeded corpus whose names
+        need escapes, each as (path, the instance it parses to, its names)."""
+        h, inst = corpus_hypergraph(trial), sparse_element_instance(trial)
+        hyper, element = tmp_path / "h.json", tmp_path / "inst.json"
+        hyper.write_text(write_hypergraph_json(h, _tables(len(h.vertices))[2]), encoding="utf-8")
+        element.write_text(write_element_json(inst, _tables(len(inst.graph.vertices))[2]), encoding="utf-8")
+        return ((hyper, *parse_hypergraph_json(hyper.read_text(encoding="utf-8"))),
+                (element, *parse_element_json(element.read_text(encoding="utf-8"))))
 
-        text = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001d11e", ""]))
-        scalars = st.one_of(text, st.integers(), st.booleans(), st.none())
-        values = st.recursive(
-            scalars, lambda inner: st.one_of(st.lists(inner), st.dictionaries(text, inner)), max_leaves=30)
+    @staticmethod
+    def _report(argv, capsys):
+        assert main(argv) == 0
+        return capsys.readouterr().out
 
-        @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
-        @hypothesis.given(values)
-        def check(obj):
-            assert _json_text(obj) == json.dumps(obj, indent=2) + "\n"
+    @staticmethod
+    def _pairs_obj(table, ids, value):
+        """The ``--json`` pair report of the pairs of ``ids``, both ends in name order."""
+        names = sorted(map(table.name_of, ids))
+        return {"pairs": [{"u": a, "v": b, "value": value(table.id_of(a), table.id_of(b))}
+                          for i, a in enumerate(names) for b in names[i + 1:]]}
 
-        check()
+    @pytest.mark.parametrize("trial", range(6))
+    def test_pair_reports(self, tmp_path, capsys, trial):
+        from hypersplit import conn_table_elements, conn_table_hyper, oracle_element_conn, oracle_lambda
 
-    @pytest.mark.parametrize("obj", [[], {}, [[], {}, ""], ["ab", ["cd"]], ["ab", 1, None, True], {"k": ["ab", {}]}])
-    def test_empty_and_mixed_containers(self, obj):
-        assert _json_text(obj) == json.dumps(obj, indent=2) + "\n"
+        (hyper, h, ht), (element, inst, et) = self._files(tmp_path, trial)
+        assert any(json.dumps(name) != f'"{name}"' for name in ht.names)  # names that need escapes
+        for command, path, table, ids, value in [
+            ("conn", hyper, ht, h.vertices, conn_table_hyper(h).get),
+            ("oracle", hyper, ht, h.vertices, lambda u, v: oracle_lambda(h, u, v)),
+            ("econn", element, et, inst.terminals, conn_table_elements(inst).get),
+            ("oracle", element, et, inst.terminals, lambda u, v: oracle_element_conn(inst, u, v)),
+        ]:
+            out = self._report([command, str(path), "--all-pairs", "--json"], capsys)
+            assert out == _dumped(self._pairs_obj(table, ids, value)), command
+            a, b = sorted(map(table.name_of, ids))[-2:]
+            out = self._report([command, str(path), "-u", b, "-v", a, "--json"], capsys)
+            assert out == _dumped(self._pairs_obj(table, [table.id_of(a), table.id_of(b)], value)), command
+
+    @pytest.mark.parametrize("command", ["conn", "econn", "oracle"])
+    def test_empty_pair_list(self, tmp_path, capsys, command):
+        path = tmp_path / "one.json"
+        path.write_text('{"vertices": ["a"], "hyperedges": []}' if command == "conn"
+                        else '{"vertices": ["a", "b"], "edges": [["a", "b"]], "terminals": ["a"]}')
+        out = self._report([command, str(path), "--all-pairs", "--json"], capsys)
+        assert out == _dumped({"pairs": []}) == '{\n  "pairs": []\n}\n'
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_split_report(self, tmp_path, capsys, trial):
+        (path, h, table), _ = self._files(tmp_path, trial)
+        s = max(sorted(h.vertices), key=h.degree)
+        result = complete_split_off(h, s)
+        merges = sum(isinstance(op, Merge) for op in result.log)
+        out = self._report(["split", str(path), "-s", table.name_of(s), "--json"], capsys)
+        assert out == _dumped({"s": table.name_of(s), "hyperedges_before": h.num_edges,
+                               "hyperedges_after": result.h_star.num_edges,
+                               "operations": {"merge": merges, "trim": len(result.log) - merges},
+                               "pairs_checked": len(result.certificate), "certificate": "pass"})
+
+    def test_op_logs_with_merges_and_trims(self):
+        both = 0
+        for trial in range(40):
+            h = corpus_hypergraph(trial, max_n=12, max_m=16)
+            for s in (min(h.vertices), max(h.vertices)):
+                log = complete_split_off(h, s).log
+                both += {type(op) for op in log} == {Merge, Trim}
+                for table in _tables(len(h.vertices)):
+                    assert write_oplog(h, table, s, log) == _dumped(_oplog_obj(h, table, s, log))
+        assert both >= 10
+        table, h = _tables(3)[2], Hypergraph(frozenset(range(3)), {0: frozenset({0, 1}), 1: frozenset({1, 2})})
+        for ops in [(), (Trim(1),), (Merge(0, 1),), (Merge(1, 0), Trim(1), Merge(0, 2), Trim(0))]:
+            assert write_oplog(h, table, 1, ops) == _dumped(_oplog_obj(h, table, 1, ops))
 
     @pytest.mark.parametrize("trial", range(12))
     def test_public_writers_reencode_to_themselves(self, trial):

@@ -13,7 +13,7 @@ from hypersplit import (
     reduce_to_stable,
     random_element_instance,
 )
-from hypersplit.flow import _TreeFlows, _split_arcs, _table_flows, _tree_flows
+from hypersplit.flow import _TreeFlows, _checked, _split_arcs, _table_flows
 from conftest import (
     corpus_element_instance,
     instance,
@@ -26,7 +26,7 @@ from conftest import (
 def tree_flows(inst, table):
     """The kept flows of the pairs of ``table.tree()`` on ``inst``."""
     network = _split_arcs(inst)
-    return _TreeFlows(network, _tree_flows(network, table))
+    return _TreeFlows(network, _checked(network, table, "the test"))
 
 
 def nonterminal_edges(inst):

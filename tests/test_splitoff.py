@@ -91,12 +91,16 @@ class TestBuildGadget:
         ]
         assert len(internal) == 10
         assert len(set(internal)) == 10
-        # every incident hyperedge node hangs off exactly one gadget vertex
+        # every incident hyperedge node hangs off exactly one gadget vertex, by
+        # its G0 edge to s, whose larger end is now that vertex
         inc = incidence_graph(h)
-        for eid, holder in gadget.attachments:
-            node = inc.edge_node[eid]
-            assert gadget.instance.graph.neighbors(node) & clique == {holder}
-        assert sorted(e for e, _ in gadget.attachments) == sorted(h.incident(FIG_SHAPE_S))
+        for e, eid in gadget.attachments:
+            node = inc.edge_node[e]
+            assert set(inc.instance.graph.edges[eid]) == {FIG_SHAPE_S, node}
+            end, holder = sorted(gadget.instance.graph.edges[eid])
+            assert end == node and gadget.instance.graph.neighbors(node) & clique == {holder}
+        assert [e for e, _ in gadget.attachments] == list(h.incident(FIG_SHAPE_S))
+        assert len({max(gadget.instance.graph.edges[eid]) for _, eid in gadget.attachments}) == 5
 
     def test_gadget_vertices_are_nonterminals(self):
         h = two_star()
@@ -501,8 +505,8 @@ class TestOneCheckerPerInstance:
 
         real_gadget = splitoff._build_gadget
 
-        def no_clique(h, s, inc):
-            g = real_gadget(h, s, inc)
+        def no_clique(s, inc):
+            g = real_gadget(s, inc)
             graph = g.instance.graph
             edges = {e: uv for e, uv in graph.edges.items() if not set(uv) <= set(g.clique)}
             inst = g.instance.with_graph(Multigraph(graph.vertices, edges))
