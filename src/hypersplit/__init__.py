@@ -54,7 +54,6 @@ _HOMES = {
     "reduction": (
         "MinorTrace",
         "ReductionStep",
-        "maximal_preserving_deletions",
         "reduce_to_stable",
     ),
     "splitoff": (

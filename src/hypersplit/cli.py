@@ -274,7 +274,15 @@ def cmd_replay(args) -> int:
         raise ParseError(f"-s {args.s!r} disagrees with the log header ({log.s_name!r})")
     formats.check_oplog_header(log, h, table)
     s = table.id_of(log.s_name)
-    result = replay(h, s, log.ops)
+    try:
+        result = replay(h, s, log.ops)
+    except ReplayError as exc:
+        # A bad trim or merge names s last, by its id; name it as the input does.
+        text = str(exc.cause)
+        if not text.endswith(f" vertex {s}"):
+            raise
+        cause = type(exc.cause)(text.removesuffix(str(s)) + repr(log.s_name))
+        raise ReplayError(exc.index, cause) from exc
     _write_out((args.out, formats.dump_hypergraph(result, table, fmt)))
     return EXIT_OK
 

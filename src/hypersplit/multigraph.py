@@ -115,7 +115,3 @@ class ElementConnInstance:
     @property
     def nonterminals(self) -> frozenset[int]:
         return self.graph.vertices - self.terminals
-
-    def with_graph(self, graph: Multigraph) -> "ElementConnInstance":
-        """Same terminal set over a derived graph (terminals must all survive)."""
-        return ElementConnInstance(graph, self.terminals)

@@ -28,11 +28,12 @@ The run itself works on a private mutable copy of the edges, with the
 candidates in a heap keyed by (min endpoint, max endpoint, id). A
 contraction keeps the smaller endpoint, so every key it changes gets
 smaller: pushing the new key and skipping stale entries keeps the order
-of always taking the smallest candidate. The two runs,
-``reduce_to_stable`` and ``maximal_preserving_deletions``, are the only
-entry points: a single step exists only inside a run's kept flows. Each
-builds one immutable instance from its private edges at the end; the
-split-off pipeline reads the edges and the kept flows and builds none.
+of always taking the smallest candidate. ``reduce_to_stable`` is the only
+public entry point: a single step exists only inside a run's kept flows,
+and it builds one immutable instance from its private edges at the end.
+The split-off pipeline runs ``_reduce_to_stable`` on its clique and
+``_maximal_preserving_deletions`` on its attachments, reading the edges
+and the kept flows and building no instance.
 """
 
 from __future__ import annotations
@@ -77,33 +78,30 @@ class MinorTrace:
         )
 
 
-def reduce_to_stable(
-    inst: ElementConnInstance, *, within: Optional[Iterable[int]] = None
-) -> tuple[ElementConnInstance, MinorTrace]:
+def reduce_to_stable(inst: ElementConnInstance) -> tuple[ElementConnInstance, MinorTrace]:
     """Reduce non-terminal edges until none remain; the table never changes.
 
-    With ``within``, only edges whose endpoints both descend from that vertex
-    set are reduced (contraction keeps candidates inside the set because the
-    surviving endpoint is one of the two). Without it, the result has its
-    non-terminals as a stable set. A result that differs from the input is
-    re-checked by fresh flows.
+    The result has its non-terminals as a stable set. A result that differs
+    from the input is re-checked by fresh flows.
     """
     baseline, flows = _table_flows(inst)
-    edges, vertex_map, steps = _reduce_to_stable(inst, flows, within)
-    out = inst.with_graph(Multigraph(frozenset(vertex_map), edges))
+    edges, vertex_map, steps = _reduce_to_stable(inst, flows, inst.nonterminals)
+    out = ElementConnInstance(Multigraph(frozenset(vertex_map), edges), inst.terminals)
     if steps:
         _checked(_split_arcs(out), baseline, "reducing non-terminal edges")
     return out, MinorTrace(steps=tuple(steps), vertex_map=vertex_map)
 
 
 def _reduce_to_stable(
-    inst: ElementConnInstance, flows: _TreeFlows, within: Optional[Iterable[int]]
+    inst: ElementConnInstance, flows: _TreeFlows, pool: Iterable[int]
 ) -> tuple[dict[int, tuple[int, int]], dict[int, frozenset[int]], list[ReductionStep]]:
-    """``reduce_to_stable`` from the tree flows of ``inst``, without its final
+    """Reduce every edge of ``inst`` between two vertices of ``pool``, a set
+    of its non-terminals, from its tree flows ``flows``, without a final
     check, applying every step to ``flows`` too: the edges left (id -> (min,
     max) ends), the vertex map and the steps. A contraction keeps the smaller
-    end; if it does not keep the table either, that is an internal error."""
-    pool = set(inst.nonterminals if within is None else inst.nonterminals & set(within))
+    end, which is in the pool; if it does not keep the table either, that is
+    an internal error."""
+    pool = set(pool)
     edges = dict(inst.graph.edges)  # id -> (min, max) ends, updated in place
     incident: dict[int, set[int]] = {v: set() for v in pool}
     heap = []
@@ -148,30 +146,18 @@ def _reduce_to_stable(
     return edges, vertex_map, steps
 
 
-def maximal_preserving_deletions(
-    inst: ElementConnInstance, candidates: Iterable[int]
-) -> tuple[ElementConnInstance, tuple[int, ...]]:
-    """Greedily delete candidates whose removal preserves the entry table.
+def _maximal_preserving_deletions(
+    edges: Mapping[int, tuple[int, int]], candidates: Iterable[int], flows: _TreeFlows
+) -> tuple[int, ...]:
+    """Greedily delete candidates whose removal preserves the table of the
+    tree flows ``flows`` of the edges ``edges`` (id -> (min, max) ends),
+    applying each deletion to ``flows``: the ids deleted, in the order tested.
 
     Each listed id is tested once and reported at most once. One
     deterministic pass is maximal for non-terminal edges: an edge whose
     deletion breaks the table now cannot become deletable after further
     preserving reductions, so revisiting rejected candidates gains nothing.
     """
-    ids = list(candidates)
-    for e in ids:
-        inst.graph.endpoints(e)  # raises MissingEdgeError on unknown ids
-    deleted = _maximal_preserving_deletions(inst.graph.edges, ids, _table_flows(inst)[1])
-    gone = frozenset(deleted)
-    edges = {e: uv for e, uv in inst.graph.edges.items() if e not in gone}
-    return inst.with_graph(Multigraph(inst.graph.vertices, edges)), deleted
-
-
-def _maximal_preserving_deletions(
-    edges: Mapping[int, tuple[int, int]], candidates: Iterable[int], flows: _TreeFlows
-) -> tuple[int, ...]:
-    """The ids ``maximal_preserving_deletions`` deletes from the edges
-    ``edges`` (id -> (min, max) ends), applied to their tree flows ``flows``."""
     # (min endpoint, max endpoint, id among parallels): the order reduce_to_stable uses.
     order = sorted(set(candidates), key=lambda e: (*edges[e], e))
     return tuple(e for e in order if flows.delete(e))

@@ -144,7 +144,7 @@ def run_pipeline(h: Hypergraph, s: int) -> StagePipeline:
     network = _split_arcs(g1)
     flows = _TreeFlows(network, _checked(network, table, "replacing s with the clique gadget"))
 
-    edges, survivors, _ = _reduce_to_stable(g1, flows, set(gadget.clique))  # no step is output
+    edges, survivors, _ = _reduce_to_stable(g1, flows, gadget.clique)  # no step is output
     s2 = tuple(v for v in gadget.clique if v in survivors)
 
     # Stage 2 reduces clique edges only: each attachment stays, its gadget end

@@ -116,10 +116,10 @@ def tree_pairs_hold(inst, table) -> bool:
 def reference_reduce(inst, e, table):
     """Delete edge e from ``inst`` if the tree pairs of ``table`` hold without
     it, else contract it: the instance after, and "deleted" or "contracted"."""
-    deleted = inst.with_graph(inst.graph.without_edge(e))
+    deleted = ElementConnInstance(inst.graph.without_edge(e), inst.terminals)
     if tree_pairs_hold(deleted, table):
         return deleted, "deleted"
-    return inst.with_graph(inst.graph.contracted(e)[0]), "contracted"
+    return ElementConnInstance(inst.graph.contracted(e)[0], inst.terminals), "contracted"
 
 
 def rebuilt_g3(p) -> ElementConnInstance:

@@ -11,6 +11,7 @@ import itertools
 import pytest
 
 from hypersplit import (
+    ElementConnInstance,
     Merge,
     SplitMix64,
     apply_op,
@@ -113,8 +114,8 @@ def test_criterion_3_reduction_theorem():
         for e, (a, b) in sorted(inst.graph.edges.items()):
             if a not in nts or b not in nts:
                 continue
-            deleted = inst.with_graph(inst.graph.without_edge(e))
-            contracted = inst.with_graph(inst.graph.contracted(e)[0])
+            deleted = ElementConnInstance(inst.graph.without_edge(e), inst.terminals)
+            contracted = ElementConnInstance(inst.graph.contracted(e)[0], inst.terminals)
             deletable = conn_table_elements(deleted) == baseline
             assert deletable or conn_table_elements(contracted) == baseline
             # The step reduce_to_stable takes, in the table's kept flows.

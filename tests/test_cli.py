@@ -773,7 +773,28 @@ class TestReplayVerify:
             )
         )
         assert main(["replay", str(src), "--log", str(log)]) == 5
-        assert "index 0" in capsys.readouterr().err
+        # s has id 3; the message names it as the input does.
+        message = "invalid operation at index 0: hyperedges 0 and 1 do not intersect exactly in vertex 's'"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, s, ops, message", [
+        # Trimming hyperedge 0 twice at a: the second trim finds no a in it.
+        ("a b c\n", "a", [{"op": "trim", "edge": 0}] * 2,
+         "invalid operation at index 1: hyperedge 0 does not contain vertex 'a'"),
+        # After the trim, hyperedge 1 no longer holds s\u00e9 (id 4).
+        ("s\u00e9 a c\ns\u00e9 b d\n", "s\u00e9", [{"op": "trim", "edge": 1}, {"op": "merge", "keep": 0, "absorb": 1}],
+         "invalid operation at index 1: hyperedges 0 and 1 do not intersect exactly in vertex 's\u00e9'"),
+    ])
+    def test_bad_op_names_the_split_vertex(self, tmp_path, capsys, text, s, ops, message):
+        src = tmp_path / "h.he"
+        src.write_text(text, encoding="utf-8")
+        edges = [sorted(line.split()) for line in text.splitlines()]
+        log = tmp_path / "log.json"
+        log.write_text(json.dumps({"s": s, "hyperedges": edges, "ops": ops}))
+        assert main(["replay", str(src), "--log", str(log)]) == 5
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_header_mismatch_exits_2(self, two_star, tmp_path):
         log = tmp_path / "log.json"

@@ -5,15 +5,16 @@ import copy
 import pytest
 
 from hypersplit import (
+    ElementConnInstance,
     GenParams,
-    MissingEdgeError,
+    Multigraph,
     ReductionStep,
     conn_table_elements,
-    maximal_preserving_deletions,
     reduce_to_stable,
     random_element_instance,
 )
 from hypersplit.flow import _TreeFlows, _checked, _split_arcs, _table_flows
+from hypersplit.reduction import _maximal_preserving_deletions, _reduce_to_stable
 from conftest import (
     corpus_element_instance,
     instance,
@@ -27,6 +28,15 @@ def tree_flows(inst, table):
     """The kept flows of the pairs of ``table.tree()`` on ``inst``."""
     network = _split_arcs(inst)
     return _TreeFlows(network, _checked(network, table, "the test"))
+
+
+def maximal_deletions(inst, candidates):
+    """``_maximal_preserving_deletions`` of ``candidates`` on the flows of the
+    table of ``inst``, as split-off stage 3 runs it: the instance without the
+    deleted edges, and their ids."""
+    deleted = _maximal_preserving_deletions(inst.graph.edges, candidates, _table_flows(inst)[1])
+    edges = {e: uv for e, uv in inst.graph.edges.items() if e not in deleted}
+    return ElementConnInstance(Multigraph(inst.graph.vertices, edges), inst.terminals), deleted
 
 
 def nonterminal_edges(inst):
@@ -83,10 +93,9 @@ class TestReduceToStable:
         # two separate non-terminal pairs; only the tracked one is reduced
         edges = [(0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1)]
         inst = instance(edges, terminals=[0, 1])
-        out, trace = reduce_to_stable(inst, within={2, 3})
-        touched = {step.edge_id for step in trace.steps}
-        assert touched == {1}
-        assert 4 in {e for e, _ in out.graph.edges.items()}
+        left, _, steps = _reduce_to_stable(inst, _table_flows(inst)[1], {2, 3})
+        assert {step.edge_id for step in steps} == {1}
+        assert 4 in left
 
     def test_random_instances_end_stable_with_same_table(self):
         for trial in range(40):
@@ -137,13 +146,13 @@ class TestMaximalDeletions:
     def test_redundant_parallels_all_deleted(self):
         # kappa(0,1) = 1 through the hub 2; the parallel copies are redundant
         inst = instance([(0, 2), (2, 1), (2, 1), (2, 1)], terminals=[0, 1])
-        out, deleted = maximal_preserving_deletions(inst, [2, 3])
+        out, deleted = maximal_deletions(inst, [2, 3])
         assert set(deleted) == {2, 3}
         assert conn_table_elements(out) == conn_table_elements(inst)
 
     def test_cut_edges_never_deleted(self):
         inst = instance([(0, 2), (2, 1)], terminals=[0, 1])
-        out, deleted = maximal_preserving_deletions(inst, [0, 1])
+        out, deleted = maximal_deletions(inst, [0, 1])
         assert deleted == ()
         assert out.graph.edges == inst.graph.edges
 
@@ -153,7 +162,7 @@ class TestMaximalDeletions:
             candidates = nonterminal_edges(inst)
             if not candidates:
                 continue
-            out, deleted = maximal_preserving_deletions(inst, candidates)
+            out, deleted = maximal_deletions(inst, candidates)
             baseline = conn_table_elements(inst)
             for e in candidates:
                 if e in deleted:
@@ -163,32 +172,27 @@ class TestMaximalDeletions:
     def test_duplicate_candidates_tested_once(self):
         # Edges 4 and 5 are redundant copies of 2-1; a repeated id is tested once.
         inst = instance([(0, 2), (2, 1), (2, 1), (2, 1), (2, 1), (2, 1)], terminals=[0, 1])
-        out, deleted = maximal_preserving_deletions(inst, [4, 4, 5])
+        out, deleted = maximal_deletions(inst, [4, 4, 5])
         assert deleted == (4, 5)
         assert set(out.graph.edges) == {0, 1, 2, 3}
-
-    def test_rejects_unknown_candidate(self):
-        inst = instance([(0, 2), (2, 1)], terminals=[0, 1])
-        with pytest.raises(MissingEdgeError):
-            maximal_preserving_deletions(inst, [44])
 
 
 class TestDeletionPredicate:
     def test_bridge_between_terminals(self):
         inst = instance([(0, 1)], terminals=[0, 1])
-        assert maximal_preserving_deletions(inst, [0])[1] == ()
+        assert maximal_deletions(inst, [0])[1] == ()
 
     def test_pendant_nonterminal_edge(self):
         inst = instance([(0, 1), (1, 2)], terminals=[0, 1])
-        assert maximal_preserving_deletions(inst, [1])[1] == (1,)
+        assert maximal_deletions(inst, [1])[1] == (1,)
 
     def test_redundant_parallel_terminal_edge(self):
         inst = instance([(0, 1), (0, 1)], terminals=[0, 1])
         # removing one copy drops kappa from 2 to 1: not preserving
-        assert maximal_preserving_deletions(inst, [0])[1] == ()
+        assert maximal_deletions(inst, [0])[1] == ()
         # nor is a copy beside a separate two-path route
         wide = instance([(0, 2), (2, 1), (0, 1), (0, 1), (0, 1)], terminals=[0, 1])
-        assert maximal_preserving_deletions(wide, [2])[1] == ()
+        assert maximal_deletions(wide, [2])[1] == ()
 
 
 class TestReductionTheorem:
@@ -197,8 +201,8 @@ class TestReductionTheorem:
             inst = corpus_element_instance(trial)
             baseline = conn_table_elements(inst)
             for e in nonterminal_edges(inst):
-                deleted = inst.with_graph(inst.graph.without_edge(e))
-                contracted = inst.with_graph(inst.graph.contracted(e)[0])
+                deleted = ElementConnInstance(inst.graph.without_edge(e), inst.terminals)
+                contracted = ElementConnInstance(inst.graph.contracted(e)[0], inst.terminals)
                 deletable = conn_table_elements(deleted) == baseline
                 assert deletable or conn_table_elements(contracted) == baseline
                 # The step reduce_to_stable takes, in kept tree flows.
@@ -261,7 +265,7 @@ class TestTreeCheck:
                 contracted, _, _ = inst.graph.contracted(e)
                 for action, graph in (("deleted", inst.graph.without_edge(e)),
                                       ("contracted", contracted)):
-                    after = inst.with_graph(graph)
+                    after = ElementConnInstance(graph, inst.terminals)
                     full = conn_table_elements(after) == base
                     assert tree_pairs_hold(after, base) == full, (trial, e, action)
                     outcomes[action].add(full)
@@ -298,12 +302,12 @@ def _reference_reduce_to_stable(inst, within=None):
 
 
 def _reference_deletions(inst, candidates):
-    """maximal_preserving_deletions spelled out with fresh tree-pair flows per candidate."""
+    """``maximal_deletions`` spelled out with fresh tree-pair flows per candidate."""
     baseline = conn_table_elements(inst)
     cur = inst
     deleted = []
     for e in sorted(candidates, key=lambda e: (*inst.graph.endpoints(e), e)):
-        after = cur.with_graph(cur.graph.without_edge(e))
+        after = ElementConnInstance(cur.graph.without_edge(e), cur.terminals)
         if tree_pairs_hold(after, baseline):
             cur = after
             deleted.append(e)
@@ -437,7 +441,7 @@ def _sweep(inst, order, seen, *, contract=False, gusfield=False):
         a, b = cur.graph.endpoints(e)
         inner = contract and a not in inst.terminals and b not in inst.terminals
         if inner:
-            contracted = cur.with_graph(cur.graph.contracted(e)[0])
+            contracted = ElementConnInstance(cur.graph.contracted(e)[0], cur.terminals)
             expected = tree_pairs_hold(contracted, baseline)
             trial = copy.deepcopy(flows)
             kinds = _contraction_kinds(trial, inst, cur, e)
@@ -445,7 +449,7 @@ def _sweep(inst, order, seen, *, contract=False, gusfield=False):
             seen.update(("contract", kind, expected) for kind in kinds)
             if expected:
                 _assert_kept_flows(trial, pairs, inst, contracted)
-        after = cur.with_graph(cur.graph.without_edge(e))
+        after = ElementConnInstance(cur.graph.without_edge(e), cur.terminals)
         expected = tree_pairs_hold(after, baseline)
         cycles = _units_both_ways(flows, e)
         before = [cap.copy() for cap in flows._caps]
@@ -471,7 +475,7 @@ def _check_against_references(inst, seen):
     assert out == ref_out
     seen.update(("reduce", step.action) for step in trace.steps)
     edges = inst.graph.edge_ids()
-    assert maximal_preserving_deletions(inst, edges) == _reference_deletions(inst, edges)
+    assert maximal_deletions(inst, edges) == _reference_deletions(inst, edges)
 
 
 class TestKeptTreeFlows:
@@ -546,14 +550,16 @@ class TestKeptTreeFlows:
         _assert_kept_flows(flows, baseline.tree(), inst, inst)
         assert _contraction_kinds(flows, inst, inst, 1) == {"cycle", "parallel"}
         assert flows.contract(1)
-        _assert_kept_flows(flows, baseline.tree(), inst, inst.with_graph(inst.graph.contracted(1)[0]))
+        contracted = ElementConnInstance(inst.graph.contracted(1)[0], inst.terminals)
+        _assert_kept_flows(flows, baseline.tree(), inst, contracted)
 
     def test_within_matches_reference(self):
         for trial in range(40):
             inst = sparse_element_instance(trial)
-            within = sorted(inst.nonterminals)[::2]
-            out, trace = reduce_to_stable(inst, within=within)
-            assert (out, trace.steps) == _reference_reduce_to_stable(inst, within)
+            pool = sorted(inst.nonterminals)[::2]
+            edges, vertex_map, steps = _reduce_to_stable(inst, _table_flows(inst)[1], pool)
+            out = ElementConnInstance(Multigraph(frozenset(vertex_map), edges), inst.terminals)
+            assert (out, tuple(steps)) == _reference_reduce_to_stable(inst, pool)
 
     def test_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -609,16 +615,14 @@ class TestFlowCounts:
 
     def test_maximal_deletions_run_one_table(self, max_flows):
         inst = random_element_instance(GenParams(n=12, m=22, r=2, seed=32))
-        maximal_preserving_deletions(inst, inst.graph.edge_ids())
+        maximal_deletions(inst, inst.graph.edge_ids())
         assert len(max_flows) == len(inst.terminals) - 1
 
     def test_contractions_run_no_flows(self, max_flows):
-        from hypersplit.reduction import _reduce_to_stable
-
         inst = random_element_instance(GenParams(n=12, m=22, r=2, seed=32))
         flows = tree_flows(inst, conn_table_elements(inst))
         max_flows.clear()
-        _, _, steps = _reduce_to_stable(inst, flows, None)
+        _, _, steps = _reduce_to_stable(inst, flows, inst.nonterminals)
         assert any(step.action == "contracted" for step in steps)
         assert max_flows == []
 

@@ -447,11 +447,11 @@ class TestOneCheckerPerInstance:
 
         real = splitoff._reduce_to_stable
 
-        def lossy(inst, flows, within):
-            _, _, steps = real(inst, flows, within)
+        def lossy(inst, flows, pool):
+            _, _, steps = real(inst, flows, pool)
             assert steps[-1].action == "contracted"
             # G1 without its clique edges: the a-b route through the gadget is gone.
-            edges = {e: uv for e, uv in inst.graph.edges.items() if not set(uv) <= within}
+            edges = {e: uv for e, uv in inst.graph.edges.items() if not set(uv) <= set(pool)}
             return edges, {v: frozenset({v}) for v in inst.graph.vertices}, steps
 
         monkeypatch.setattr(splitoff, "_reduce_to_stable", lossy)
@@ -465,9 +465,9 @@ class TestOneCheckerPerInstance:
 
         real = splitoff._reduce_to_stable
 
-        def lossy(inst, flows, within):
-            edges, vertex_map, steps = real(inst, flows, within)
-            del edges[min(e for e, (_, b) in edges.items() if b in within)]
+        def lossy(inst, flows, pool):
+            edges, vertex_map, steps = real(inst, flows, pool)
+            del edges[min(e for e, (_, b) in edges.items() if b in pool)]
             return edges, vertex_map, steps
 
         monkeypatch.setattr(splitoff, "_reduce_to_stable", lossy)
@@ -492,7 +492,7 @@ class TestOneCheckerPerInstance:
     def test_stage_checks_catch_faults(self, monkeypatch):
         # Stage 3 trusting its kept flows, or a broken gadget, must not slip
         # through: a wrong G3 fails the end-to-end check, a wrong G1 its own.
-        from hypersplit import InternalInvariantError, Multigraph, splitoff
+        from hypersplit import ElementConnInstance, InternalInvariantError, Multigraph, splitoff
 
         def delete_all(edges, candidates, flows):
             return tuple(sorted(set(candidates)))
@@ -509,7 +509,7 @@ class TestOneCheckerPerInstance:
             g = real_gadget(s, inc)
             graph = g.instance.graph
             edges = {e: uv for e, uv in graph.edges.items() if not set(uv) <= set(g.clique)}
-            inst = g.instance.with_graph(Multigraph(graph.vertices, edges))
+            inst = ElementConnInstance(Multigraph(graph.vertices, edges), g.instance.terminals)
             return splitoff.GadgetInstance(inst, g.clique, g.attachments)
 
         monkeypatch.setattr(splitoff, "_build_gadget", no_clique)
