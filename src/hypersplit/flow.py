@@ -42,11 +42,19 @@ unreached one. There are k such arcs, the flow value, and |delta(X)| >= k
 because X holds the source but not the sink.
 
 Max-flows push the bottleneck of one shortest residual source-sink path per
-search (Edmonds-Karp), so a flow of value k costs k+1 searches. A search is
-two-ended: it grows labels from the source along residual arcs and from the
-sink against them, one full level at a time, always on the side with the
-smaller frontier, and stops at the first node both sides label. The path
-through that node is a shortest one. Before a level is grown, the nodes
+search (Edmonds-Karp) until a search fails. A fresh flow on an element
+network first takes, with no search, one unit over each free source-sink
+path of 1 or 3 arcs (``_one_hop``): an edge between the two terminals, or a
+common neighbour with room on its vertex arc. So a flow of value k costs at
+most k+1 searches, and one when each of its units has such a path. Any
+valid start stays exact: augmenting until a search fails gives a maximum
+flow from every start, and every decision below reads only a flow's value
+or the source side of its last search, which is the set of nodes the
+source reaches in the residual of a maximum flow, one set for all of them.
+A search is two-ended: it grows labels from the source along residual arcs
+and from the sink against them, one full level at a time, always on the
+side with the smaller frontier, and stops at the first node both sides
+label. The path through that node is a shortest one. Before a level is grown, the nodes
 within df arcs of the source and those within db arcs of the sink are all
 labelled, and the two sets are disjoint, so every path has at least
 df+db+1 arcs; a meeting in the new level closes a path of at most df+1+db.
@@ -64,7 +72,7 @@ once the flow saturates that end the last search ends at once. Gusfield's
 flows below keep their direction, because their re-parenting reads the
 source side. A network is built once for all the flows of a table or a
 check: each flow on an element network copies only the capacities, and a
-hypergraph's starts from an empty state.
+hypergraph's starts from an empty state or from carried units (below).
 
 Checking that an instance still has a known table costs T-1 flows, not
 T(T-1)/2. ``ConnTable.tree`` hangs each vertex after the first, in key
@@ -75,7 +83,7 @@ hangs from p with value m and j is earlier, then lambda(i,j) <= m, as p
 was the largest; lambda(p,j) >= min(m, lambda(i,j)) = lambda(i,j); and
 lambda(i,j) >= min(m, lambda(p,j)); so lambda(i,j) = min(m, lambda(p,j)),
 the minimum on i's path to j through p. The tree comes from the values
-alone, so no table stores one. Every checked operation (deleting an edge,
+alone, and a table builds it once, on first use. Every checked operation (deleting an edge,
 contracting an edge between non-terminals, replacing a terminal by the
 clique gadget, trim and merge) can only lower a pair's value. If the
 checked instance matches the table on the T-1 tree pairs, each other pair
@@ -133,14 +141,29 @@ carried different units, dropping y's vertex unit leaves a surplus at x's
 in-node and a deficit at its out-node, and one search for a path between
 them decides the pair by the same g-f' argument as for deletion: a path
 restores value k, and no path means the contraction lowered the value.
+
+The end-to-end check of a split starts from the flows the split already
+holds. Once each attachment edge left after its reductions is contracted
+as above, into its hyperedge node, the kept flows run on the incidence
+graph of the result: each hyperedge node carries at most one unit, from one
+vertex to another, so on Lawler's network that unit enters the hyperedge
+at the first and leaves at the second (``_TreeFlows.carried``).
+``_checked_carried`` trusts none of it: each unit must name a hyperedge of
+the result once and two of its members, and each vertex's net flow must be
+0, or the pair's value out of its source and into its sink. The units are
+then a flow of the result of that value, and augmenting until a search
+fails gives the exact maximum. No pair can exceed its value, so a result
+that keeps the table costs one failing search per tree pair.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain, compress, repeat
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InternalInvariantError, InvalidQueryError, NonTerminalEndpointError, UnknownVertexError
 from .hypergraph import Hypergraph
@@ -159,28 +182,70 @@ class _Hyperedges(NamedTuple):
 
 
 _Network = tuple[_Residual | _Hyperedges, dict[int, int], tuple[int, ...]]  # graph, index, edge ids
+_Carried = tuple[int, int, int, tuple[tuple[int, int, int], ...]]  # source, sink, value, units
 
 
 def _max_flow(
-    graph: _Residual | _Hyperedges, source: int, sink: int
+    graph: _Residual | _Hyperedges, source: int, sink: int, state: list[int] | None = None, total: int = 0
 ) -> tuple[int, list[int], list[int]]:
     """Maximum source->sink flow: its value, the state it leaves (residual
     capacities, or a hypergraph's vertex at each hyperedge node), and the
     labels of its last, failing search (see ``_augment``), which are -1
-    exactly on the nodes the source cannot reach in that residual."""
+    exactly on the nodes the source cannot reach in that residual. It
+    starts from no flow, or from the flow ``state`` of value ``total``,
+    which it updates in place."""
     if isinstance(graph, _Hyperedges):
-        state = [-1] * len(graph.adj)
+        if state is None:
+            state = [-1] * len(graph.adj)
         augment = lambda: _hyper_augment(graph, state, source, sink)
     else:
         head, initial, out = graph
-        state = initial.copy()
+        if state is None:
+            state = initial.copy()
         augment = lambda: _augment(head, state, out, source, sink)
-    total = 0
     while True:
         push, via = augment()
         if not push:
             return total, state, via
         total += push
+
+
+def _fresh_flow(graph: _Residual | _Hyperedges, source: int, sink: int) -> tuple[int, list[int], list[int]]:
+    """``_max_flow`` between two terminal nodes of a network, started on an
+    element network (``_split_arcs``) from its one-hop units (``_one_hop``)."""
+    if isinstance(graph, _Hyperedges):
+        return _max_flow(graph, source, sink)
+    return _max_flow(graph, source, sink, *_one_hop(graph, source, sink))
+
+
+def _one_hop(residual: _Residual, source: int, sink: int) -> tuple[list[int], int]:
+    """A flow on an element network from out-node ``source`` to in-node
+    ``sink`` with one unit on each free path of 1 or 3 arcs, in arc order:
+    an edge between the two terminals, or a neighbour w of both, each unit
+    over one edge to w, w's vertex arc if it has room, and one edge on. Its
+    capacities and value."""
+    head, cap, out = residual
+    cap = cap.copy()
+    into: dict[int, list[int]] = {}  # out-node -> its free arcs into the sink
+    for r in out[sink]:
+        if r != sink and cap[r ^ 1]:  # r reverses an arc into the sink; the sink's own vertex arc is r == sink
+            into.setdefault(head[r], []).append(r ^ 1)
+    total = 0
+    for a in out[source]:
+        w = head[a]
+        if not cap[a]:
+            continue
+        if w == sink:
+            path: tuple[int, ...] = (a,)
+        elif cap[w] and into.get(w + 1):  # w's vertex arc is numbered like its in-node
+            path = (a, w, into[w + 1].pop())
+        else:
+            continue
+        for arc in path:
+            cap[arc] -= 1
+            cap[arc ^ 1] += 1
+        total += 1
+    return cap, total
 
 
 def _two_ended(grow, network: tuple, size: int, source: int, sink: int,
@@ -362,7 +427,11 @@ class ConnTable:
         in key order, each vertex after the first hangs from the earlier
         vertex of largest value, the first on ties. On a connectivity table
         the smallest value along the tree path between two vertices is their
-        value (see the module docstring)."""
+        value (see the module docstring). It is built on the first call."""
+        return self._tree
+
+    @cached_property
+    def _tree(self) -> tuple[tuple[int, int, int], ...]:
         values = self.values
         order = sorted({w for pair in values for w in pair})
         tree = []
@@ -474,7 +543,7 @@ def _pair_flow(network: _Network, u: int, v: int) -> tuple[int, list[int], list[
     """``_max_flow`` between terminals u and v, started at the end of smaller
     degree, u on ties (see the module docstring)."""
     start, end = sorted((_terminal(network, u), _terminal(network, v)), key=lambda t: t[2])
-    return _max_flow(network[0], start[0], end[1])
+    return _fresh_flow(network[0], start[0], end[1])
 
 
 def conn_table_elements(inst: ElementConnInstance) -> ConnTable:
@@ -495,7 +564,7 @@ def _gusfield(network: _Network, terms: list[int], kept: list[list[int]] | None 
     low = [[0] * len(terms) for _ in terms]  # smallest flow on each tree path
     for i in range(1, len(terms)):
         t = parent[i]
-        k, state, via = _max_flow(network[0], ends[i][0], ends[t][1])
+        k, state, via = _fresh_flow(network[0], ends[i][0], ends[t][1])
         if kept is not None:
             kept.append(state)
         for j in range(i + 1, len(terms)):
@@ -534,8 +603,9 @@ class _TreeFlows:
     """
 
     def __init__(self, network: _Network, caps: list[list[int]]):
-        residual, _, edge_ids = network
+        residual, index, edge_ids = network
         self._head, _, self._out = residual
+        self._vertices = list(index)  # the vertex at each index
         first = len(self._out)  # edge arcs follow the vertex arcs, numbered like nodes
         self._edge_arc = dict(zip(edge_ids, range(first, first + 4 * len(edge_ids), 4)))
         self._caps = caps  # residual capacities left by each pair's flow
@@ -621,6 +691,38 @@ class _TreeFlows:
         return True
 
 
+    def carried(self, tree: Iterable[tuple[int, int, int]], hyperedge_at: Mapping[int, int]) -> tuple[_Carried, ...]:
+        """The kept flows, of the pairs ``tree`` in order, each as (source,
+        sink, value, units): a unit (hyperedge, entry, exit) for every vertex
+        of ``hyperedge_at`` (vertex -> hyperedge id) whose unit comes from one
+        vertex and goes on to another, named by those two vertices. Each flow
+        is dropped once read."""
+        head, out, vertices = self._head, self._out, self._vertices
+        hyperedge = [hyperedge_at.get(v) for v in vertices]
+        caps, self._caps = self._caps[::-1], []
+        found = []
+        for u, v, k in tree:
+            cap = caps.pop()
+            units = []
+            # The flow on each vertex arc is its reverse's capacity.
+            for i in compress(range(len(vertices)), cap[1 : 2 * len(vertices) : 2]):
+                e = hyperedge[i]
+                if e is None:
+                    continue
+                for back in out[2 * i]:  # reverses the one arc that brings the unit in
+                    if cap[back]:
+                        break
+                for on in out[2 * i + 1]:  # the one arc that takes it on
+                    if cap[on ^ 1]:
+                        break
+                a, b = vertices[head[back] // 2], vertices[head[on] // 2]
+                if a != b:  # a unit in and out at one vertex is a cycle: cancelled
+                    units.append((e, a, b))
+            net = sum((a == u) - (b == u) for _, a, b in units)
+            found.append((u, v, k, tuple(units)) if net >= 0 else (v, u, k, tuple(units)))
+        return tuple(found)
+
+
 def _checked(network: _Network, table: ConnTable, what: str) -> list[list[int]]:
     """The state the flow of each pair of ``table.tree()`` leaves on an element
     network or Lawler's, each run by ``_pair_flow``. No pair can exceed its value
@@ -633,6 +735,36 @@ def _checked(network: _Network, table: ConnTable, what: str) -> list[list[int]]:
             raise InternalInvariantError(f"{what} changed the terminal connectivity table")
         states.append(state)
     return states
+
+
+def _checked_carried(h: Hypergraph, table: ConnTable, carried: Sequence[_Carried], what: str) -> None:
+    """``_checked`` on Lawler's network of ``h``, each flow of a pair of
+    ``table.tree()`` started from its ``carried`` units instead of from no
+    flow (see the module docstring). The units must form a flow of h of the
+    pair's value: each hyperedge of h used once, entered and left at two of
+    its members, and each vertex's net flow 0, or the value out of the
+    source and into the sink; else an internal error too."""
+    graph, index, _ = _hyperedge_network(h)
+    first = graph.vertices + graph.vertices % 2
+    entry_node = dict(zip(h.hyperedges, range(first, len(graph.adj), 2)))
+    tree = table.tree()
+    bad = InternalInvariantError(f"a flow carried through {what} is not a flow of the result")
+    if len(carried) != len(tree):
+        raise bad
+    for (u, v, k), (source, sink, value, units) in zip(tree, carried):
+        end = [-1] * len(graph.adj)
+        net: Counter[int] = Counter()
+        for e, a, b in units:
+            node, i, j = entry_node.get(e), index.get(a), index.get(b)
+            if node is None or end[node] != -1 or i == j or i not in graph.adj[node] or j not in graph.adj[node]:
+                raise bad
+            end[node], end[node + 1] = i, j
+            net[a] += 1
+            net[b] -= 1
+        if {source, sink} != {u, v} or value != k or net != Counter({source: k, sink: -k}):  # zeros count as missing
+            raise bad
+        if _max_flow(graph, index[source], index[sink], end, k)[0] != k:
+            raise InternalInvariantError(f"{what} changed the terminal connectivity table")
 
 
 def hyperedge_connectivity(h: Hypergraph, u: int, v: int) -> int:

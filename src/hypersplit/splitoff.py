@@ -17,11 +17,19 @@ s's edges, so no graph is scanned to find this bookkeeping: it is the
 trim/merge log, and the result is the log replayed on the input.
 
 Vertex v of the input is node v of G0, so G0's table without s is keyed by
-vertices, and it is the one table both checks compare with, through
-``flow._checked``: G1's, by the tree flows that both reduction stages then
-keep, and the end-to-end check of the result, on Lawler's network, whose
+vertices, and it is the one table both checks compare with: G1's, through
+``flow._checked``, by the tree flows that both reduction stages then keep,
+and the end-to-end check of the result, on Lawler's network, whose
 certificate it is. The reductions, trims and merges never raise a pair's
 value, so a G2 or G3 below the table makes the end-to-end check fail too.
+
+After G3 the pipeline contracts each surviving attachment edge inside the
+kept flows, into its hyperedge node, the smaller end. A gadget vertex then
+ends in the node of the smallest hyperedge it holds, the one its merges
+keep, and the flows run on the incidence graph of the result. They leave
+the pipeline as units on its hyperedges (``StagePipeline.carried``), and
+the end-to-end check (``flow._checked_carried``) checks that they are flows
+of the result and starts from them instead of from no flow.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import InternalInvariantError, ReplayError, UnknownVertexError
-from .flow import ConnTable, _TreeFlows, _checked, _hyperedge_network, _split_arcs, conn_table_elements
+from .flow import ConnTable, _Carried, _TreeFlows, _checked, _checked_carried, _split_arcs, conn_table_elements
 from .hypergraph import (
     Hypergraph,
     Incidence,
@@ -70,6 +78,10 @@ class StagePipeline:
     surviving the clique reduction; ``fa`` maps each still-attached one to
     the hyperedge ids hanging off it after the deletion stage, and ``f0``
     lists hyperedges that lost their gadget attachment entirely.
+    ``carried`` holds the kept flow of each pair of ``table.tree()``, in
+    order, as (source, sink, value, units), each unit a (hyperedge id,
+    entry vertex, exit vertex) of the result; the end-to-end check starts
+    from them.
     """
 
     hypergraph: Hypergraph
@@ -80,6 +92,7 @@ class StagePipeline:
     fa: Mapping[int, tuple[int, ...]]
     f0: tuple[int, ...]
     deleted_edges: tuple[int, ...]
+    carried: tuple[_Carried, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "fa", MappingProxyType(dict(self.fa)))
@@ -126,10 +139,11 @@ def run_pipeline(h: Hypergraph, s: int) -> StagePipeline:
 
     The terminal table of G0 costs T-1 flows (``conn_table_elements``). G1
     is checked against it, by the tree flows that stage 2's reductions and
-    stage 3's deletions keep and update in place. A G1 that drifts is
-    reported as an internal error; G2 and G3 are proved by the end-to-end
-    check of ``complete_split_off``. G2 and G3 are never built as
-    instances: stage 3 and the bookkeeping read stage 2's edges.
+    stage 3's deletions keep and update in place, and that the attachment
+    contractions then carry onto the result. A G1 that drifts is reported
+    as an internal error; G2 and G3 are proved by the end-to-end check of
+    ``complete_split_off``. G2 and G3 are never built as instances: stage 3
+    and the bookkeeping read stage 2's edges.
     """
     if s not in h.vertices:
         raise UnknownVertexError(f"unknown vertex {s}")
@@ -164,8 +178,13 @@ def run_pipeline(h: Hypergraph, s: int) -> StagePipeline:
         else:  # held by its larger end: clique ids exceed every G0 node
             holder = edges[eid][1]
             fa[holder] = fa.get(holder, ()) + (e,)
+            # Into its hyperedge node, the smaller end: each holder ends in the
+            # node of its smallest hyperedge, which the merges keep.
+            if not flows.contract(eid):
+                raise InternalInvariantError("splitting off s changed the terminal connectivity table")
+    carried = flows.carried(table.tree(), {node: e for e, node in inc.edge_node.items()})
     return StagePipeline(hypergraph=h, s=s, gadget=gadget, table=table, s2=s2, fa=fa, f0=tuple(f0),
-                         deleted_edges=deleted)
+                         deleted_edges=deleted, carried=carried)
 
 
 def extract_op_log(p: StagePipeline) -> tuple[SplitOffOp, ...]:
@@ -190,9 +209,10 @@ def complete_split_off(h: Hypergraph, s: int) -> SplitOffResult:
 
     Runs the pipeline, replays its trim/merge log on the input to get the
     result, and certifies that s ends isolated and that the pipeline's
-    table over the remaining vertices is unchanged. That end-to-end check
-    also proves the stages after G1. Any failure of those checks is an
-    internal error: the theorems say they cannot fail.
+    table over the remaining vertices is unchanged. That end-to-end check,
+    started from the pipeline's carried flows, also proves the stages after
+    G1. Any failure of those checks is an internal error: the theorems say
+    they cannot fail.
     """
     pipeline = run_pipeline(h, s)
     log = extract_op_log(pipeline)
@@ -204,5 +224,5 @@ def complete_split_off(h: Hypergraph, s: int) -> SplitOffResult:
         raise InternalInvariantError("split vertex is not isolated in the result")
 
     # Trims and merges never raise connectivity, so the table's tree pairs decide all of it.
-    _checked(_hyperedge_network(h_star), pipeline.table, "splitting off s")
+    _checked_carried(h_star, pipeline.table, pipeline.carried, "splitting off s")
     return SplitOffResult(h_star=h_star, log=log, certificate=pipeline.table, pipeline=pipeline)

@@ -144,9 +144,9 @@ def max_flows(monkeypatch):
     calls = []
     real = flow._max_flow
 
-    def counted(residual, source, sink):
+    def counted(residual, source, sink, *start):
         calls.append((source, sink))
-        return real(residual, source, sink)
+        return real(residual, source, sink, *start)
 
     monkeypatch.setattr(flow, "_max_flow", counted)
     return calls

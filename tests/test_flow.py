@@ -435,6 +435,79 @@ class TestElementConnectivity:
                     assert element_connectivity(inst, u, v) == oracle_element_conn(inst, u, v)
 
 
+class TestOneHop:
+    """A fresh flow on an element network pushes its source's free paths of 1
+    or 3 arcs before its first search (``flow._one_hop``)."""
+
+    @staticmethod
+    def searches(monkeypatch):
+        """What each element search pushed, in call order."""
+        pushed = []
+        real = flow._augment
+
+        def counted(*args):
+            push, via = real(*args)
+            pushed.append(push)
+            return push, via
+
+        monkeypatch.setattr(flow, "_augment", counted)
+        return pushed
+
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("j", range(4))
+    def test_parallel_edges_and_common_neighbours_need_one_search(self, monkeypatch, p, j):
+        # Terminals 0 and 1 joined by p parallel edges and by j non-terminals
+        # adjacent to both, and nothing else: the one failing search confirms.
+        edges = [(0, 1)] * p + [edge for w in range(2, 2 + j) for edge in ((0, w), (w, 1))]
+        inst = instance(edges, terminals=[0, 1], extra_vertices=[0, 1])
+        pushed = self.searches(monkeypatch)
+        for u, v in ((0, 1), (1, 0)):
+            pushed.clear()
+            assert element_connectivity(inst, u, v) == p + j
+            assert pushed == [0]
+
+    def test_against_networkx(self):
+        # Seeded multigraphs rich in terminal-terminal edges, parallel edges
+        # and terminals between two others, each ordered pair run from its
+        # first end: the value is networkx's, and the last search reaches the
+        # nodes that a flow started from no flow reaches.
+        nx = pytest.importorskip("networkx")
+        from hypersplit import SplitMix64
+
+        rng = SplitMix64(0x1407)
+        seen = dict.fromkeys(("terminal_edge", "parallel", "terminal_between", "all_one_hop"), 0)
+        for _ in range(60):
+            n = 3 + rng.below(8)
+            terminals = set(rng.sample(n, 2 + rng.below(n - 1)))
+            edges = []
+            for _ in range(rng.below(3 * n)):
+                a, b = rng.sample(n, 2)
+                edges += [(a, b)] * (1 + (rng.below(4) == 0))
+            inst = instance(edges, terminals, extra_vertices=range(n))
+            residual, index, _ = flow._split_arcs(inst)
+            neighbours = {w: set() for w in range(n)}
+            for a, b in edges:
+                neighbours[a].add(b)
+                neighbours[b].add(a)
+            for u in terminals:
+                for v in terminals - {u}:
+                    k = _nx_element_conn(nx, inst, u, v)
+                    source, sink = 2 * index[u] + 1, 2 * index[v]
+                    start, total = flow._one_hop(residual, source, sink)
+                    value, _, via = flow._max_flow(residual, source, sink, start, total)
+                    cold = flow._max_flow(residual, source, sink)
+                    assert value == cold[0] == k
+                    assert [node == -1 for node in via] == [node == -1 for node in cold[2]]
+                    seen["terminal_edge"] += v in neighbours[u]
+                    seen["parallel"] += edges.count((u, v)) + edges.count((v, u)) > 1
+                    seen["terminal_between"] += bool(neighbours[u] & neighbours[v] & terminals)
+                    seen["all_one_hop"] += 0 < total == k
+            table = conn_table_elements(inst)
+            for u, v, k in table.pairs():
+                assert k == _nx_element_conn(nx, inst, u, v)
+        assert min(seen.values()) >= 50, seen
+
+
 class TestHyperedgeConnectivity:
     def test_single_hyperedge(self):
         assert hyperedge_connectivity(hypergraph([{0, 1, 2}]), 0, 1) == 1

@@ -24,7 +24,7 @@ from hypersplit import (
     replay,
     run_pipeline,
 )
-from conftest import corpus_hypergraph, hypergraph, named_hypergraphs, rebuilt_g3
+from conftest import corpus_hypergraph, hypergraph, named_hypergraphs, names_for, rebuilt_g3
 
 # Degree-5 instance whose pipeline both deletes gadget edges (three hyperedges
 # end up plainly trimmed) and keeps a merge chain; frozen from the generator.
@@ -417,13 +417,47 @@ class TestOneCheckerPerInstance:
             # G1's check only: both reduction stages continue its flows.
             assert len(built) == 1
 
-    def test_check_plan(self, max_flows):
-        # The G0 table costs n-1 flows; the G1 check and the end-to-end check
-        # cost n-2 each. Reductions run none.
+    @staticmethod
+    def count_searches(monkeypatch):
+        """(search routine, whether it pushed) -> calls, over both networks."""
+        from collections import Counter
+
+        from hypersplit import flow
+
+        searches = Counter()
+        for name in ("_augment", "_hyper_augment"):
+
+            def counted(*args, real=getattr(flow, name), name=name):
+                push, via = real(*args)
+                searches[name, bool(push)] += 1
+                return push, via
+
+            monkeypatch.setattr(flow, name, counted)
+        return searches
+
+    def test_check_plan(self, monkeypatch):
+        # The G0 table's n-1 flows and the G1 check's n-2 run on element
+        # networks, each ending in a failing search, as do 6 of the reductions'
+        # deletion tests. The end-to-end check starts from the flows carried
+        # from stage 3, so its n-2 flows on Lawler's network run one failing
+        # search each and no augmenting one.
+        searches = self.count_searches(monkeypatch)
         h, s = self.seeded()
         n = len(h.vertices)
         complete_split_off(h, s)
-        assert len(max_flows) == (n - 1) + 2 * (n - 2) == 25
+        assert searches == {("_augment", True): 113, ("_augment", False): 23, ("_hyper_augment", False): n - 2}
+
+    def test_end_to_end_check_augments_nothing(self, monkeypatch):
+        searches = self.count_searches(monkeypatch)
+        cases = [(h, max(sorted(h.vertices), key=h.degree)) for h in map(corpus_hypergraph, range(60))]
+        cases += [(two_star(), 2), (hypergraph(FIG_SHAPE_EDGES), FIG_SHAPE_S)]
+        cases += list(TestAdversarialShapes.CASES.values())
+        pairs = 0
+        for h, s in cases:
+            res = complete_split_off(h, s)
+            pairs += len(res.certificate.tree())
+        assert searches["_hyper_augment", True] == 0
+        assert searches["_hyper_augment", False] == pairs > 200
 
     def test_one_table_per_split(self, monkeypatch):
         from hypersplit import flow
@@ -488,6 +522,82 @@ class TestOneCheckerPerInstance:
         assert replay(h, 2, trim_all(run_pipeline(h, 2))).degree(2) == 0
         with pytest.raises(InternalInvariantError, match="splitting off s"):
             complete_split_off(h, 2)
+
+    @staticmethod
+    def tampered(flows, h_star):
+        """Ways to break the carried flows of a split whose result is ``h_star``,
+        each a function of the flows that returns the broken ones."""
+
+        def first_with_units():
+            return next(i for i, flow in enumerate(flows) if flow[3])
+
+        def replaced(i, units):
+            source, sink, k, _ = flows[i]
+            return flows[:i] + ((source, sink, k, tuple(units)),) + flows[i + 1 :]
+
+        def entry_not_a_member():
+            # A hyperedge the flow does not use, without the unit's entry vertex:
+            # each vertex still has the net flow it had.
+            i = first_with_units()
+            (e, a, b), *rest = flows[i][3]
+            used = {unit[0] for unit in flows[i][3]}
+            other = next(f for f, ms in h_star.hyperedges.items() if f not in used and a not in ms)
+            return replaced(i, [(other, a, b), *rest])
+
+        def unit_dropped():
+            i = first_with_units()
+            return replaced(i, flows[i][3][1:])
+
+        def hyperedge_used_twice():
+            # A unit a -> b split at a third member w of its hyperedge: each
+            # vertex keeps its net flow, and every entry and exit is a member.
+            for i, (_, _, _, units) in enumerate(flows):
+                for p, (e, a, b) in enumerate(units):
+                    for w in sorted(h_star.hyperedges[e] - {a, b}):
+                        return replaced(i, [*units[:p], (e, a, w), (e, w, b), *units[p + 1 :]])
+            raise AssertionError("no unit on a hyperedge of three members")
+
+        def flow_of_another_pair():
+            # A later pair's flow of the same value in the first pair's place:
+            # the first pair would go unchecked, and the other be checked twice.
+            j = next(j for j in range(1, len(flows)) if flows[j][2] == flows[0][2])
+            return flows[j : j + 1] + flows[1:]
+
+        def last_flow_dropped():
+            return flows[:-1]
+
+        faults = (entry_not_a_member, unit_dropped, hyperedge_used_twice, flow_of_another_pair, last_flow_dropped)
+        return {f.__name__: f for f in faults}
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["entry_not_a_member", "unit_dropped", "hyperedge_used_twice", "flow_of_another_pair", "last_flow_dropped"],
+    )
+    def test_carried_flows_are_checked(self, monkeypatch, tmp_path, fault):
+        # The end-to-end check starts from the carried units, so it must refuse
+        # units that are not a flow of the result of the pair's value, and no
+        # certificate or output may come out.
+        import dataclasses
+
+        from hypersplit import InternalInvariantError, cli, splitoff
+        from hypersplit.formats import write_hypergraph_text
+
+        h, s = self.seeded()
+        h_star = complete_split_off(h, s).h_star
+        real = splitoff.run_pipeline
+
+        def broken(h, s):
+            p = real(h, s)
+            return dataclasses.replace(p, carried=self.tampered(p.carried, h_star)[fault]())
+
+        monkeypatch.setattr(splitoff, "run_pipeline", broken)
+        with pytest.raises(InternalInvariantError, match="a flow carried through splitting off s is not a flow"):
+            complete_split_off(h, s)
+        names = names_for(len(h.vertices))
+        src, out = tmp_path / "in.he", tmp_path / "out.he"
+        src.write_text(write_hypergraph_text(h, names), encoding="utf-8")
+        assert cli.main(["split", str(src), "-s", names.name_of(s), "-o", str(out)]) == 4
+        assert not out.exists()
 
     def test_stage_checks_catch_faults(self, monkeypatch):
         # Stage 3 trusting its kept flows, or a broken gadget, must not slip
